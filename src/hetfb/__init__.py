@@ -78,7 +78,6 @@ from .montecarlo import (
     run_strategy_comparison,
 )
 from .specfun import (
-    AccuracySpec,
     ConvergenceError,
     bessel_i0,
     bessel_i0e,

@@ -10,8 +10,8 @@ Two evaluation routes are provided and cross-checked:
   CQI into powers of the base CDF (selection coefficients are built in
   exact rational arithmetic, per feedback-set vector);
 * a mixture-CDF route that evaluates the unconditioned scheduled-CQI CDF
-  pointwise through regularized incomplete beta functions and integrates
-  the metric by quadrature.
+  through regularized incomplete beta functions, on a whole array of
+  abscissae at once, and integrates the metric by vectorized quadrature.
 
 The coefficient route is exact but its alternating coefficients grow
 combinatorially (beyond roughly 1e6 the float contraction of the final
@@ -22,11 +22,12 @@ they overlap.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import mpmath as mp
 import numpy as np
@@ -35,7 +36,7 @@ from scipy.special import betainc, gammaln
 from ._quad import quad_checked
 from .channel import SystemConfig
 from .feedback import cluster_feedback_quota
-from .specfun import AccuracySpec, exp_integral_e1_scaled
+from .specfun import exp_integral_e1_scaled
 
 __all__ = [
     "CoefficientTable",
@@ -71,6 +72,14 @@ _SERIES_B_MAX = _B_SERIES_MAX
 def _mp_dps(b: int) -> int:
     # digits lost to cancellation ~ log10 C(b-1, b//2) ~ 0.301*b
     return 30 + int(0.31 * b)
+
+
+@functools.lru_cache(maxsize=None)
+def _signed_binomials(b: int) -> np.ndarray:
+    """(-1)^l * C(b-1, l) for l < b: the weights of the float-tier order sums."""
+    out = np.array([(-1) ** l * math.comb(b - 1, l) for l in range(b)], dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +276,8 @@ class ReportedCqiLaw:
     ``quota`` order-statistic CDFs of ``num_subbands`` i.i.d. exponential
     CQIs with mean ``scale``, computed through regularized incomplete
     beta functions.  Identical to the coefficient expansion, but stable
-    for any size.
+    for any size.  ``cdf``, ``sf`` and ``pdf`` take a scalar or an array
+    and broadcast the order index over a trailing axis.
     """
 
     def __init__(self, num_subbands: int, quota: int, scale: float = 1.0):
@@ -282,26 +292,30 @@ class ReportedCqiLaw:
             gammaln(num_subbands + 1) - gammaln(self._j) - gammaln(num_subbands - self._j + 1)
         )
 
-    def cdf(self, x: float) -> float:
-        if x <= 0:
-            return 0.0
-        base = -math.expm1(-x / self.scale)
-        return float(np.mean(betainc(self._j, self.num_subbands - self._j + 1, base)))
+    def _log_sf(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(x as an array, log of the base survival at max(x, 0))."""
+        x = np.asarray(x, dtype=float)
+        return x, -np.maximum(x, 0.0) / self.scale
 
-    def sf(self, x: float) -> float:
-        if x <= 0:
-            return 1.0
-        base_sf = math.exp(-x / self.scale)
-        return float(np.mean(betainc(self.num_subbands - self._j + 1, self._j, base_sf)))
+    def cdf(self, x):
+        x, log_sf = self._log_sf(x)
+        base = -np.expm1(log_sf)[..., None]
+        vals = betainc(self._j, self.num_subbands - self._j + 1, base).mean(axis=-1)
+        return np.where(x <= 0, 0.0, vals)[()]
 
-    def pdf(self, x: float) -> float:
-        if x <= 0:
-            return 0.0
-        log_sf = -x / self.scale
-        log_f = math.log(-math.expm1(log_sf))
-        log_dens = log_sf - math.log(self.scale)
-        terms = self._logc + (self._j - 1) * log_f + (self.num_subbands - self._j) * log_sf
-        return float(np.mean(np.exp(terms + log_dens)))
+    def sf(self, x):
+        x, log_sf = self._log_sf(x)
+        base_sf = np.exp(log_sf)[..., None]
+        vals = betainc(self.num_subbands - self._j + 1, self._j, base_sf).mean(axis=-1)
+        return np.where(x <= 0, 1.0, vals)[()]
+
+    def pdf(self, x):
+        x, log_sf = self._log_sf(x)
+        log_sf = np.where(x > 0, log_sf, -1.0)[..., None]  # keeps log(F) finite at x <= 0
+        log_f = np.log(-np.expm1(log_sf))
+        terms = self._logc + (self._j - 1) * log_f + (self.num_subbands - self._j + 1) * log_sf
+        vals = np.exp(terms).mean(axis=-1) / self.scale
+        return np.where(x <= 0, 0.0, vals)[()]
 
 
 class ScheduledCqiMixture:
@@ -311,7 +325,8 @@ class ScheduledCqiMixture:
     reported); metric integrals run over the continuous part only, which
     matches summing the per-feedback-set expansion over nonempty sets.
     ``scale`` is the mean of the base exponential CQI (1 for perfect
-    feedback, 1 - est_error_var for the estimated CQI).
+    feedback, 1 - est_error_var for the estimated CQI).  ``cdf``, ``sf``
+    and ``pdf`` take a scalar or an array.
     """
 
     def __init__(self, sys: SystemConfig, scale: float = 1.0):
@@ -324,28 +339,28 @@ class ScheduledCqiMixture:
         ]
         self.counts = [c.num_users for c in sys.clusters]
 
-    def cdf(self, x: float) -> float:
-        return math.exp(self._log_cdf(x))
+    def cdf(self, x):
+        return np.exp(self._log_cdf(x))[()]
 
-    def sf(self, x: float) -> float:
-        return -math.expm1(self._log_cdf(x))
+    def sf(self, x):
+        return (-np.expm1(self._log_cdf(x)))[()]
 
-    def _log_cdf(self, x: float) -> float:
-        return sum(
-            k * math.log1p(-self.p * law.sf(x)) for k, law in zip(self.counts, self.laws)
-        )
+    def _log_terms(self, x) -> list[np.ndarray]:
+        """log P(a given cluster-g user does not report above x), per cluster."""
+        return [np.log1p(-self.p * law.sf(x)) for law in self.laws]
 
-    def pdf(self, x: float) -> float:
-        if x <= 0:
-            return 0.0
-        log_w = self._log_cdf(x)
-        total = 0.0
-        for k, law in zip(self.counts, self.laws):
-            if k == 0:
-                continue
-            q = math.log1p(-self.p * law.sf(x))
-            total += k * self.p * law.pdf(x) * math.exp(log_w - q)
-        return total
+    def _log_cdf(self, x) -> np.ndarray:
+        return sum(k * q for k, q in zip(self.counts, self._log_terms(x)))
+
+    def pdf(self, x):
+        x = np.asarray(x, dtype=float)
+        terms = self._log_terms(x)
+        log_w = sum(k * q for k, q in zip(self.counts, terms))
+        total = np.zeros(x.shape)
+        for k, law, q in zip(self.counts, self.laws, terms):
+            if k:
+                total += k * self.p * law.pdf(x) * np.exp(log_w - q)
+        return np.where(x <= 0, 0.0, total)[()]
 
     @property
     def x_max(self) -> float:
@@ -357,8 +372,8 @@ class ScheduledCqiMixture:
         k = max(self.sys.num_users, 2)
         return [self.scale * math.log1p(k), self.scale * (math.log1p(k) + 4.0)]
 
-    def expect(self, func: Callable[[float], float]) -> float:
-        """Integral of ``func`` against the continuous part of the law."""
+    def expect(self, func: Callable[[np.ndarray], np.ndarray]) -> float:
+        """Integral of the array-valued ``func`` against the continuous part of the law."""
         return quad_checked(
             lambda x: func(x) * self.pdf(x), 0.0, self.x_max, points=self._points()
         )
@@ -373,12 +388,7 @@ class ScheduledCqiMixture:
 
 def reported_cqi_cdf(x, sys: SystemConfig, g: int):
     """CDF of the CQI a cluster-``g`` user reports for a covered subband."""
-    law = ReportedCqiLaw(sys.num_subbands(g), cluster_feedback_quota(sys, g))
-    arr = np.asarray(x, dtype=float)
-    base = -np.expm1(-np.clip(arr, 0.0, None) / law.scale)
-    vals = betainc(law._j, law.num_subbands - law._j + 1, base[..., None]).mean(axis=-1)
-    vals = np.where(arr <= 0.0, 0.0, vals)
-    return float(vals) if np.ndim(x) == 0 else vals
+    return ReportedCqiLaw(sys.num_subbands(g), cluster_feedback_quota(sys, g)).cdf(x)
 
 
 # ---------------------------------------------------------------------------
@@ -399,15 +409,11 @@ def i1(a: float, b: int) -> float:
     if b < 1:
         raise ValueError("b must be a positive integer")
     if b <= _B_FLOAT_MAX:
-        # near-machine tolerance: the alternating sum amplifies any E1
-        # rounding by the binomial-to-result ratio
-        acc = AccuracySpec(rel_tol=1e-15, abs_tol=1e-12)
-        terms = []
-        for l in range(b):
-            z = (l + 1) / a
-            term = math.comb(b - 1, l) / (l + 1) * exp_integral_e1_scaled(z, acc)
-            terms.append(term if l % 2 == 0 else -term)
-        return b * math.fsum(terms) / _LN2
+        # the alternating sum amplifies any E1 rounding by the
+        # binomial-to-result ratio, so it is summed exactly rounded
+        order = np.arange(1, b + 1)
+        weights = _signed_binomials(b) / order
+        return b * math.fsum(weights * exp_integral_e1_scaled(order / a)) / _LN2
     if b <= _B_SERIES_MAX:
         return _i1_mp(a, b)
     return _i1_quad(a, b)
@@ -425,13 +431,8 @@ def _i1_mp(a: float, b: int) -> float:
 
 
 def _i1_quad(a: float, b: int) -> float:
-    def integrand(x: float) -> float:
-        log_sf = -x
-        return (
-            math.log2(1.0 + a * x)
-            * b
-            * math.exp((b - 1) * math.log(-math.expm1(log_sf)) + log_sf)
-        )
+    def integrand(x: np.ndarray) -> np.ndarray:
+        return np.log2(1.0 + a * x) * b * np.exp((b - 1) * np.log(-np.expm1(-x)) - x)
 
     hi = math.log(b) + 45.0
     return quad_checked(integrand, 0.0, hi, points=[math.log(b), math.log(b) + 4.0])
@@ -456,12 +457,22 @@ def _coefficient_route_feasible(sys: SystemConfig) -> bool:
     return log_coeff <= _SERIES_LOG_COEFF_MAX
 
 
-def _sum_rate_coefficients(sys: SystemConfig) -> float:
+def _route(sys: SystemConfig, method: str) -> str:
+    """Evaluation route of a partial-feedback metric: "coefficients" or "cdf"."""
+    if method == "auto":
+        return "coefficients" if _coefficient_route_feasible(sys) else "cdf"
+    if method in ("coefficients", "cdf"):
+        return method
+    raise ValueError(f"unknown method {method!r}")
+
+
+def _metric_over_sets(sys: SystemConfig, term: Callable[[int], float]) -> float:
+    """sum over nonempty feedback sets of P(tau) * sum_m theta_m * term(b-m)."""
     cache: dict[int, float] = {}
 
-    def i1_cached(b: int) -> float:
+    def cached(b: int) -> float:
         if b not in cache:
-            cache[b] = i1(sys.snr, b)
+            cache[b] = term(b)
         return cache[b]
 
     total = 0.0
@@ -470,7 +481,7 @@ def _sum_rate_coefficients(sys: SystemConfig) -> float:
             continue
         table = selection_coefficients(sys, tau)
         inner = math.fsum(
-            th * i1_cached(table.b_total - m) for m, th in enumerate(table.theta)
+            th * cached(table.b_total - m) for m, th in enumerate(table.theta)
         )
         total += prob * inner
     return total
@@ -485,13 +496,9 @@ def average_sum_rate(sys: SystemConfig, method: str = "auto") -> float:
     """
     if sys.best_m == sys.m_full:
         return i1(sys.snr, sys.num_users)
-    if method == "auto":
-        method = "coefficients" if _coefficient_route_feasible(sys) else "cdf"
-    if method == "coefficients":
-        return _sum_rate_coefficients(sys)
-    if method == "cdf":
-        return ScheduledCqiMixture(sys).expect_log_rate(sys.snr)
-    raise ValueError(f"unknown method {method!r}")
+    if _route(sys, method) == "coefficients":
+        return _metric_over_sets(sys, lambda b: i1(sys.snr, b))
+    return ScheduledCqiMixture(sys).expect_log_rate(sys.snr)
 
 
 @dataclass(frozen=True)
@@ -500,21 +507,31 @@ class MinimumBestM:
     approx: int
 
 
-def minimum_best_m(sys: SystemConfig, gamma: float) -> MinimumBestM:
+def minimum_best_m(
+    sys: SystemConfig, gamma: float | Sequence[float]
+) -> MinimumBestM | list[MinimumBestM]:
     """Smallest base best-M whose sum rate reaches ``gamma`` of full feedback.
 
     ``exact`` scans the base feedback amount upward; ``approx`` inverts
-    the coverage-only approximation of the rate ratio.
+    the coverage-only approximation of the rate ratio.  ``gamma`` may be a
+    sequence of ratios: one scan, up to the first amount that reaches the
+    largest, then answers each of them, and the results come as a list.
     """
-    if not 0.0 < gamma < 1.0:
+    gammas = [gamma] if np.ndim(gamma) == 0 else list(gamma)
+    if not all(0.0 < g < 1.0 for g in gammas):
         raise ValueError("gamma must lie in (0, 1)")
     full = i1(sys.snr, sys.num_users)
-    exact = sys.m_full
+    pending = sorted(set(gammas))
+    exact: dict[float, int] = {}
     for m in range(1, sys.m_full + 1):
-        rate = average_sum_rate(replace(sys, best_m=m))
-        if rate / full >= gamma:
-            exact = m
+        if not pending:
             break
-    raw = sys.m_full * (1.0 - (1.0 - gamma) ** (1.0 / sys.num_users))
-    approx = min(max(math.ceil(raw), 1), sys.m_full)
-    return MinimumBestM(exact=exact, approx=approx)
+        ratio = average_sum_rate(replace(sys, best_m=m)) / full
+        while pending and ratio >= pending[0]:
+            exact[pending.pop(0)] = m
+    results = []
+    for g in gammas:
+        raw = sys.m_full * (1.0 - (1.0 - g) ** (1.0 / sys.num_users))
+        approx = min(max(math.ceil(raw), 1), sys.m_full)
+        results.append(MinimumBestM(exact=exact.get(g, sys.m_full), approx=approx))
+    return results[0] if np.ndim(gamma) == 0 else results

@@ -338,8 +338,7 @@ def _cmd_min_m(args, cfg) -> tuple[list[dict], list[str], int]:
             system,
             clusters=tuple(Cluster(c.subband_size, n) for c, n in zip(system.clusters, sizes)),
         )
-        for gamma in gammas:
-            res = analytic.minimum_best_m(sys_k, gamma)
+        for gamma, res in zip(gammas, analytic.minimum_best_m(sys_k, gammas)):
             rows.append(
                 {"users": k, "gamma": gamma, "m_exact": res.exact, "m_approx": res.approx}
             )
@@ -348,12 +347,13 @@ def _cmd_min_m(args, cfg) -> tuple[list[dict], list[str], int]:
 
 def _cmd_optimize(args, cfg) -> tuple[list[dict], list[str], int]:
     system = system_from_config(cfg)
+    m_star = analytic.minimum_best_m(system, args.gamma).exact
     rows = []
     for sw2 in parse_grid(args.est_err_grid):
         for alpha in parse_grid(args.alpha_grid):
             imp = ImpairmentParams(est_error_var=sw2, delay_corr=alpha)
-            b0, r0 = goodput.optimize_beta0(system, imp, system.snr)
-            b1, r1, m_star = goodput.optimize_beta1(system, imp, system.snr, gamma=args.gamma)
+            b0, r0 = goodput.optimize_beta0(system, imp)
+            b1, r1 = goodput.optimize_beta1(system, imp)
             rows.append(
                 {
                     "est_err_var": sw2,
@@ -444,8 +444,8 @@ def _figure_4a(trials, seed):
     rows = []
     for k in range(5, 51):
         sys_k = _fig3_system(k, 1)
-        for gamma in (0.9, 0.99):
-            res = analytic.minimum_best_m(sys_k, gamma)
+        gammas = (0.9, 0.99)
+        for gamma, res in zip(gammas, analytic.minimum_best_m(sys_k, gammas)):
             rows.append({"users": k, "gamma": gamma, "m_exact": res.exact, "m_approx": res.approx})
     return rows, ["users", "gamma", "m_exact", "m_approx"]
 
@@ -534,8 +534,8 @@ def _figure_7(trials, seed):
     for sw2 in sw2_grid:
         for alpha in alpha_grid:
             imp = ImpairmentParams(est_error_var=sw2, delay_corr=alpha)
-            b0, _ = goodput.optimize_beta0(system, imp, system.snr)
-            b1, _, _ = goodput.optimize_beta1(system, imp, system.snr)
+            b0, _ = goodput.optimize_beta0(system, imp)
+            b1, _ = goodput.optimize_beta1(system, imp)
             rows.append(
                 {"est_err_var": sw2, "alpha": alpha, "beta0_opt": b0, "beta1_opt": b1}
             )
@@ -547,8 +547,9 @@ def _figure_8(trials, seed):
     rows = []
     for k in (8, 12, 16, 20, 24, 28, 32, 36, 40):
         system = _fig5_system(k, 1)
-        b0, _ = goodput.optimize_beta0(system, imp, system.snr)
-        b1, _, m_star = goodput.optimize_beta1(system, imp, system.snr, gamma=0.99)
+        b0, _ = goodput.optimize_beta0(system, imp)
+        b1, _ = goodput.optimize_beta1(system, imp)
+        m_star = analytic.minimum_best_m(system, 0.99).exact
         sys_star = dataclasses.replace(system, best_m=min(m_star, system.m_full))
         r0, p0 = goodput.fixed_rate_metrics(sys_star, imp, b0)
         r1, p1 = goodput.variable_rate_metrics(sys_star, imp, b1)

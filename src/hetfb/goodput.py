@@ -11,7 +11,8 @@ small orders, arbitrary precision once the alternating binomial weights
 outgrow doubles, defining-integral quadrature beyond the series cap.
 Partial-feedback metrics route through the per-feedback-set coefficient
 expansion when it is numerically safe and otherwise through the stable
-mixture-CDF quadrature.
+mixture-CDF quadrature.  Every quadrature integrand is array-valued: the
+Marcum-Q factor is evaluated on all nodes of a refinement level at once.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ from .analytic import (
     ScheduledCqiMixture,
     _B_FLOAT_MAX,
     _B_SERIES_MAX,
-    _coefficient_route_feasible,
+    _metric_over_sets,
     _mp_dps,
+    _route,
+    _signed_binomials,
     coverage_prob,
-    feedback_set_pmf,
-    minimum_best_m,
-    selection_coefficients,
 )
 from .channel import ImpairmentParams, SystemConfig
 from .specfun import gauss_2f1, marcum_q1
@@ -116,9 +116,9 @@ class IntegralArgs:
 def _estimated_cqi_density_weights(b: int, v: float):
     """d(F(x)^b) = b * F^{b-1} f dx for F the exponential CDF with mean v."""
 
-    def density(x: float) -> float:
+    def density(x: np.ndarray) -> np.ndarray:
         log_sf = -x / v
-        return b * math.exp((b - 1) * math.log(-math.expm1(log_sf)) + log_sf) / v
+        return b * np.exp((b - 1) * np.log(-np.expm1(log_sf)) + log_sf) / v
 
     return density
 
@@ -159,16 +159,10 @@ def _i2_float(a: float, b: int, imp: ImpairmentParams) -> float:
     args = IntegralArgs.build(a, b, imp)
     v = imp.estimate_var
     w2, t2 = args.varpi**2, args.vartheta**2
-    terms = []
-    for l in range(b):
-        z = args.zeta[l]
-        c = w2 + z
-        bracket = math.exp(-0.5 * t2) + math.exp(-0.5 * z * t2 / c) * (
-            -math.expm1(-0.5 * w2 * t2 / c)
-        )
-        term = math.comb(b - 1, l) * bracket / z
-        terms.append(term if l % 2 == 0 else -term)
-    return min(max(2.0 * b / v * math.fsum(terms), 0.0), 1.0)
+    z = args.zeta
+    c = w2 + z
+    bracket = math.exp(-0.5 * t2) + np.exp(-0.5 * z * t2 / c) * -np.expm1(-0.5 * w2 * t2 / c)
+    return min(max(2.0 * b / v * math.fsum(_signed_binomials(b) * bracket / z), 0.0), 1.0)
 
 
 def _i2_mp(a: float, b: int, imp: ImpairmentParams) -> float:
@@ -194,7 +188,7 @@ def _i2_quad(a: float, b: int, imp: ImpairmentParams) -> float:
     vth = imp.alpha_w * math.sqrt(a)
     dens = _estimated_cqi_density_weights(b, v)
     val = quad_checked(
-        lambda x: marcum_q1(varpi * math.sqrt(x), vth) * dens(x),
+        lambda x: marcum_q1(varpi * np.sqrt(x), vth) * dens(x),
         0.0,
         _order_x_max(b, v),
         points=_order_points(b, v),
@@ -224,14 +218,7 @@ def i4(a: float, b: int, imp: ImpairmentParams) -> float:
 def _i4_float(a: float, b: int, imp: ImpairmentParams) -> float:
     args = IntegralArgs.build(a, b, imp)
     v = imp.estimate_var
-    terms = []
-    for l in range(b):
-        term = (
-            math.comb(b - 1, l)
-            / args.zeta[l]
-            * (1.0 + args.psi[l] / args.varsigma[l])
-        )
-        terms.append(term if l % 2 == 0 else -term)
+    terms = _signed_binomials(b) / args.zeta * (1.0 + args.psi / args.varsigma)
     return min(max(b / v * math.fsum(terms), 0.0), 1.0)
 
 
@@ -256,7 +243,7 @@ def _i4_quad(a: float, b: int, imp: ImpairmentParams) -> float:
     aw = imp.alpha_w
     dens = _estimated_cqi_density_weights(b, v)
     val = quad_checked(
-        lambda x: marcum_q1(varpi * math.sqrt(x), aw * math.sqrt(a * x)) * dens(x),
+        lambda x: marcum_q1(varpi * np.sqrt(x), aw * np.sqrt(a * x)) * dens(x),
         0.0,
         _order_x_max(b, v),
         points=_order_points(b, v),
@@ -288,10 +275,8 @@ def i3_quadrature(a: float, b: int, imp: ImpairmentParams, snr: float, scheme: s
     varpi = imp.alpha_w * imp.delay_corr
     aw = imp.alpha_w
 
-    def value_at(x: float) -> float:
-        return marcum_q1(varpi * math.sqrt(x), aw * math.sqrt(a * x)) * math.log2(
-            1.0 + snr * a * x
-        )
+    def value_at(x: np.ndarray) -> np.ndarray:
+        return marcum_q1(varpi * np.sqrt(x), aw * np.sqrt(a * x)) * np.log2(1.0 + snr * a * x)
 
     if scheme == "x":
         dens = _estimated_cqi_density_weights(b, v)
@@ -304,11 +289,11 @@ def i3_quadrature(a: float, b: int, imp: ImpairmentParams, snr: float, scheme: s
     if scheme == "u":
         # x(u) = F^{-1}(u^{1/b}); the integrand picks up a mild log
         # singularity at u=1 that the adaptive rule resolves.
-        def integrand(u: float) -> float:
-            if u <= 0.0 or u >= 1.0:
-                return 0.0
-            x = -v * math.log(-math.expm1(math.log(u) / b))
-            return value_at(x)
+        def integrand(u: np.ndarray) -> np.ndarray:
+            inside = (u > 0.0) & (u < 1.0)
+            out = np.zeros(u.shape)
+            out[inside] = value_at(-v * np.log(-np.expm1(np.log(u[inside]) / b)))
+            return out
 
         return quad_checked(integrand, 0.0, 1.0, limit=400, abs_fail=1e-6)
     raise ValueError(f"unknown scheme {scheme!r}")
@@ -344,21 +329,17 @@ def _i3_ub_float(a: float, b: int, imp: ImpairmentParams, snr: float) -> float:
     v = imp.estimate_var
     w2, t2 = args.varpi**2, args.vartheta**2
     hyp = args.hyp_args
-    terms = []
-    for l in range(b):
-        z, phi, h = args.zeta[l], args.phi[l], hyp[l]
-        bracket = _i3_ub_bracket(
-            w2,
-            t2,
-            z,
-            phi,
-            gauss_2f1(1.0, 1.5, 2.0, h),
-            gauss_2f1(0.5, 1.0, 1.0, h),
-            gauss_2f1(1.5, 2.0, 2.0, h),
-            gauss_2f1(1.0, 1.5, 1.0, h),
-        )
-        term = math.comb(b - 1, l) * bracket / z**2
-        terms.append(term if l % 2 == 0 else -term)
+    bracket = _i3_ub_bracket(
+        w2,
+        t2,
+        args.zeta,
+        args.phi,
+        gauss_2f1(1.0, 1.5, 2.0, hyp),
+        gauss_2f1(0.5, 1.0, 1.0, hyp),
+        gauss_2f1(1.5, 2.0, 2.0, hyp),
+        gauss_2f1(1.0, 1.5, 1.0, hyp),
+    )
+    terms = _signed_binomials(b) * bracket / args.zeta**2
     return 4.0 * snr * a * b / (v * _LN2) * math.fsum(terms)
 
 
@@ -394,11 +375,7 @@ def _i3_ub_quad(a: float, b: int, imp: ImpairmentParams, snr: float) -> float:
     aw = imp.alpha_w
     dens = _estimated_cqi_density_weights(b, v)
     return quad_checked(
-        lambda x: snr
-        * a
-        * x
-        / _LN2
-        * marcum_q1(varpi * math.sqrt(x), aw * math.sqrt(a * x))
+        lambda x: snr * a * x / _LN2 * marcum_q1(varpi * np.sqrt(x), aw * np.sqrt(a * x))
         * dens(x),
         0.0,
         _order_x_max(b, v),
@@ -430,35 +407,6 @@ def i3_jensen(a: float, b: int, imp: ImpairmentParams, snr: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _metric_over_sets(sys: SystemConfig, term) -> float:
-    """sum over nonempty feedback sets of P(tau) * sum_m theta_m * term(b-m)."""
-    cache: dict[int, float] = {}
-
-    def cached(b: int) -> float:
-        if b not in cache:
-            cache[b] = term(b)
-        return cache[b]
-
-    total = 0.0
-    for tau, prob in feedback_set_pmf(sys):
-        if prob == 0.0 or all(t == 0 for t in tau):
-            continue
-        table = selection_coefficients(sys, tau)
-        inner = math.fsum(
-            th * cached(table.b_total - m) for m, th in enumerate(table.theta)
-        )
-        total += prob * inner
-    return total
-
-
-def _route(sys: SystemConfig, method: str) -> str:
-    if method == "auto":
-        return "coefficients" if _coefficient_route_feasible(sys) else "cdf"
-    if method in ("coefficients", "cdf"):
-        return method
-    raise ValueError(f"unknown method {method!r}")
-
-
 def fixed_rate_metrics(
     sys: SystemConfig, imp: ImpairmentParams, beta0: float, method: str = "auto"
 ) -> tuple[float, float]:
@@ -483,7 +431,7 @@ def fixed_rate_metrics(
         mix = ScheduledCqiMixture(sys, scale=imp.estimate_var)
         varpi = imp.alpha_w * imp.delay_corr
         vth = imp.alpha_w * math.sqrt(beta0)
-        success = mix.expect(lambda x: marcum_q1(varpi * math.sqrt(x), vth))
+        success = mix.expect(lambda x: marcum_q1(varpi * np.sqrt(x), vth))
     return rate * success, coverage_prob(sys) - success
 
 
@@ -520,10 +468,10 @@ def variable_rate_metrics(
         varpi = imp.alpha_w * imp.delay_corr
         aw = imp.alpha_w
 
-        def q1_at(x: float) -> float:
-            return marcum_q1(varpi * math.sqrt(x), aw * math.sqrt(beta1 * x))
+        def q1_at(x: np.ndarray) -> np.ndarray:
+            return marcum_q1(varpi * np.sqrt(x), aw * np.sqrt(beta1 * x))
 
-        goodput = mix.expect(lambda x: q1_at(x) * math.log2(1.0 + rho * beta1 * x))
+        goodput = mix.expect(lambda x: q1_at(x) * np.log2(1.0 + rho * beta1 * x))
         success = mix.expect(q1_at)
     return goodput, coverage_prob(sys) - success
 
@@ -576,17 +524,16 @@ def _grid_bracket(f, lo: float, hi: float, n: int) -> tuple[int, np.ndarray, np.
     return int(np.argmax(vals)), xs, vals
 
 
-def optimize_beta1(
-    sys: SystemConfig, imp: ImpairmentParams, snr: float, gamma: float = 0.99
-) -> tuple[float, float, int]:
-    """Backoff maximizing the full-feedback mean-value goodput.
+def optimize_beta1(sys: SystemConfig, imp: ImpairmentParams) -> tuple[float, float]:
+    """Backoff maximizing the full-feedback mean-value goodput at ``sys.snr``.
 
     Optimizes over [0, 1] by a coarse bracket plus golden-section search
-    (a derivative refinement polishes the result), then matches the
-    feedback amount via the minimum best-M rule at ratio ``gamma``.
-    Returns (beta1*, goodput approximation at the optimum, matched M*).
+    (a derivative refinement polishes the result).  Returns (beta1*,
+    goodput approximation at the optimum).  The matched feedback amount M*
+    does not depend on the impairments: callers take it once per system
+    from ``minimum_best_m(sys, gamma).exact``.
     """
-    k = sys.num_users
+    k, snr = sys.num_users, sys.snr
 
     def f(b1: float) -> float:
         return i3_jensen(b1, k, imp, snr)
@@ -594,23 +541,19 @@ def optimize_beta1(
     idx, xs, _ = _grid_bracket(f, 0.0, 1.0, 41)
     lo = xs[max(idx - 1, 0)]
     hi = xs[min(idx + 1, xs.size - 1)]
-    x, fx = _golden_max(f, lo, hi, 1e-6)
-    x, fx = _refine_newton(f, x, 0.0, 1.0)
-    m_star = minimum_best_m(sys, gamma).exact
-    return x, fx, m_star
+    x, _ = _golden_max(f, lo, hi, 1e-6)
+    return _refine_newton(f, x, 0.0, 1.0)
 
 
-def optimize_beta0(
-    sys: SystemConfig, imp: ImpairmentParams, snr: float
-) -> tuple[float, float]:
-    """Threshold maximizing the full-feedback fixed-rate goodput.
+def optimize_beta0(sys: SystemConfig, imp: ImpairmentParams) -> tuple[float, float]:
+    """Threshold maximizing the full-feedback fixed-rate goodput at ``sys.snr``.
 
     The search domain starts at (1-sigma_w^2)*(ln K + 6), where the max
     of K estimates concentrates, and extends geometrically while the
     maximizer sits at the boundary; a coarse grid brackets the optimum
     before refinement because unimodality is not guaranteed.
     """
-    k = sys.num_users
+    k, snr = sys.num_users, sys.snr
 
     def f(b0: float) -> float:
         return math.log2(1.0 + snr * b0) * i2(b0, k, imp)

@@ -404,7 +404,7 @@ def test_criterion_09_bound_and_approximation_checks():
         falling = np.all(np.diff(vals[peak:]) <= 1e-12)
         unimodal_ok &= bool(rising and falling)
         sys_cfg = two_cluster(k, 16)
-        b1, _, _ = optimize_beta1(replace(sys_cfg, snr=snr), imp, snr)
+        b1, _ = optimize_beta1(replace(sys_cfg, snr=snr), imp)
         optimum_ok &= abs(b1 - grid[peak]) <= 1e-3
 
     ok = bound_ok and jensen_ok and unimodal_ok and optimum_ok
@@ -430,8 +430,8 @@ def test_criterion_10_optimization_trends():
     for sw2 in sw2_grid:
         for alpha in alpha_grid:
             imp = ImpairmentParams(sw2, alpha)
-            beta0[(sw2, alpha)], _ = optimize_beta0(sys10, imp, SNR_10DB)
-            beta1[(sw2, alpha)], _, _ = optimize_beta1(sys10, imp, SNR_10DB)
+            beta0[(sw2, alpha)], _ = optimize_beta0(sys10, imp)
+            beta1[(sw2, alpha)], _ = optimize_beta1(sys10, imp)
 
     tol = 1e-4
     trends_ok = True
@@ -447,8 +447,9 @@ def test_criterion_10_optimization_trends():
     gaps = []
     for k in (10, 20, 40):
         sys_cfg = four_cluster(k, 1)
-        b0, _ = optimize_beta0(sys_cfg, IMP_REF, SNR_10DB)
-        b1, _, m_star = optimize_beta1(sys_cfg, IMP_REF, SNR_10DB, gamma=0.99)
+        b0, _ = optimize_beta0(sys_cfg, IMP_REF)
+        b1, _ = optimize_beta1(sys_cfg, IMP_REF)
+        m_star = minimum_best_m(sys_cfg, 0.99).exact
         sys_star = replace(sys_cfg, best_m=min(m_star, sys_cfg.m_full))
         r0, _ = fixed_rate_metrics(sys_star, IMP_REF, b0)
         r1, _ = variable_rate_metrics(sys_star, IMP_REF, b1)

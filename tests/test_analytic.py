@@ -323,7 +323,7 @@ class TestScheduledCqiMixture:
     def test_expect_log_rate_equals_density_route(self, small_system):
         mix = ScheduledCqiMixture(small_system)
         by_parts = mix.expect_log_rate(small_system.snr)
-        density = mix.expect(lambda x: math.log2(1.0 + small_system.snr * x))
+        density = mix.expect(lambda x: np.log2(1.0 + small_system.snr * x))
         assert abs(by_parts - density) < 1e-8
 
 
@@ -358,6 +358,17 @@ class TestMinimumBestM:
         s = SystemConfig(4, (Cluster(2, 2),), 1, 10.0)
         res = minimum_best_m(s, 0.5)
         assert isinstance(res, MinimumBestM)
+
+    def test_grid_matches_per_ratio_scans(self):
+        # reference: the first best-M whose rate ratio reaches each target
+        s = two_cluster_system(12, 1)
+        full = i1(s.snr, 12)
+        ratios = [average_sum_rate(replace(s, best_m=m)) / full for m in range(1, s.m_full + 1)]
+        gammas = [0.99, 0.5, 0.9, 0.9, 1 - 1e-9]
+        expected = [next((m for m, r in enumerate(ratios, 1) if r >= g), s.m_full) for g in gammas]
+        results = minimum_best_m(s, gammas)
+        assert [r.exact for r in results] == expected
+        assert [r.approx for r in results] == [minimum_best_m(s, g).approx for g in gammas]
 
 
 class TestCrossModelConsistency:

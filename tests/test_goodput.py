@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from hetfb.analytic import coverage_prob
+from hetfb.analytic import ScheduledCqiMixture, coverage_prob, minimum_best_m
 from hetfb.channel import Cluster, ImpairmentParams, SystemConfig
 from hetfb.goodput import (
     IntegralArgs,
@@ -288,7 +288,8 @@ class TestMetrics:
 class TestOptimizers:
     def test_beta1_matches_grid_scan(self, imp_default):
         s = two_cluster_system(10, 16)
-        b1, val, m_star = optimize_beta1(s, imp_default, s.snr)
+        b1, val = optimize_beta1(s, imp_default)
+        m_star = minimum_best_m(s, 0.99).exact
         grid = np.arange(0.0, 1.0 + 1e-12, 1e-4)
         vals = [i3_jensen(float(b), 10, imp_default, s.snr) for b in grid]
         best = grid[int(np.argmax(vals))]
@@ -298,7 +299,7 @@ class TestOptimizers:
 
     def test_beta0_matches_grid_scan(self, imp_default):
         s = two_cluster_system(10, 16)
-        b0, val = optimize_beta0(s, imp_default, s.snr)
+        b0, val = optimize_beta0(s, imp_default)
         hi = imp_default.estimate_var * (math.log(10) + 6.0)
         grid = np.arange(1e-3, hi, 1e-3)
         f = lambda b: math.log2(1.0 + s.snr * b) * i2(float(b), 10, imp_default)
@@ -309,19 +310,41 @@ class TestOptimizers:
 
     def test_beta0_grows_with_users(self):
         imp = ImpairmentParams(1e-4, 0.999)
-        smaller, _ = optimize_beta0(two_cluster_system(4, 16), imp, 10.0)
-        larger, _ = optimize_beta0(two_cluster_system(40, 16), imp, 10.0)
+        smaller, _ = optimize_beta0(two_cluster_system(4, 16), imp)
+        larger, _ = optimize_beta0(two_cluster_system(40, 16), imp)
         assert larger > smaller
 
     def test_beta1_trends(self):
         s = two_cluster_system(10, 16)
         lows = []
         for sw2 in (0.0, 0.05, 0.1):
-            b1, _, _ = optimize_beta1(s, ImpairmentParams(sw2, 0.95), s.snr)
+            b1, _ = optimize_beta1(s, ImpairmentParams(sw2, 0.95))
             lows.append(b1)
         assert lows[0] >= lows[1] >= lows[2]
         highs = []
         for alpha in (0.9, 0.95, 0.99):
-            b1, _, _ = optimize_beta1(s, ImpairmentParams(0.02, alpha), s.snr)
+            b1, _ = optimize_beta1(s, ImpairmentParams(0.02, alpha))
             highs.append(b1)
         assert highs[0] <= highs[1] <= highs[2]
+
+
+class TestNearPerfectFeedback:
+    """Limit of vanishing impairments on the default 20-user configuration."""
+
+    BETA0, BETA1 = 1.5, 0.7
+
+    @pytest.mark.parametrize("sw2,alpha", [(1e-9, 1.0), (0.0, 0.999999)])
+    def test_metrics_finite(self, sw2, alpha):
+        s = two_cluster_system(20, 4)
+        imp = ImpairmentParams(sw2, alpha)
+        for metrics in (
+            fixed_rate_metrics(s, imp, self.BETA0),
+            variable_rate_metrics(s, imp, self.BETA1),
+        ):
+            assert all(math.isfinite(v) for v in metrics)
+
+    def test_fixed_rate_success_approaches_perfect_feedback(self):
+        s = two_cluster_system(20, 4)
+        r0, _ = fixed_rate_metrics(s, ImpairmentParams(1e-9, 1.0), self.BETA0)
+        success = r0 / math.log2(1.0 + s.snr * self.BETA0)
+        assert abs(success - ScheduledCqiMixture(s).sf(self.BETA0)) < 1e-6

@@ -8,7 +8,6 @@ from scipy import integrate, stats
 from scipy.special import i0e as scipy_i0e
 
 from hetfb.specfun import (
-    AccuracySpec,
     bessel_i0,
     bessel_i0e,
     exp_integral_e1,
@@ -25,6 +24,7 @@ I0_AT_10 = 2815.716628466254
 Q1_AT_0_1 = 0.6065306597126334  # exp(-1/2)
 Q1_AT_1_1 = 0.7328798037968203  # quadrature of the defining integral
 F21_HALF = 1.6568542494923801  # 2F1(1,3/2;2;1/2) = 4*(sqrt(2)-1)
+Q1_AT_4472_4470 = 0.977255905284  # noncentral chi-square tail, checked below
 
 
 def e1_quadrature(x: float) -> float:
@@ -45,17 +45,6 @@ def q1_quadrature(a: float, b: float) -> float:
 
     val, _ = integrate.quad(f, b, a + 40.0, limit=300)
     return val
-
-
-class TestAccuracySpec:
-    def test_defaults(self):
-        acc = AccuracySpec()
-        assert acc.rel_tol == 1e-12 and acc.abs_tol == 1e-10
-
-    @pytest.mark.parametrize("kwargs", [{"rel_tol": 0.0}, {"abs_tol": -1.0}])
-    def test_rejects_nonpositive(self, kwargs):
-        with pytest.raises(ValueError):
-            AccuracySpec(**kwargs)
 
 
 class TestExpIntegral:
@@ -172,6 +161,26 @@ class TestMarcumQ1:
             marcum_q1(-1.0, 1.0)
         with pytest.raises(ValueError):
             marcum_q1(1.0, -1.0)
+
+    def test_large_arguments_near_diagonal(self):
+        # near-perfect feedback: alpha_w = 4472 at est_error_var=1e-7, delay_corr=1
+        ref = stats.ncx2.sf(4470.0**2, 2, 4472.0**2)
+        assert abs(ref - Q1_AT_4472_4470) < 1e-9
+        assert abs(marcum_q1(4472.0, 4470.0) - ref) < 1e-9
+
+    def test_large_arguments_deep_upper_tail(self):
+        val = marcum_q1(44721.0, 44740.0)
+        assert 0.0 <= val <= 1.0
+        assert val < 1e-60
+
+    def test_array_call_matches_scalar_calls(self):
+        a = np.array([0.0, 0.5, 3.0, 5.0, 12.0, 8.0, 60.0, 4472.0, 0.0, 100.0])
+        b = np.array([1.0, 0.2, 1.0, 5.0, 10.0, 15.0, 58.0, 4470.0, 45.0, 50.0])
+        vals = marcum_q1(a, b)
+        assert vals.shape == a.shape
+        assert vals[-2] == 0.0 and vals[-1] == 1.0  # |a - b| >= 40 rounds to 0 or 1
+        assert np.array_equal(vals, [marcum_q1(x, y) for x, y in zip(a, b)])
+        assert np.array_equal(marcum_q1(a[:, None], b).diagonal(), vals)
 
 
 class TestGauss2F1:
