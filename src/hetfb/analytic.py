@@ -18,6 +18,11 @@ combinatorially (beyond roughly 1e6 the float contraction of the final
 sum loses the answer), so metric evaluation auto-selects the mixture
 route for anything but small configurations.  Both agree to ~1e-9 where
 they overlap.
+
+The order-statistic moment integrals (I1 here, I2, I4 and the I3 bound in
+``goodput``) each have two routes: the alternating binomial closed form in
+floats up to order 20, and ``_order_expect``, one shared quadrature of the
+defining integral against the law of the maximum of b exponentials, beyond.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-import mpmath as mp
 import numpy as np
 from scipy.special import betainc, gammaln
 
@@ -56,27 +60,21 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
-# Alternating binomial sums: plain float arithmetic below this order,
-# arbitrary precision up to the series cap, defining-integral quadrature
-# beyond it (the binomial scale ~2^b swamps double precision near b=50).
+# Alternating binomial sums are summed in floats up to this order; beyond
+# it the binomial scale ~2^b eats the double-precision digits, and the
+# moment integrals are integrated in their defining form instead.
 _B_FLOAT_MAX = 20
-_B_SERIES_MAX = 60
 
 # Coefficient-route guards: beyond these the alternating selection
 # coefficients cancel catastrophically in double precision.
 _SERIES_TAU_SPACE_MAX = 4096
 _SERIES_LOG_COEFF_MAX = 6.0
-_SERIES_B_MAX = _B_SERIES_MAX
-
-
-def _mp_dps(b: int) -> int:
-    # digits lost to cancellation ~ log10 C(b-1, b//2) ~ 0.301*b
-    return 30 + int(0.31 * b)
+_SERIES_B_MAX = 60
 
 
 @functools.lru_cache(maxsize=None)
 def _signed_binomials(b: int) -> np.ndarray:
-    """(-1)^l * C(b-1, l) for l < b: the weights of the float-tier order sums."""
+    """(-1)^l * C(b-1, l) for l < b: the weights of the closed-form order sums."""
     out = np.array([(-1) ** l * math.comb(b - 1, l) for l in range(b)], dtype=float)
     out.flags.writeable = False
     return out
@@ -396,12 +394,28 @@ def reported_cqi_cdf(x, sys: SystemConfig, g: int):
 # ---------------------------------------------------------------------------
 
 
+def _order_expect(func: Callable[[np.ndarray], np.ndarray], b: int, scale: float) -> float:
+    """E[func(X)] for X the maximum of b i.i.d. exponentials with mean ``scale``.
+
+    Integrates the array-valued ``func`` against d(F^b) = b F^(b-1) dF, F the
+    exponential CDF; the mass sits around scale * ln b.
+    """
+
+    def integrand(x: np.ndarray) -> np.ndarray:
+        log_sf = -x / scale
+        return func(x) * (b * np.exp((b - 1) * np.log(-np.expm1(log_sf)) + log_sf) / scale)
+
+    log_b = math.log(max(b, 2))
+    return quad_checked(
+        integrand, 0.0, scale * (log_b + 45.0), points=[scale * log_b, scale * (log_b + 4.0)]
+    )
+
+
 def i1(a: float, b: int) -> float:
     """E[log2(1 + a X)] for X the maximum of b unit-mean exponentials.
 
-    Closed form through exp(x)E1(x) for moderate b (arbitrary precision
-    once the alternating binomial sum outgrows doubles), defining-integral
-    quadrature beyond the series cap.
+    Closed form through exp(x)E1(x) up to order 20, defining-integral
+    quadrature beyond.
     """
     if not a > 0:
         raise ValueError("a must be positive")
@@ -414,28 +428,7 @@ def i1(a: float, b: int) -> float:
         order = np.arange(1, b + 1)
         weights = _signed_binomials(b) / order
         return b * math.fsum(weights * exp_integral_e1_scaled(order / a)) / _LN2
-    if b <= _B_SERIES_MAX:
-        return _i1_mp(a, b)
-    return _i1_quad(a, b)
-
-
-def _i1_mp(a: float, b: int) -> float:
-    with mp.workdps(_mp_dps(b)):
-        am = mp.mpf(a)
-        total = mp.mpf(0)
-        for l in range(b):
-            z = (l + 1) / am
-            term = mp.binomial(b - 1, l) / (l + 1) * mp.exp(z) * mp.e1(z)
-            total += term if l % 2 == 0 else -term
-        return float(b * total / mp.ln(2))
-
-
-def _i1_quad(a: float, b: int) -> float:
-    def integrand(x: np.ndarray) -> np.ndarray:
-        return np.log2(1.0 + a * x) * b * np.exp((b - 1) * np.log(-np.expm1(-x)) - x)
-
-    hi = math.log(b) + 45.0
-    return quad_checked(integrand, 0.0, hi, points=[math.log(b), math.log(b) + 4.0])
+    return _order_expect(lambda x: np.log2(1.0 + a * x), b, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,16 @@ variable-rate strategies, the mean-value (Jensen) and low-SNR bounds for
 the variable-rate integral, and the optimization of the rate-adaptation
 parameters beta0 / beta1.
 
-The moment integrals over the scheduled estimated CQI follow the same
-three-regime policy as the perfect-feedback engine: plain floats for
-small orders, arbitrary precision once the alternating binomial weights
-outgrow doubles, defining-integral quadrature beyond the series cap.
-Partial-feedback metrics route through the per-feedback-set coefficient
-expansion when it is numerically safe and otherwise through the stable
-mixture-CDF quadrature.  Every quadrature integrand is array-valued: the
-Marcum-Q factor is evaluated on all nodes of a refinement level at once.
+The moment integrals over the scheduled estimated CQI take one of two
+routes, as in the perfect-feedback engine: the closed-form alternating
+binomial sum in floats up to order 20, and quadrature of the defining
+integral beyond, where the binomial weights outgrow doubles.  Near perfect
+feedback the Marcum-Q arguments grow like 1/sqrt(est_error_var); ``marcum_q1``
+switches to Gauss-Hermite quadrature there, so both routes stay cheap and
+finite.  Partial-feedback metrics route through the per-feedback-set
+coefficient expansion when it is numerically safe and otherwise through the
+stable mixture-CDF quadrature.  Every quadrature integrand is array-valued:
+the Marcum-Q factor is evaluated on all nodes of a refinement level at once.
 """
 
 from __future__ import annotations
@@ -20,16 +22,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
-from ._quad import QuadratureError, quad_checked
+# quad_checked stays bound here: perfbench/selftest.py checks its tracing in this module
+from ._quad import QuadratureError, quad_checked  # noqa: F401
 from .analytic import (
     ScheduledCqiMixture,
     _B_FLOAT_MAX,
-    _B_SERIES_MAX,
     _metric_over_sets,
-    _mp_dps,
+    _order_expect,
     _route,
     _signed_binomials,
     coverage_prob,
@@ -113,24 +114,6 @@ class IntegralArgs:
         return 4.0 * self.varpi**2 * self.vartheta**2 / self.phi**2
 
 
-def _estimated_cqi_density_weights(b: int, v: float):
-    """d(F(x)^b) = b * F^{b-1} f dx for F the exponential CDF with mean v."""
-
-    def density(x: np.ndarray) -> np.ndarray:
-        log_sf = -x / v
-        return b * np.exp((b - 1) * np.log(-np.expm1(log_sf)) + log_sf) / v
-
-    return density
-
-
-def _order_x_max(b: int, v: float) -> float:
-    return v * (math.log(max(b, 2)) + 45.0)
-
-
-def _order_points(b: int, v: float) -> list[float]:
-    return [v * math.log(max(b, 2)), v * (math.log(max(b, 2)) + 4.0)]
-
-
 # ---------------------------------------------------------------------------
 # I2: fixed-rate success probability
 # ---------------------------------------------------------------------------
@@ -148,52 +131,24 @@ def i2(a: float, b: int, imp: ImpairmentParams) -> float:
         raise ValueError("b must be a positive integer")
     if a == 0:
         return 1.0
+    v = imp.estimate_var
     if b <= _B_FLOAT_MAX:
-        return _i2_float(a, b, imp)
-    if b <= _B_SERIES_MAX:
-        return _i2_mp(a, b, imp)
-    return _i2_quad(a, b, imp)
+        args = IntegralArgs.build(a, b, imp)
+        w2, t2 = args.varpi**2, args.vartheta**2
+        z = args.zeta
+        c = w2 + z
+        bracket = math.exp(-0.5 * t2) + np.exp(-0.5 * z * t2 / c) * -np.expm1(-0.5 * w2 * t2 / c)
+        val = 2.0 * b / v * math.fsum(_signed_binomials(b) * bracket / z)
+    else:
+        val = _order_expect(_threshold_q1(a, imp), b, v)
+    return min(max(val, 0.0), 1.0)
 
 
-def _i2_float(a: float, b: int, imp: ImpairmentParams) -> float:
-    args = IntegralArgs.build(a, b, imp)
-    v = imp.estimate_var
-    w2, t2 = args.varpi**2, args.vartheta**2
-    z = args.zeta
-    c = w2 + z
-    bracket = math.exp(-0.5 * t2) + np.exp(-0.5 * z * t2 / c) * -np.expm1(-0.5 * w2 * t2 / c)
-    return min(max(2.0 * b / v * math.fsum(_signed_binomials(b) * bracket / z), 0.0), 1.0)
-
-
-def _i2_mp(a: float, b: int, imp: ImpairmentParams) -> float:
-    with mp.workdps(_mp_dps(b)):
-        v = mp.mpf(imp.estimate_var)
-        w2 = (mp.mpf(imp.alpha_w) * imp.delay_corr) ** 2
-        t2 = mp.mpf(imp.alpha_w) ** 2 * a
-        total = mp.mpf(0)
-        for l in range(b):
-            z = 2 * (l + 1) / v
-            c = w2 + z
-            bracket = mp.exp(-t2 / 2) + mp.exp(-z * t2 / (2 * c)) * (
-                -mp.expm1(-w2 * t2 / (2 * c))
-            )
-            term = mp.binomial(b - 1, l) * bracket / z
-            total += term if l % 2 == 0 else -term
-        return float(min(max(2 * b / v * total, mp.mpf(0)), mp.mpf(1)))
-
-
-def _i2_quad(a: float, b: int, imp: ImpairmentParams) -> float:
-    v = imp.estimate_var
+def _threshold_q1(a: float, imp: ImpairmentParams):
+    """x -> Q1(varpi*sqrt(x), alpha_w*sqrt(a)), the fixed-rate success given estimate x."""
     varpi = imp.alpha_w * imp.delay_corr
     vth = imp.alpha_w * math.sqrt(a)
-    dens = _estimated_cqi_density_weights(b, v)
-    val = quad_checked(
-        lambda x: marcum_q1(varpi * np.sqrt(x), vth) * dens(x),
-        0.0,
-        _order_x_max(b, v),
-        points=_order_points(b, v),
-    )
-    return min(max(val, 0.0), 1.0)
+    return lambda x: marcum_q1(varpi * np.sqrt(x), vth)
 
 
 # ---------------------------------------------------------------------------
@@ -208,47 +163,21 @@ def i4(a: float, b: int, imp: ImpairmentParams) -> float:
         raise ValueError("b must be a positive integer")
     if a == 0:
         return 1.0
+    v = imp.estimate_var
     if b <= _B_FLOAT_MAX:
-        return _i4_float(a, b, imp)
-    if b <= _B_SERIES_MAX:
-        return _i4_mp(a, b, imp)
-    return _i4_quad(a, b, imp)
+        args = IntegralArgs.build(a, b, imp)
+        terms = _signed_binomials(b) / args.zeta * (1.0 + args.psi / args.varsigma)
+        val = b / v * math.fsum(terms)
+    else:
+        val = _order_expect(_backoff_q1(a, imp), b, v)
+    return min(max(val, 0.0), 1.0)
 
 
-def _i4_float(a: float, b: int, imp: ImpairmentParams) -> float:
-    args = IntegralArgs.build(a, b, imp)
-    v = imp.estimate_var
-    terms = _signed_binomials(b) / args.zeta * (1.0 + args.psi / args.varsigma)
-    return min(max(b / v * math.fsum(terms), 0.0), 1.0)
-
-
-def _i4_mp(a: float, b: int, imp: ImpairmentParams) -> float:
-    with mp.workdps(_mp_dps(b)):
-        v = mp.mpf(imp.estimate_var)
-        w = mp.mpf(imp.alpha_w) * imp.delay_corr
-        t = mp.mpf(imp.alpha_w) * mp.sqrt(mp.mpf(a))
-        total = mp.mpf(0)
-        for l in range(b):
-            z = 2 * (l + 1) / v
-            psi = w**2 - t**2 + z
-            sig = mp.sqrt(((w - t) ** 2 + z) * ((w + t) ** 2 + z))
-            term = mp.binomial(b - 1, l) / z * (1 + psi / sig)
-            total += term if l % 2 == 0 else -term
-        return float(min(max(b / v * total, mp.mpf(0)), mp.mpf(1)))
-
-
-def _i4_quad(a: float, b: int, imp: ImpairmentParams) -> float:
-    v = imp.estimate_var
+def _backoff_q1(a: float, imp: ImpairmentParams):
+    """x -> Q1(varpi*sqrt(x), alpha_w*sqrt(a x)), the backoff success given estimate x."""
     varpi = imp.alpha_w * imp.delay_corr
     aw = imp.alpha_w
-    dens = _estimated_cqi_density_weights(b, v)
-    val = quad_checked(
-        lambda x: marcum_q1(varpi * np.sqrt(x), aw * np.sqrt(a * x)) * dens(x),
-        0.0,
-        _order_x_max(b, v),
-        points=_order_points(b, v),
-    )
-    return min(max(val, 0.0), 1.0)
+    return lambda x: marcum_q1(varpi * np.sqrt(x), aw * np.sqrt(a * x))
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +185,11 @@ def _i4_quad(a: float, b: int, imp: ImpairmentParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def i3_quadrature(a: float, b: int, imp: ImpairmentParams, snr: float, scheme: str = "x") -> float:
+def i3_quadrature(a: float, b: int, imp: ImpairmentParams, snr: float) -> float:
     """E[Q1(varpi*sqrt(X), alpha_w*sqrt(aX)) * log2(1 + snr*a*X)] by quadrature.
 
     Reference evaluation of the variable-rate goodput integral; no closed
-    form exists.  ``scheme`` picks one of two independent parameterizations
-    ("x": threshold domain, "u": probability domain) used to cross-check
-    each other.
+    form exists.
     """
     b = int(b)
     if b < 1:
@@ -271,38 +198,15 @@ def i3_quadrature(a: float, b: int, imp: ImpairmentParams, snr: float, scheme: s
         raise ValueError("backoff must lie in [0, 1]")
     if a == 0.0:
         return 0.0
-    v = imp.estimate_var
-    varpi = imp.alpha_w * imp.delay_corr
-    aw = imp.alpha_w
-
-    def value_at(x: np.ndarray) -> np.ndarray:
-        return marcum_q1(varpi * np.sqrt(x), aw * np.sqrt(a * x)) * np.log2(1.0 + snr * a * x)
-
-    if scheme == "x":
-        dens = _estimated_cqi_density_weights(b, v)
-        return quad_checked(
-            lambda x: value_at(x) * dens(x),
-            0.0,
-            _order_x_max(b, v),
-            points=_order_points(b, v),
-        )
-    if scheme == "u":
-        # x(u) = F^{-1}(u^{1/b}); the integrand picks up a mild log
-        # singularity at u=1 that the adaptive rule resolves.
-        def integrand(u: np.ndarray) -> np.ndarray:
-            inside = (u > 0.0) & (u < 1.0)
-            out = np.zeros(u.shape)
-            out[inside] = value_at(-v * np.log(-np.expm1(np.log(u[inside]) / b)))
-            return out
-
-        return quad_checked(integrand, 0.0, 1.0, limit=400, abs_fail=1e-6)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    q1_at = _backoff_q1(a, imp)
+    return _order_expect(lambda x: q1_at(x) * np.log2(1.0 + snr * a * x), b, imp.estimate_var)
 
 
 def i3_upper_bound(a: float, b: int, imp: ImpairmentParams, snr: float) -> float:
     """Low-SNR closed-form upper bound on the variable-rate goodput integral.
 
     Linearizes the log inside the goodput integral; tight as snr -> 0.
+    Beyond order 20 the linearized defining integral is integrated instead.
     """
     b = int(b)
     if b < 1:
@@ -311,75 +215,30 @@ def i3_upper_bound(a: float, b: int, imp: ImpairmentParams, snr: float) -> float
         raise ValueError("backoff must lie in [0, 1]")
     if a == 0.0:
         return 0.0
+    v = imp.estimate_var
     if b <= _B_FLOAT_MAX:
-        return _i3_ub_float(a, b, imp, snr)
-    if b <= _B_SERIES_MAX:
-        return _i3_ub_mp(a, b, imp, snr)
-    return _i3_ub_quad(a, b, imp, snr)
+        args = IntegralArgs.build(a, b, imp)
+        w2, t2 = args.varpi**2, args.vartheta**2
+        hyp = args.hyp_args
+        bracket = _i3_ub_bracket(
+            w2,
+            t2,
+            args.zeta,
+            args.phi,
+            gauss_2f1(1.0, 1.5, 2.0, hyp),
+            gauss_2f1(0.5, 1.0, 1.0, hyp),
+            gauss_2f1(1.5, 2.0, 2.0, hyp),
+            gauss_2f1(1.0, 1.5, 1.0, hyp),
+        )
+        terms = _signed_binomials(b) * bracket / args.zeta**2
+        return 4.0 * snr * a * b / (v * _LN2) * math.fsum(terms)
+    q1_at = _backoff_q1(a, imp)
+    return _order_expect(lambda x: snr * a * x / _LN2 * q1_at(x), b, v)
 
 
 def _i3_ub_bracket(w2, t2, z, phi, f1, f2, f3, f4):
     return 1 + (t2 / phi) * (
         (w2 / phi) * f1 - f2 + (2 * z / phi) * ((w2 / phi) * f3 - 0.5 * f4)
-    )
-
-
-def _i3_ub_float(a: float, b: int, imp: ImpairmentParams, snr: float) -> float:
-    args = IntegralArgs.build(a, b, imp)
-    v = imp.estimate_var
-    w2, t2 = args.varpi**2, args.vartheta**2
-    hyp = args.hyp_args
-    bracket = _i3_ub_bracket(
-        w2,
-        t2,
-        args.zeta,
-        args.phi,
-        gauss_2f1(1.0, 1.5, 2.0, hyp),
-        gauss_2f1(0.5, 1.0, 1.0, hyp),
-        gauss_2f1(1.5, 2.0, 2.0, hyp),
-        gauss_2f1(1.0, 1.5, 1.0, hyp),
-    )
-    terms = _signed_binomials(b) * bracket / args.zeta**2
-    return 4.0 * snr * a * b / (v * _LN2) * math.fsum(terms)
-
-
-def _i3_ub_mp(a: float, b: int, imp: ImpairmentParams, snr: float) -> float:
-    with mp.workdps(_mp_dps(b)):
-        v = mp.mpf(imp.estimate_var)
-        w2 = (mp.mpf(imp.alpha_w) * imp.delay_corr) ** 2
-        t2 = mp.mpf(imp.alpha_w) ** 2 * a
-        total = mp.mpf(0)
-        for l in range(b):
-            z = 2 * (l + 1) / v
-            phi = w2 + t2 + z
-            h = 4 * w2 * t2 / phi**2
-            bracket = _i3_ub_bracket(
-                w2,
-                t2,
-                z,
-                phi,
-                mp.hyp2f1(1, mp.mpf(3) / 2, 2, h),
-                mp.hyp2f1(mp.mpf(1) / 2, 1, 1, h),
-                mp.hyp2f1(mp.mpf(3) / 2, 2, 2, h),
-                mp.hyp2f1(1, mp.mpf(3) / 2, 1, h),
-            )
-            term = mp.binomial(b - 1, l) * bracket / z**2
-            total += term if l % 2 == 0 else -term
-        return float(4 * snr * a * b / (v * mp.ln(2)) * total)
-
-
-def _i3_ub_quad(a: float, b: int, imp: ImpairmentParams, snr: float) -> float:
-    # defining integral of the bound: log linearized to snr*a*x
-    v = imp.estimate_var
-    varpi = imp.alpha_w * imp.delay_corr
-    aw = imp.alpha_w
-    dens = _estimated_cqi_density_weights(b, v)
-    return quad_checked(
-        lambda x: snr * a * x / _LN2 * marcum_q1(varpi * np.sqrt(x), aw * np.sqrt(a * x))
-        * dens(x),
-        0.0,
-        _order_x_max(b, v),
-        points=_order_points(b, v),
     )
 
 
@@ -429,9 +288,7 @@ def fixed_rate_metrics(
         success = _metric_over_sets(sys, lambda b: i2(beta0, b, imp))
     else:
         mix = ScheduledCqiMixture(sys, scale=imp.estimate_var)
-        varpi = imp.alpha_w * imp.delay_corr
-        vth = imp.alpha_w * math.sqrt(beta0)
-        success = mix.expect(lambda x: marcum_q1(varpi * np.sqrt(x), vth))
+        success = mix.expect(_threshold_q1(beta0, imp))
     return rate * success, coverage_prob(sys) - success
 
 
@@ -440,37 +297,22 @@ def variable_rate_metrics(
     imp: ImpairmentParams,
     beta1: float,
     method: str = "auto",
-    fast: bool = False,
 ) -> tuple[float, float]:
-    """Average goodput and outage probability of the variable-rate strategy.
-
-    ``fast`` replaces the per-order goodput quadrature with the mean-value
-    approximation on the coefficient route; outage is always closed form.
-    """
+    """Average goodput and outage probability of the variable-rate strategy."""
     if not 0.0 <= beta1 <= 1.0:
         raise ValueError("beta1 must lie in [0, 1]")
     rho = sys.snr
     if beta1 == 0.0:
         return 0.0, 0.0
-    goodput_term = (
-        (lambda b: i3_jensen(beta1, b, imp, rho))
-        if fast
-        else (lambda b: i3_quadrature(beta1, b, imp, rho))
-    )
     if sys.best_m == sys.m_full:
         k = sys.num_users
-        return goodput_term(k), 1.0 - i4(beta1, k, imp)
+        return i3_quadrature(beta1, k, imp, rho), 1.0 - i4(beta1, k, imp)
     if _route(sys, method) == "coefficients":
-        goodput = _metric_over_sets(sys, goodput_term)
+        goodput = _metric_over_sets(sys, lambda b: i3_quadrature(beta1, b, imp, rho))
         success = _metric_over_sets(sys, lambda b: i4(beta1, b, imp))
     else:
         mix = ScheduledCqiMixture(sys, scale=imp.estimate_var)
-        varpi = imp.alpha_w * imp.delay_corr
-        aw = imp.alpha_w
-
-        def q1_at(x: np.ndarray) -> np.ndarray:
-            return marcum_q1(varpi * np.sqrt(x), aw * np.sqrt(beta1 * x))
-
+        q1_at = _backoff_q1(beta1, imp)
         goodput = mix.expect(lambda x: q1_at(x) * np.log2(1.0 + rho * beta1 * x))
         success = mix.expect(q1_at)
     return goodput, coverage_prob(sys) - success

@@ -28,6 +28,7 @@ from .channel import (
     _complex_normal,
     _correlated_gains,
 )
+from .feedback import cluster_feedback_quota
 from .goodput import StrategyParams
 
 __all__ = [
@@ -167,7 +168,7 @@ def _perfect_subband_chunk(sys: SystemConfig, rng, t: int) -> np.ndarray:
         z = _draw_subband_sq_gains_cluster(sys, rng, t, g)
         if cluster.num_users == 0:
             continue
-        quota = sys.eta_max // cluster.subband_size * sys.best_m
+        quota = cluster_feedback_quota(sys, g)
         reported.append(_best_m_block_values(z, quota, cluster.subband_size))
     rep = np.concatenate(reported, axis=1)
     best = rep.max(axis=1)
@@ -272,7 +273,7 @@ def _imperfect_chunk(sys: SystemConfig, imp: ImpairmentParams, rng, t: int):
             continue
         chi_hat = np.abs(h_hat) ** 2
         chi_til = np.abs(h_til) ** 2
-        quota = sys.eta_max // cluster.subband_size * sys.best_m
+        quota = cluster_feedback_quota(sys, g)
         reported.append(_best_m_block_values(chi_hat, quota, cluster.subband_size))
         actual.append(np.repeat(chi_til, cluster.subband_size, axis=2))
     rep = np.concatenate(reported, axis=1)
@@ -434,7 +435,7 @@ def run_strategy_comparison(
 
 def homogeneous_quota(sys: SystemConfig) -> int:
     """Even split of the joint feedback budget across users (ceiling)."""
-    total = sum(sys.eta_max // c.subband_size * sys.best_m for c in sys.clusters)
+    total = sum(cluster_feedback_quota(sys, g) for g in range(sys.num_clusters))
     return math.ceil(total / sys.num_clusters)
 
 
@@ -469,7 +470,7 @@ def _run_separate(sys: SystemConfig, trials: int, seed) -> EstimateWithError:
     seqs = np.random.SeedSequence(seed).spawn(sys.num_clusters)
     per_cluster = []
     for g, cluster in enumerate(sys.clusters):
-        quota = sys.eta_max // cluster.subband_size * sys.best_m
+        quota = cluster_feedback_quota(sys, g)
         solo = SystemConfig(
             num_rbs=sys.num_rbs,
             clusters=(Cluster(cluster.subband_size, cluster.num_users),),

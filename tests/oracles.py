@@ -1,0 +1,150 @@
+"""Reference evaluations that the library no longer carries, kept as test oracles.
+
+* The arbitrary-precision closed forms of the moment integrals I1, I2, I4
+  and the low-SNR I3 bound.  The library sums these alternating binomial
+  series in floats up to order 20 and integrates the defining integrals
+  beyond; these sums, in mpmath with enough guard digits for the
+  cancellation, check the quadrature route at any order.
+* The probability-domain parametrization of the variable-rate goodput
+  integral, an independent quadrature of what ``i3_quadrature`` computes.
+* The Craig/Simon single-integral form of the Marcum Q-function, which
+  stays accurate at arguments far beyond the noncentral chi-square routines.
+"""
+
+from __future__ import annotations
+
+import mpmath as mp
+import numpy as np
+
+from hetfb._quad import quad_checked
+from hetfb.channel import ImpairmentParams
+from hetfb.goodput import _i3_ub_bracket
+from hetfb.specfun import marcum_q1
+
+
+def mp_dps(b: int) -> int:
+    # digits lost to cancellation ~ log10 C(b-1, b//2) ~ 0.301*b
+    return 30 + int(0.31 * b)
+
+
+def i1_mp(a: float, b: int) -> float:
+    """E[log2(1 + a X)], X the max of b unit exponentials, by the E1 closed form."""
+    with mp.workdps(mp_dps(b)):
+        am = mp.mpf(a)
+        total = mp.mpf(0)
+        for l in range(b):
+            z = (l + 1) / am
+            term = mp.binomial(b - 1, l) / (l + 1) * mp.exp(z) * mp.e1(z)
+            total += term if l % 2 == 0 else -term
+        return float(b * total / mp.ln(2))
+
+
+def i2_mp(a: float, b: int, imp: ImpairmentParams) -> float:
+    """Fixed-rate success probability I2 by its closed form."""
+    with mp.workdps(mp_dps(b)):
+        v = mp.mpf(imp.estimate_var)
+        w2 = (mp.mpf(imp.alpha_w) * imp.delay_corr) ** 2
+        t2 = mp.mpf(imp.alpha_w) ** 2 * a
+        total = mp.mpf(0)
+        for l in range(b):
+            z = 2 * (l + 1) / v
+            c = w2 + z
+            bracket = mp.exp(-t2 / 2) + mp.exp(-z * t2 / (2 * c)) * (
+                -mp.expm1(-w2 * t2 / (2 * c))
+            )
+            term = mp.binomial(b - 1, l) * bracket / z
+            total += term if l % 2 == 0 else -term
+        return float(min(max(2 * b / v * total, mp.mpf(0)), mp.mpf(1)))
+
+
+def i4_mp(a: float, b: int, imp: ImpairmentParams) -> float:
+    """Variable-rate success probability I4 by its closed form."""
+    with mp.workdps(mp_dps(b)):
+        v = mp.mpf(imp.estimate_var)
+        w = mp.mpf(imp.alpha_w) * imp.delay_corr
+        t = mp.mpf(imp.alpha_w) * mp.sqrt(mp.mpf(a))
+        total = mp.mpf(0)
+        for l in range(b):
+            z = 2 * (l + 1) / v
+            psi = w**2 - t**2 + z
+            sig = mp.sqrt(((w - t) ** 2 + z) * ((w + t) ** 2 + z))
+            term = mp.binomial(b - 1, l) / z * (1 + psi / sig)
+            total += term if l % 2 == 0 else -term
+        return float(min(max(b / v * total, mp.mpf(0)), mp.mpf(1)))
+
+
+def i3_ub_mp(a: float, b: int, imp: ImpairmentParams, snr: float) -> float:
+    """Low-SNR upper bound on the variable-rate goodput integral by its closed form."""
+    with mp.workdps(mp_dps(b)):
+        v = mp.mpf(imp.estimate_var)
+        w2 = (mp.mpf(imp.alpha_w) * imp.delay_corr) ** 2
+        t2 = mp.mpf(imp.alpha_w) ** 2 * a
+        total = mp.mpf(0)
+        for l in range(b):
+            z = 2 * (l + 1) / v
+            phi = w2 + t2 + z
+            h = 4 * w2 * t2 / phi**2
+            bracket = _i3_ub_bracket(
+                w2,
+                t2,
+                z,
+                phi,
+                mp.hyp2f1(1, mp.mpf(3) / 2, 2, h),
+                mp.hyp2f1(mp.mpf(1) / 2, 1, 1, h),
+                mp.hyp2f1(mp.mpf(3) / 2, 2, 2, h),
+                mp.hyp2f1(1, mp.mpf(3) / 2, 1, h),
+            )
+            term = mp.binomial(b - 1, l) * bracket / z**2
+            total += term if l % 2 == 0 else -term
+        return float(4 * snr * a * b / (v * mp.ln(2)) * total)
+
+
+def i3_quadrature_u(a: float, b: int, imp: ImpairmentParams, snr: float) -> float:
+    """Variable-rate goodput integral in the probability domain.
+
+    Substitutes x(u) = F^{-1}(u^{1/b}), F the estimated-CQI CDF, so the
+    order-statistic weight becomes du on [0, 1]; the integrand picks up a
+    mild log singularity at u = 1 that the adaptive rule resolves.
+    """
+    v = imp.estimate_var
+    varpi = imp.alpha_w * imp.delay_corr
+    aw = imp.alpha_w
+
+    def integrand(u: np.ndarray) -> np.ndarray:
+        inside = (u > 0.0) & (u < 1.0)
+        out = np.zeros(u.shape)
+        x = -v * np.log(-np.expm1(np.log(u[inside]) / b))
+        out[inside] = marcum_q1(varpi * np.sqrt(x), aw * np.sqrt(a * x)) * np.log2(
+            1.0 + snr * a * x
+        )
+        return out
+
+    return quad_checked(integrand, 0.0, 1.0, limit=400, abs_fail=1e-6)
+
+
+def marcum_q1_craig(a: float, b: float, dps: int = 40) -> float:
+    """Q1(a, b) for a != b by the Craig/Simon integral over one period.
+
+    With zeta the ratio of the smaller to the larger argument r and
+    D(phi) = (1 - zeta)^2 + 4 zeta sin^2(phi/2) = 1 - 2 zeta cos(phi) + zeta^2,
+    Q1 = (1/2pi) int (1 - zeta cos phi) / D exp(-r^2 D / 2) dphi for b > a, and
+    Q1 = 1 + (1/2pi) int zeta (zeta - cos phi) / D exp(-r^2 D / 2) dphi for
+    b < a.  The mass sits within a few 1/r of phi = 0, so the range is split
+    there.
+    """
+    if a == b:
+        raise ValueError("the Craig form is singular on the diagonal")
+    with mp.workdps(dps):
+        a, b = mp.mpf(a), mp.mpf(b)
+        r, zeta = (b, a / b) if b > a else (a, b / a)
+
+        def integrand(phi):
+            s2 = 2 * mp.sin(phi / 2) ** 2  # 1 - cos(phi)
+            d = (1 - zeta) ** 2 + 2 * zeta * s2
+            num = (1 - zeta) + zeta * s2 if b > a else zeta * ((zeta - 1) + s2)
+            return num / d * mp.exp(-r * r * d / 2)
+
+        scales = sorted({min(mp.pi, k * s) for s in (1 / r, 1 - zeta) for k in (1, 10, 100)})
+        total = mp.quad(integrand, [0] + scales + ([mp.pi] if scales[-1] < mp.pi else []))
+        value = total / mp.pi  # the integrand is even in phi
+        return float(value if b > a else 1 + value)

@@ -47,6 +47,7 @@ from hetfb.montecarlo import (
     run_perfect,
     run_strategy_comparison,
 )
+from tests.oracles import i1_mp, i2_mp, i4_mp
 
 IMP_REF = ImpairmentParams(est_error_var=0.01, delay_corr=0.98)
 SNR_10DB = 10.0
@@ -180,10 +181,19 @@ def test_criterion_03_closed_forms_match_quadrature():
     bs = (1, 2, 8, 20, 40)
     worst = 0.0
 
+    def evaluations(library, closed_form, *args):
+        # the library sums the closed form up to order 20 and integrates
+        # beyond; there the mpmath closed form is checked alongside it
+        values = [library(*args)]
+        if args[1] > 20:
+            values.append(closed_form(*args))
+        return values
+
     for b in bs:
         for a in (0.2, 1.0, 5.0, 10.0, 50.0):
             oracle = order_weight_quadrature(lambda x: math.log2(1 + a * x), b, 1.0)
-            worst = max(worst, abs(i1(a, b) - oracle))
+            for value in evaluations(i1, i1_mp, a, b):
+                worst = max(worst, abs(value - oracle))
 
     varpi = IMP_REF.alpha_w * IMP_REF.delay_corr
     scale = IMP_REF.estimate_var
@@ -193,14 +203,16 @@ def test_criterion_03_closed_forms_match_quadrature():
             oracle = order_weight_quadrature(
                 lambda x: marcum_ref(varpi * math.sqrt(x), vth), b, scale
             )
-            worst = max(worst, abs(i2(a, b, IMP_REF) - oracle))
+            for value in evaluations(i2, i2_mp, a, b, IMP_REF):
+                worst = max(worst, abs(value - oracle))
         for a in (0.1, 0.3, 0.5, 0.7, 0.9):
             oracle = order_weight_quadrature(
                 lambda x: marcum_ref(varpi * math.sqrt(x), IMP_REF.alpha_w * math.sqrt(a * x)),
                 b,
                 scale,
             )
-            worst = max(worst, abs(i4(a, b, IMP_REF) - oracle))
+            for value in evaluations(i4, i4_mp, a, b, IMP_REF):
+                worst = max(worst, abs(value - oracle))
 
     report(
         3,

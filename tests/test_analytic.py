@@ -26,6 +26,7 @@ from hetfb.analytic import (
 )
 from hetfb.channel import Cluster, SystemConfig, gen_subband_fading
 from tests.conftest import two_cluster_system
+from tests.oracles import i1_mp
 
 I1_AT_1_1 = 0.860347382270886  # e * E1(1) / ln 2, cross-checked by quadrature
 CP_SMALL_CONFIG = 3.9660003732034  # N=4, eta=(1,2), K=(2,2), M=1, rho=10
@@ -227,11 +228,10 @@ class TestI1:
         assert all(x < y for x, y in zip(vals, vals[1:]))
 
     def test_route_crossovers_agree(self):
-        from hetfb.analytic import _i1_mp, _i1_quad
-
         for a in (0.5, 10.0):
-            assert abs(i1(a, 20) - _i1_mp(a, 20)) < 1e-9  # float vs mp
-            assert abs(_i1_mp(a, 60) - _i1_quad(a, 60)) < 1e-8  # mp vs quad
+            assert abs(i1(a, 20) - i1_mp(a, 20)) < 1e-9  # float vs mp
+            assert abs(i1(a, 21) - i1_mp(a, 21)) < 1e-8  # quad vs mp
+            assert abs(i1(a, 60) - i1_mp(a, 60)) < 1e-8  # quad vs mp
 
     def test_domain(self):
         with pytest.raises(ValueError):

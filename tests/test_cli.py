@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -264,3 +267,11 @@ class TestFigureCommand:
         assert code == 0
         payload = json.loads((tmp_path / "figure_4b.json").read_text())
         assert payload["columns"] == ["users", "k1_fraction", "m_exact"]
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    # mpmath is a test-only dependency: the library must run without it
+    src = str(Path(analytic.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, hetfb.cli; sys.exit('mpmath' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -21,6 +21,7 @@ from hetfb.goodput import (
     variable_rate_metrics,
 )
 from tests.conftest import two_cluster_system
+from tests.oracles import i2_mp, i3_quadrature_u, i3_ub_mp, i4_mp
 
 JENSEN_B10_SW001 = 2.8996785714285713  # 0.99 * H_10
 
@@ -149,18 +150,15 @@ class TestI3:
         assert all(x < y for x, y in zip(vals, vals[1:]))
 
     def test_dual_quadrature_schemes_agree(self, imp_default):
+        # threshold-domain library quadrature vs the probability-domain oracle
         for (a, b) in [(0.5, 8), (0.9, 2), (0.1, 30)]:
-            x_scheme = i3_quadrature(a, b, imp_default, 10.0, scheme="x")
-            u_scheme = i3_quadrature(a, b, imp_default, 10.0, scheme="u")
+            x_scheme = i3_quadrature(a, b, imp_default, 10.0)
+            u_scheme = i3_quadrature_u(a, b, imp_default, 10.0)
             assert abs(x_scheme - u_scheme) < 1e-8
 
     def test_matches_independent_oracle(self, imp_default):
         got = i3_quadrature(0.5, 8, imp_default, 10.0)
         assert abs(got - i3_oracle(0.5, 8, imp_default, 10.0)) < 1e-7
-
-    def test_unknown_scheme(self, imp_default):
-        with pytest.raises(ValueError):
-            i3_quadrature(0.5, 8, imp_default, 10.0, scheme="w")
 
 
 class TestI3UpperBound:
@@ -197,11 +195,10 @@ class TestI3UpperBound:
         assert abs(i3_upper_bound(0.5, 1, imp_default, snr) - ref) < 1e-7
 
     def test_mp_route_consistent(self, imp_default):
-        from hetfb.goodput import _i3_ub_float, _i3_ub_mp
-
-        val_float = _i3_ub_float(0.5, 20, imp_default, 0.01)
-        val_mp = _i3_ub_mp(0.5, 20, imp_default, 0.01)
-        assert abs(val_float - val_mp) < 1e-10
+        # float closed form at b = 20, linearized-integral quadrature beyond
+        for b in (20, 21, 40):
+            val = i3_upper_bound(0.5, b, imp_default, 0.01)
+            assert abs(val - i3_ub_mp(0.5, b, imp_default, 0.01)) < 1e-10
 
 
 class TestJensen:
@@ -272,9 +269,11 @@ class TestMetrics:
             assert abs(a[0] - b[0]) < 1e-6 and abs(a[1] - b[1]) < 1e-7
 
     def test_fast_mode_close_to_exact(self, imp_default):
+        # full feedback: the goodput is the order-20 integral, which the
+        # mean-value approximation tracks
         s = two_cluster_system(20, 16)
         exact, _ = variable_rate_metrics(s, imp_default, 0.5)
-        fast, _ = variable_rate_metrics(s, imp_default, 0.5, fast=True)
+        fast = i3_jensen(0.5, 20, imp_default, s.snr)
         assert abs(fast / exact - 1.0) < 0.05
 
     def test_validation(self, imp_default):
@@ -342,6 +341,21 @@ class TestNearPerfectFeedback:
             variable_rate_metrics(s, imp, self.BETA1),
         ):
             assert all(math.isfinite(v) for v in metrics)
+
+    def test_full_backoff_on_the_diagonal(self):
+        # beta1 = 1 at delay_corr = 1 puts both Marcum-Q arguments on the
+        # diagonal, beyond the reach of the noncentral chi-square routines
+        s = two_cluster_system(20, 4)
+        metrics = variable_rate_metrics(s, ImpairmentParams(1e-9, 1.0), 1.0)
+        assert all(math.isfinite(v) for v in metrics)
+
+    @pytest.mark.parametrize("sw2,alpha", [(1e-9, 1.0), (0.0, 0.999999)])
+    @pytest.mark.parametrize("b", [21, 40, 60])
+    def test_quadrature_route_matches_closed_forms(self, sw2, alpha, b):
+        imp = ImpairmentParams(sw2, alpha)
+        assert abs(i2(self.BETA0, b, imp) - i2_mp(self.BETA0, b, imp)) < 1e-9
+        for beta1 in (self.BETA1, 1.0):
+            assert abs(i4(beta1, b, imp) - i4_mp(beta1, b, imp)) < 1e-9
 
     def test_fixed_rate_success_approaches_perfect_feedback(self):
         s = two_cluster_system(20, 4)

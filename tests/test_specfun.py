@@ -15,6 +15,7 @@ from hetfb.specfun import (
     gauss_2f1,
     marcum_q1,
 )
+from tests.oracles import marcum_q1_craig
 
 # Frozen oracle values, recomputed below by the independent oracles.
 E1_AT_1 = 0.21938393439552029  # adaptive quadrature of int_1^inf exp(-t)/t dt
@@ -172,6 +173,19 @@ class TestMarcumQ1:
         val = marcum_q1(44721.0, 44740.0)
         assert 0.0 <= val <= 1.0
         assert val < 1e-60
+
+    @pytest.mark.parametrize("a", [40.0, 41.5, 300.0, 4472.0, 2.5e5, 3e5, 1e6])
+    def test_large_arguments_match_craig_integral(self, a):
+        # near-perfect feedback: both arguments large, within 40 of each other
+        for d in (-39.0, -7.5, -1.0, -0.01, 0.3, 2.0, 12.0, 39.5):
+            b = a + d
+            if b >= 40.0:
+                assert abs(marcum_q1(a, b) - marcum_q1_craig(a, b)) < 1e-12
+
+    def test_large_arguments_on_the_diagonal(self):
+        # Q1(a, a) = (1 + exp(-a^2) I0(a^2)) / 2
+        for a in (40.0, 1e3, 3e5, 1e6):
+            assert abs(marcum_q1(a, a) - 0.5 * (1.0 + scipy_i0e(a * a))) < 1e-12
 
     def test_array_call_matches_scalar_calls(self):
         a = np.array([0.0, 0.5, 3.0, 5.0, 12.0, 8.0, 60.0, 4472.0, 0.0, 100.0])
