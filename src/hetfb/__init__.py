@@ -9,31 +9,14 @@ amount and the rate-adaptation parameters.
 __version__ = "0.1.0"
 
 from .channel import (
-    ChannelRealization,
     Cluster,
     CorrelatedChannelConfig,
     ImpairmentParams,
     SystemConfig,
-    apply_impairments,
+    cluster_feedback_quota,
     conditional_pdf_actual,
-    gen_correlated_channel,
-    gen_subband_fading,
     pdp_exponential,
     subcarrier_correlation,
-)
-from .feedback import (
-    FeedbackReport,
-    best_m_select,
-    cluster_feedback_quota,
-    cqi_subband_avg_rate,
-    subband_reports,
-)
-from .scheduler import (
-    ScheduleDecision,
-    TransmissionOutcome,
-    realize_fixed_rate,
-    realize_variable_rate,
-    schedule,
 )
 from .analytic import (
     CoefficientTable,

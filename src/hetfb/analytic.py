@@ -38,8 +38,7 @@ import numpy as np
 from scipy.special import betainc, gammaln
 
 from ._quad import quad_checked
-from .channel import SystemConfig
-from .feedback import cluster_feedback_quota
+from .channel import SystemConfig, cluster_feedback_quota
 from .specfun import exp_integral_e1_scaled
 
 __all__ = [

@@ -1,4 +1,4 @@
-"""Channel generation and the feedback-imperfection model.
+"""Channel models, their configuration and the feedback-imperfection model.
 
 Two channel models are supported:
 
@@ -12,11 +12,12 @@ Two channel models are supported:
 Imperfections (estimation error plus feedback delay) follow a first-order
 Gauss-Markov evolution: the scheduler sees an outdated estimate ``h_hat``
 while transmission happens over ``h_tilde = alpha*(h_hat + w) +
-sqrt(1-alpha^2)*eps``.
+sqrt(1-alpha^2)*eps``.  The draws themselves live in ``montecarlo``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,12 +30,9 @@ __all__ = [
     "SystemConfig",
     "CorrelatedChannelConfig",
     "ImpairmentParams",
-    "ChannelRealization",
     "pdp_exponential",
     "subcarrier_correlation",
-    "gen_correlated_channel",
-    "gen_subband_fading",
-    "apply_impairments",
+    "cluster_feedback_quota",
     "conditional_pdf_actual",
 ]
 
@@ -193,43 +191,6 @@ class ImpairmentParams:
 
 
 # ---------------------------------------------------------------------------
-# Channel realizations
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Per-user complex gains for one fading draw.
-
-    ``gains`` holds one array per cluster, shaped (users, granules); the
-    granule is a subcarrier for the correlated model and a subband for the
-    subband fading model.
-    """
-
-    granularity: str  # "subcarrier" | "subband"
-    gains: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        if self.granularity not in ("subcarrier", "subband"):
-            raise ValueError(f"unknown granularity {self.granularity!r}")
-        object.__setattr__(self, "gains", tuple(self.gains))
-
-    def block_gains(self, sys: SystemConfig) -> np.ndarray:
-        """Resource-block view (num_users, num_rbs); subband model only."""
-        if self.granularity != "subband":
-            raise ValueError("block view is defined for subband granularity only")
-        parts = []
-        for cluster, g in zip(sys.clusters, self.gains):
-            parts.append(np.repeat(g, cluster.subband_size, axis=1))
-        return np.concatenate(parts, axis=0)
-
-
-def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    z = rng.standard_normal(shape + (2,))
-    return math.sqrt(0.5) * (z[..., 0] + 1j * z[..., 1])
-
-
-# ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
 
@@ -252,71 +213,30 @@ def subcarrier_correlation(pdp, n1: int, n2: int, num_subcarriers: int) -> compl
     return complex(np.sum(pdp * np.exp(-2j * math.pi * l * (n2 - n1) / num_subcarriers)))
 
 
-def gen_correlated_channel(
-    cfg: CorrelatedChannelConfig, num_users: int, seed
-) -> ChannelRealization:
-    """Draw subcarrier gains for ``num_users`` users of one cluster.
-
-    Deterministic given (cfg, num_users, seed).
-    """
-    if num_users < 1:
-        raise ValueError("num_users must be >= 1")
-    rng = np.random.default_rng(seed)
-    taps = _complex_normal(rng, (num_users, cfg.num_taps))
-    gains = _correlated_gains(cfg, taps)
-    return ChannelRealization("subcarrier", (gains,))
+def cluster_feedback_quota(sys: SystemConfig, g: int) -> int:
+    """Number of CQI values a user in cluster ``g`` reports."""
+    return (sys.eta_max // sys.clusters[g].subband_size) * sys.best_m
 
 
+def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    z = rng.standard_normal(shape + (2,))
+    return math.sqrt(0.5) * (z[..., 0] + 1j * z[..., 1])
+
+
+@functools.lru_cache(maxsize=16)
 def _dft_phases(cfg: CorrelatedChannelConfig) -> np.ndarray:
+    """Tap-to-subcarrier DFT matrix (L, Nc); cached read-only per configuration."""
     l = np.arange(cfg.num_taps)[:, None]
     n = np.arange(cfg.num_subcarriers)[None, :]
-    return np.exp(-2j * math.pi * l * n / cfg.num_subcarriers)
+    phases = np.exp(-2j * math.pi * l * n / cfg.num_subcarriers)
+    phases.flags.writeable = False
+    return phases
 
 
 def _correlated_gains(cfg: CorrelatedChannelConfig, taps: np.ndarray) -> np.ndarray:
     """Map i.i.d. unit taps (..., L) to subcarrier gains (..., Nc)."""
     sigma = np.sqrt(np.asarray(cfg.pdp))
     return (taps * sigma) @ _dft_phases(cfg)
-
-
-def gen_subband_fading(sys: SystemConfig, seed) -> ChannelRealization:
-    """Draw i.i.d. unit-variance subband gains for every user and cluster."""
-    rng = np.random.default_rng(seed)
-    gains = []
-    for g in range(sys.num_clusters):
-        shape = (sys.clusters[g].num_users, sys.num_subbands(g))
-        gains.append(_complex_normal(rng, shape))
-    return ChannelRealization("subband", tuple(gains))
-
-
-def apply_impairments(
-    realization: ChannelRealization, imp: ImpairmentParams, seed
-) -> tuple[ChannelRealization, ChannelRealization]:
-    """Derive (estimated, actual) gains from a unit-variance fading draw.
-
-    The input draw supplies the normalized estimate: ``h_hat`` is the draw
-    scaled to variance 1-sigma_w^2, so that ``h = h_hat + w`` has unit
-    variance.  The actual channel evolves by the Gauss-Markov step
-    ``h_tilde = alpha*(h_hat+w) + sqrt(1-alpha^2)*eps`` with fresh i.i.d.
-    noise per user and subband.  Deterministic given (realization, imp,
-    seed).
-    """
-    rng = np.random.default_rng(seed)
-    a = imp.delay_corr
-    sd_est = math.sqrt(imp.estimate_var)
-    sd_err = math.sqrt(imp.est_error_var)
-    sd_innov = math.sqrt(1.0 - a * a)
-    est, actual = [], []
-    for gains in realization.gains:
-        h_hat = sd_est * gains
-        w = sd_err * _complex_normal(rng, gains.shape)
-        eps = _complex_normal(rng, gains.shape)
-        est.append(h_hat)
-        actual.append(a * (h_hat + w) + sd_innov * eps)
-    return (
-        ChannelRealization(realization.granularity, tuple(est)),
-        ChannelRealization(realization.granularity, tuple(actual)),
-    )
 
 
 def conditional_pdf_actual(x: float, chi_hat: float, imp: ImpairmentParams) -> float:

@@ -6,6 +6,15 @@ given (spec, seed) regardless of how the host schedules the work.  The
 chunk width is part of the reproducibility contract: changing it changes
 the stream assignment.
 
+The subband model runs one kernel (``_subband_blocks``): draw exponential
+CQIs, keep each user's best M by a partition threshold, take the maximum
+over users per cluster subband and then over clusters per block, and, under
+imperfect feedback, realize the actual CQI from one noise draw per winning
+(cluster, subband).  Each cluster of a chunk has its own draw and noise
+substreams, and a chunk is processed in row blocks under a fixed byte
+budget, so peak memory does not grow with users x subbands and the results
+do not depend on the blocking.
+
 Estimators mirror the analytic conventions: the per-block rate and goodput
 averages keep idle (never-reported) blocks in the denominator at zero
 contribution, while the transmission-outage probability is reported as the
@@ -27,8 +36,8 @@ from .channel import (
     SystemConfig,
     _complex_normal,
     _correlated_gains,
+    cluster_feedback_quota,
 )
-from .feedback import cluster_feedback_quota
 from .goodput import StrategyParams
 
 __all__ = [
@@ -48,6 +57,13 @@ __all__ = [
 
 # Trials per RNG substream; fixed so serial and scheduled runs agree exactly.
 CHUNK_TRIALS = 2048
+
+# Working-set budget of one row block of a chunk; it bounds peak memory as
+# long as one trial fits in it.  A few MiB keeps a block near a core's L2
+# cache, which measured faster than whole-chunk arrays.  Every cluster draws
+# from its own substreams in trial order, so the blocking never changes a
+# result.
+_BLOCK_BYTES = 4 * 2**20
 
 _Z_FLAG = 3.0
 
@@ -144,42 +160,94 @@ def _mean_estimate(samples: np.ndarray) -> EstimateWithError:
     )
 
 
-def _best_m_block_values(values: np.ndarray, quota: int, eta: int) -> np.ndarray:
-    """Keep each user's ``quota`` largest values, expand subbands to blocks.
+def _keep_best(values: np.ndarray, quota: int) -> np.ndarray:
+    """Zero all but each row's ``quota`` largest entries along the last axis.
 
-    ``values`` has shape (trials, users, subbands); unreported entries
-    come back as -inf.
+    Works in place on ``values`` and returns the mask of kept entries.  CQIs
+    are nonnegative, so a zeroed entry never beats a kept one in a maximum
+    over users, and the mask tells whether anybody reported a subband.  A
+    multiply, unlike a masked store, does not branch per element.
     """
-    top = np.argpartition(-values, quota - 1, axis=2)[:, :, :quota]
-    mask = np.zeros(values.shape, dtype=bool)
-    np.put_along_axis(mask, top, True, axis=2)
-    kept = np.where(mask, values, -np.inf)
-    return np.repeat(kept, eta, axis=2)
+    n = values.shape[-1]
+    if quota >= n:
+        return np.broadcast_to(True, values.shape)
+    kth = np.partition(values, n - quota, axis=-1)[..., n - quota, None]
+    kept = values >= kth
+    values *= kept
+    return kept
+
+
+def _mean_rate(best: np.ndarray, snr: float) -> np.ndarray:
+    """Per-trial mean of log2(1 + snr * CQI) over blocks (CQI 0 on idle blocks)."""
+    return np.log2(1.0 + snr * best).mean(axis=1)
+
+
+def _row_blocks(t: int, row_bytes: int) -> list[int]:
+    """Sizes of the row blocks that split ``t`` trials under ``_BLOCK_BYTES``."""
+    rows = max(1, _BLOCK_BYTES // row_bytes)
+    return [min(rows, t - lo) for lo in range(0, t, rows)]
+
+
+def _cluster_streams(seq: np.random.SeedSequence, num_clusters: int):
+    """Per-cluster generators of one chunk: CQI draws, then winner noise."""
+    rngs = [np.random.default_rng(s) for s in seq.spawn(2 * num_clusters)]
+    return rngs[:num_clusters], rngs[num_clusters:]
+
+
+# ---------------------------------------------------------------------------
+# Subband-model kernel
+# ---------------------------------------------------------------------------
+
+
+def _subband_blocks(sys: SystemConfig, imp: ImpairmentParams | None, seq, t: int):
+    """Best-M scheduling of one subband-model chunk, one row block at a time.
+
+    Yields ``(best, covered, actual)`` per block, each shaped (rows, num_rbs):
+    the scheduled CQI estimate (0 on idle blocks), whether any user
+    reported the block, and with impairments the scheduled user's actual
+    CQI (``None`` without).
+
+    * Draw: |CN(0, 1)|^2 ~ Exp(1), so CQIs are drawn as exponentials,
+      scaled by the estimate variance with impairments.
+    * Select: every user keeps its ``quota`` largest CQIs.
+    * Schedule: maximum over users within each cluster on its subband grid,
+      then over clusters on the block grid.
+    * Realize: given the estimate, h_tilde = alpha*h_hat + n with
+      n ~ CN(0, alpha^2 sigma_w^2 + 1 - alpha^2) independent of h_hat, and
+      only the winner's actual CQI is read.  So one noise draw per (trial,
+      cluster, subband) gives |alpha*sqrt(chi_hat) + n|^2; distinct
+      (cluster, subband) pairs are distinct (user, subband) pairs, so the
+      joint law is that of independent per-user noise.
+    """
+    draws, noise = _cluster_streams(seq, sys.num_clusters)
+    cells = max(c.num_users * sys.num_subbands(g) for g, c in enumerate(sys.clusters))
+    # draws, partition copy and mask per cell; a dozen block-grid temporaries
+    for r in _row_blocks(t, 8 * (3 * cells + 12 * sys.num_rbs)):
+        best = np.full((r, sys.num_rbs), -np.inf)
+        actual = None if imp is None else np.zeros((r, sys.num_rbs))
+        for g, cluster in enumerate(sys.clusters):
+            if cluster.num_users == 0:
+                continue
+            z = draws[g].standard_exponential((r, cluster.num_users, sys.num_subbands(g)))
+            if imp is not None:
+                z *= imp.estimate_var
+            kept = _keep_best(z, cluster_feedback_quota(sys, g))
+            top = np.where(kept.any(axis=1), z.max(axis=1), -np.inf)
+            top_blocks = np.repeat(top, cluster.subband_size, axis=1)
+            wins = top_blocks > best
+            best = np.where(wins, top_blocks, best)
+            if imp is not None:
+                n = noise[g].standard_normal(top.shape + (2,)) / imp.alpha_w
+                amp = imp.delay_corr * np.sqrt(np.maximum(top, 0.0)) + n[..., 0]
+                til = amp * amp + n[..., 1] ** 2
+                actual = np.where(wins, np.repeat(til, cluster.subband_size, axis=1), actual)
+        covered = np.isfinite(best)
+        yield np.maximum(best, 0.0), covered, actual
 
 
 # ---------------------------------------------------------------------------
 # Perfect feedback
 # ---------------------------------------------------------------------------
-
-
-def _perfect_subband_chunk(sys: SystemConfig, rng, t: int) -> np.ndarray:
-    reported = []
-    for g, cluster in enumerate(sys.clusters):
-        z = _draw_subband_sq_gains_cluster(sys, rng, t, g)
-        if cluster.num_users == 0:
-            continue
-        quota = cluster_feedback_quota(sys, g)
-        reported.append(_best_m_block_values(z, quota, cluster.subband_size))
-    rep = np.concatenate(reported, axis=1)
-    best = rep.max(axis=1)
-    covered = np.isfinite(best)
-    rate = np.where(covered, np.log2(1.0 + sys.snr * np.where(covered, best, 0.0)), 0.0)
-    return rate.mean(axis=1)
-
-
-def _draw_subband_sq_gains_cluster(sys: SystemConfig, rng, t: int, g: int) -> np.ndarray:
-    gains = _complex_normal(rng, (t, sys.clusters[g].num_users, sys.num_subbands(g)))
-    return np.abs(gains) ** 2
 
 
 def _perfect_correlated_chunk(
@@ -193,10 +261,14 @@ def _perfect_correlated_chunk(
 def _correlated_rb_rates(
     cfg: CorrelatedChannelConfig, snr: float, users: int, rng, t: int
 ) -> np.ndarray:
-    taps = _complex_normal(rng, (t, users, cfg.num_taps))
-    gains = _correlated_gains(cfg, taps)
-    rates = np.log2(1.0 + snr * np.abs(gains) ** 2)
-    return rates.reshape(t, users, cfg.num_rbs, cfg.subcarriers_per_rb).mean(axis=3)
+    """Per-RB average rates (t, users, num_rbs); subcarrier gains in row blocks."""
+    parts = []
+    # complex gains and their real-valued temporaries per subcarrier
+    for r in _row_blocks(t, 48 * users * cfg.num_subcarriers):
+        taps = _complex_normal(rng, (r, users, cfg.num_taps))
+        rates = np.log2(1.0 + snr * np.abs(_correlated_gains(cfg, taps)) ** 2)
+        parts.append(rates.reshape(r, users, cfg.num_rbs, cfg.subcarriers_per_rb).mean(axis=3))
+    return np.concatenate(parts)
 
 
 def _schedule_on_avg_rate(rb_rate: np.ndarray, eta: int, quota: int, snr: float) -> np.ndarray:
@@ -208,11 +280,8 @@ def _schedule_on_avg_rate(rb_rate: np.ndarray, eta: int, quota: int, snr: float)
     """
     t, users, n = rb_rate.shape
     cqi = rb_rate.reshape(t, users, n // eta, eta).mean(axis=3)
-    rep = _best_m_block_values(cqi, quota, eta)
-    best = rep.max(axis=1)
-    covered = np.isfinite(best)
-    rate = np.log2(1.0 + snr * np.where(covered, best, 0.0))
-    return np.where(covered, rate, 0.0).mean(axis=1)
+    _keep_best(cqi, quota)
+    return _mean_rate(np.repeat(cqi.max(axis=1), eta, axis=1), snr)
 
 
 def run_perfect(spec: ExperimentSpec) -> EstimateWithError:
@@ -221,10 +290,13 @@ def run_perfect(spec: ExperimentSpec) -> EstimateWithError:
         raise ValueError("run_perfect does not accept impairments")
     rates = []
     for seq, t in _chunk_plan(spec.trials, spec.seed):
-        rng = np.random.default_rng(seq)
         if spec.model == "subband":
-            rates.append(_perfect_subband_chunk(spec.system, rng, t))
+            rates += [
+                _mean_rate(best, spec.system.snr)
+                for best, _, _ in _subband_blocks(spec.system, None, seq, t)
+            ]
         else:
+            rng = np.random.default_rng(seq)
             rates.append(_perfect_correlated_chunk(spec.system, spec.correlated, rng, t))
     return _mean_estimate(np.concatenate(rates))
 
@@ -254,36 +326,6 @@ def correlated_rate_grid(
 # ---------------------------------------------------------------------------
 # Imperfect feedback
 # ---------------------------------------------------------------------------
-
-
-def _imperfect_chunk(sys: SystemConfig, imp: ImpairmentParams, rng, t: int):
-    """Selected estimate, selected actual CQI and coverage per block."""
-    a = imp.delay_corr
-    sd_est = math.sqrt(imp.estimate_var)
-    sd_err = math.sqrt(imp.est_error_var)
-    sd_innov = math.sqrt(1.0 - a * a)
-    reported, actual = [], []
-    for g, cluster in enumerate(sys.clusters):
-        shape = (t, cluster.num_users, sys.num_subbands(g))
-        h_hat = sd_est * _complex_normal(rng, shape)
-        w = sd_err * _complex_normal(rng, shape)
-        eps = _complex_normal(rng, shape)
-        h_til = a * (h_hat + w) + sd_innov * eps
-        if cluster.num_users == 0:
-            continue
-        chi_hat = np.abs(h_hat) ** 2
-        chi_til = np.abs(h_til) ** 2
-        quota = cluster_feedback_quota(sys, g)
-        reported.append(_best_m_block_values(chi_hat, quota, cluster.subband_size))
-        actual.append(np.repeat(chi_til, cluster.subband_size, axis=2))
-    rep = np.concatenate(reported, axis=1)
-    act = np.concatenate(actual, axis=1)
-    sel = rep.argmax(axis=1)
-    best = np.take_along_axis(rep, sel[:, None, :], axis=1)[:, 0, :]
-    covered = np.isfinite(best)
-    best = np.where(covered, best, 0.0)
-    til = np.take_along_axis(act, sel[:, None, :], axis=1)[:, 0, :]
-    return best, til, covered
 
 
 def _ratio_estimate(numer: np.ndarray, denom: np.ndarray, trials: int) -> EstimateWithError:
@@ -316,20 +358,17 @@ def run_imperfect_grid(
     out_blocks = [[] for _ in strategies]
     sched_blocks = []
     for seq, t in _chunk_plan(spec.trials, spec.seed):
-        rng = np.random.default_rng(seq)
-        best, til, covered = _imperfect_chunk(spec.system, spec.impairments, rng, t)
-        sched_blocks.append(covered.sum(axis=1))
-        for i, s in enumerate(strategies):
-            if s.beta0 is not None:
-                rate = math.log2(1.0 + rho * s.beta0)
-                success = covered & (til > s.beta0)
-                gp = np.where(success, rate, 0.0)
-            else:
-                rate = np.log2(1.0 + rho * s.beta1 * best)
-                success = covered & (til > s.beta1 * best)
-                gp = np.where(success, rate, 0.0)
-            good[i].append(gp.sum(axis=1) / n)
-            out_blocks[i].append((covered & ~success).sum(axis=1))
+        for best, covered, til in _subband_blocks(spec.system, spec.impairments, seq, t):
+            sched_blocks.append(covered.sum(axis=1))
+            for i, s in enumerate(strategies):
+                if s.beta0 is not None:
+                    rate = math.log2(1.0 + rho * s.beta0)
+                    success = covered & (til > s.beta0)
+                else:
+                    rate = np.log2(1.0 + rho * s.beta1 * best)
+                    success = covered & (til > s.beta1 * best)
+                good[i].append(np.where(success, rate, 0.0).sum(axis=1) / n)
+                out_blocks[i].append((covered & ~success).sum(axis=1))
 
     sched = np.concatenate(sched_blocks).astype(float)
     results = []
@@ -444,23 +483,30 @@ def _run_homogeneous(sys: SystemConfig, eta_fb: int, trials: int, seed) -> Estim
     if n % eta_fb:
         raise ValueError("the common subband size must divide num_rbs")
     quota = min(homogeneous_quota(sys), n // eta_fb)
+    users = sys.num_users
     rates = []
     for seq, t in _chunk_plan(trials, seed):
-        rng = np.random.default_rng(seq)
-        blocks = []
-        for g, cluster in enumerate(sys.clusters):
-            z = _draw_subband_sq_gains_cluster(sys, rng, t, g)
-            if cluster.num_users == 0:
-                continue
-            blocks.append(np.repeat(z, cluster.subband_size, axis=2))
-        rate_blocks = np.log2(1.0 + sys.snr * np.concatenate(blocks, axis=1))
-        users = rate_blocks.shape[1]
-        cqi = rate_blocks.reshape(t, users, n // eta_fb, eta_fb).mean(axis=3)
-        rep = _best_m_block_values(cqi, quota, eta_fb)
-        sel = rep.argmax(axis=1)
-        covered = np.isfinite(np.take_along_axis(rep, sel[:, None, :], axis=1)[:, 0, :])
-        actual = np.take_along_axis(rate_blocks, sel[:, None, :], axis=1)[:, 0, :]
-        rates.append(np.where(covered, actual, 0.0).mean(axis=1))
+        draws, _ = _cluster_streams(seq, sys.num_clusters)
+        # block-grid CQIs, their rates and the temporaries between them
+        for r in _row_blocks(t, 8 * 4 * users * n):
+            z = np.concatenate(
+                [
+                    np.repeat(
+                        draws[g].standard_exponential((r, c.num_users, sys.num_subbands(g))),
+                        c.subband_size,
+                        axis=2,
+                    )
+                    for g, c in enumerate(sys.clusters)
+                ],
+                axis=1,
+            )
+            rate_blocks = np.log2(1.0 + sys.snr * z)
+            cqi = rate_blocks.reshape(r, users, n // eta_fb, eta_fb).mean(axis=3)
+            kept = _keep_best(cqi, quota)
+            sel = np.repeat(cqi.argmax(axis=1), eta_fb, axis=1)
+            covered = np.repeat(kept.any(axis=1), eta_fb, axis=1)
+            actual = np.take_along_axis(rate_blocks, sel[:, None, :], axis=1)[:, 0, :]
+            rates.append(np.where(covered, actual, 0.0).mean(axis=1))
     return _mean_estimate(np.concatenate(rates))
 
 

@@ -24,9 +24,10 @@ from hetfb.analytic import (
     selection_coefficients,
     xi_coefficients,
 )
-from hetfb.channel import Cluster, SystemConfig, gen_subband_fading
+from hetfb.channel import Cluster, SystemConfig
 from tests.conftest import two_cluster_system
 from tests.oracles import i1_mp
+from tests.perdraw import gen_subband_fading, schedule, subband_reports
 
 I1_AT_1_1 = 0.860347382270886  # e * E1(1) / ln 2, cross-checked by quadrature
 CP_SMALL_CONFIG = 3.9660003732034  # N=4, eta=(1,2), K=(2,2), M=1, rho=10
@@ -376,9 +377,6 @@ class TestCrossModelConsistency:
         # scheduled-CQI CDF at one block vs a direct simulation
         s = SystemConfig(8, (Cluster(1, 2), Cluster(2, 2)), 1, 10.0)
         mix = ScheduledCqiMixture(s)
-        from hetfb.feedback import subband_reports
-        from hetfb.scheduler import schedule
-
         values = []
         for seed in range(2000):
             real = gen_subband_fading(s, seed=seed)

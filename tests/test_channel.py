@@ -7,19 +7,21 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from hetfb.channel import (
-    ChannelRealization,
     Cluster,
     CorrelatedChannelConfig,
     ImpairmentParams,
     SystemConfig,
-    apply_impairments,
     conditional_pdf_actual,
-    gen_correlated_channel,
-    gen_subband_fading,
     pdp_exponential,
     subcarrier_correlation,
 )
 from hetfb.specfun import marcum_q1
+from tests.perdraw import (
+    ChannelRealization,
+    apply_impairments,
+    gen_correlated_channel,
+    gen_subband_fading,
+)
 
 # direct evaluation of the profile formula, normalization checked separately
 PDP_SIGMA0_L16_D4 = 0.22532621043101655

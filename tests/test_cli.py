@@ -275,3 +275,23 @@ def test_cli_import_leaves_mpmath_unloaded():
     env = {**os.environ, "PYTHONPATH": src}
     code = "import sys, hetfb.cli; sys.exit('mpmath' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_per_draw_pipeline_is_test_only():
+    # the per-draw chain lives in tests/perdraw.py as the kernel's oracle
+    import hetfb
+
+    moved = {
+        "ChannelRealization", "gen_correlated_channel", "gen_subband_fading",
+        "apply_impairments", "FeedbackReport", "best_m_select", "cqi_subband_avg_rate",
+        "subband_reports", "ScheduleDecision", "TransmissionOutcome", "schedule",
+        "realize_fixed_rate", "realize_variable_rate", "feedback", "scheduler",
+    }
+    assert not moved & set(hetfb.__all__)
+    src = str(Path(analytic.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys, hetfb.cli; "
+        "sys.exit(bool({'hetfb.feedback', 'hetfb.scheduler'} & set(sys.modules)))"
+    )
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

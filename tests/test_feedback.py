@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetfb.channel import Cluster, SystemConfig, gen_subband_fading
-from hetfb.feedback import (
+from hetfb.channel import Cluster, SystemConfig, cluster_feedback_quota
+from tests.perdraw import (
     FeedbackReport,
     best_m_select,
-    cluster_feedback_quota,
     cqi_subband_avg_rate,
+    gen_subband_fading,
     subband_reports,
 )
 

@@ -1,26 +1,27 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import hetfb.montecarlo as mc
 from hetfb.analytic import average_sum_rate, coverage_prob, i1
 from hetfb.channel import (
-    ChannelRealization,
     Cluster,
     CorrelatedChannelConfig,
     ImpairmentParams,
     SystemConfig,
-    _complex_normal,
     pdp_exponential,
 )
-from hetfb.feedback import subband_reports
 from hetfb.goodput import StrategyParams, fixed_rate_metrics
 from hetfb.montecarlo import (
     CHUNK_TRIALS,
     EstimateWithError,
     ExperimentSpec,
-    _imperfect_chunk,
-    _perfect_subband_chunk,
+    _cluster_streams,
+    _keep_best,
+    _mean_rate,
+    _subband_blocks,
     correlated_rate_grid,
     cross_validate,
     run_imperfect,
@@ -28,8 +29,15 @@ from hetfb.montecarlo import (
     run_perfect,
     run_strategy_comparison,
 )
-from hetfb.scheduler import realize_fixed_rate, realize_variable_rate, schedule
 from tests.conftest import two_cluster_system
+from tests.perdraw import (
+    ChannelRealization,
+    best_m_select,
+    realize_fixed_rate,
+    realize_variable_rate,
+    schedule,
+    subband_reports,
+)
 
 
 def corr_cfg():
@@ -95,21 +103,26 @@ class TestDeterminism:
 
 
 class TestAgainstOpsPipeline:
-    """The vectorized chunks must agree with the reference operation chain."""
+    """The vectorized kernel must agree with the reference operation chain.
+
+    The oracle is fed the kernel's own draws: estimated gains are the square
+    roots of the drawn CQIs, and every user of a cluster shares that
+    subband's noise (the kernel reads only the winner's).
+    """
 
     def test_perfect_chunk_equals_schedule_ops(self):
         s = SystemConfig(8, (Cluster(1, 2), Cluster(2, 3)), 1, 10.0)
         t = 64
-        seed = np.random.SeedSequence(77)
-        chunk_rates = _perfect_subband_chunk(s, np.random.default_rng(seed), t)
+        blocks = _subband_blocks(s, None, np.random.SeedSequence(77), t)
+        chunk_rates = np.concatenate([_mean_rate(best, s.snr) for best, _, _ in blocks])
 
-        rng = np.random.default_rng(seed)
-        draws = [
-            _complex_normal(rng, (t, c.num_users, s.num_subbands(g)))
+        draws, _ = _cluster_streams(np.random.SeedSequence(77), s.num_clusters)
+        gains = [
+            np.sqrt(draws[g].standard_exponential((t, c.num_users, s.num_subbands(g)))) + 0j
             for g, c in enumerate(s.clusters)
         ]
         for i in range(t):
-            real = ChannelRealization("subband", tuple(d[i] for d in draws))
+            real = ChannelRealization("subband", tuple(d[i] for d in gains))
             dec = schedule(subband_reports(real, s), s)
             rate = np.where(dec.scheduled, np.log2(1.0 + s.snr * np.where(dec.scheduled, dec.cqi, 0.0)), 0.0)
             assert abs(rate.mean() - chunk_rates[i]) < 1e-12
@@ -118,21 +131,18 @@ class TestAgainstOpsPipeline:
         s = SystemConfig(8, (Cluster(1, 2), Cluster(4, 2)), 1, 10.0)
         imp = ImpairmentParams(0.02, 0.95)
         t = 48
-        seed = np.random.SeedSequence(123)
-        best, til, covered = _imperfect_chunk(s, imp, np.random.default_rng(seed), t)
+        ((best, covered, til),) = _subband_blocks(s, imp, np.random.SeedSequence(123), t)
 
-        rng = np.random.default_rng(seed)
-        sd_est = math.sqrt(imp.estimate_var)
-        sd_err = math.sqrt(imp.est_error_var)
-        sd_innov = math.sqrt(1.0 - imp.delay_corr**2)
+        draws, noise = _cluster_streams(np.random.SeedSequence(123), s.num_clusters)
         h_hat, h_til = [], []
         for g, c in enumerate(s.clusters):
-            shape = (t, c.num_users, s.num_subbands(g))
-            hh = sd_est * _complex_normal(rng, shape)
-            w = sd_err * _complex_normal(rng, shape)
-            eps = _complex_normal(rng, shape)
+            chi_hat = imp.estimate_var * draws[g].standard_exponential(
+                (t, c.num_users, s.num_subbands(g))
+            )
+            hh = np.sqrt(chi_hat) + 0j
+            n = noise[g].standard_normal((t, s.num_subbands(g), 2)) / imp.alpha_w
             h_hat.append(hh)
-            h_til.append(imp.delay_corr * (hh + w) + sd_innov * eps)
+            h_til.append(imp.delay_corr * hh + (n[..., 0] + 1j * n[..., 1])[:, None, :])
 
         beta0, beta1 = 0.9, 0.85
         for i in range(t):
@@ -153,6 +163,88 @@ class TestAgainstOpsPipeline:
             assert np.array_equal(var.success, succ_chunk)
             rate_chunk = np.where(succ_chunk, np.log2(1.0 + s.snr * beta1 * best[i]), 0.0)
             assert np.allclose(var.goodput, rate_chunk, rtol=1e-12, atol=0)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("users,subbands,quota", [(3, 16, 4), (5, 16, 1), (4, 8, 8), (0, 8, 2)])
+    def test_selector_keeps_each_rows_largest(self, users, subbands, quota):
+        values = np.random.default_rng(quota).standard_exponential((6, users, subbands))
+        out = values.copy()
+        kept = _keep_best(out, quota)
+        assert kept.shape == values.shape
+        flat = (a.reshape(-1, subbands) for a in (values, out, kept))
+        for row, row_out, row_kept in zip(*flat):
+            top = {i for i, _ in best_m_select(row, quota)}
+            assert set(np.flatnonzero(row_kept).tolist()) == top
+            assert np.array_equal(row_out, np.where(row_kept, row, 0.0))
+
+    def test_empty_cluster(self):
+        s = SystemConfig(16, (Cluster(1, 0), Cluster(4, 3)), 2, 10.0)
+        est = run_perfect(ExperimentSpec("subband", s, trials=4000, seed=3))
+        assert abs(est.value - average_sum_rate(s)) < 3 * est.std_error
+
+    @pytest.mark.parametrize("budget", [1, 2**16])
+    def test_results_independent_of_row_blocking(self, monkeypatch, budget):
+        s = two_cluster_system(6, 2)
+        imp = ImpairmentParams(0.01, 0.98)
+        trials = CHUNK_TRIALS + 300
+        runs = (
+            lambda: run_perfect(ExperimentSpec("subband", s, trials=trials, seed=4)),
+            lambda: run_imperfect(
+                ExperimentSpec(
+                    "subband", s, impairments=imp, strategy=StrategyParams(beta1=0.8),
+                    trials=trials, seed=5,
+                )
+            ),
+            lambda: run_strategy_comparison(s, "homogeneous", subband_size=2, trials=900, seed=6),
+            lambda: run_perfect(
+                ExperimentSpec(
+                    "correlated", SystemConfig(16, (Cluster(2, 4),), 2, 10.0),
+                    correlated=corr_cfg(), trials=trials, seed=7,
+                )
+            ),
+        )
+        reference = [run() for run in runs]
+        monkeypatch.setattr(mc, "_BLOCK_BYTES", budget)
+        assert len(mc._row_blocks(CHUNK_TRIALS, 8 * s.num_rbs)) > 1
+        assert [run() for run in runs] == reference
+
+    def test_peak_memory_under_budget_at_large_size(self):
+        s = SystemConfig(256, (Cluster(1, 150), Cluster(4, 150)), 16, 10.0)
+        imp = ImpairmentParams(0.01, 0.98)
+        runs = (
+            lambda: run_perfect(ExperimentSpec("subband", s, trials=300, seed=1)),
+            lambda: run_imperfect(
+                ExperimentSpec(
+                    "subband", s, impairments=imp, strategy=StrategyParams(beta0=1.0),
+                    trials=300, seed=2,
+                )
+            ),
+        )
+        for run in runs:
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < mc._BLOCK_BYTES
+
+    def test_near_perfect_actual_tracks_estimate(self):
+        s = two_cluster_system(10, 4)
+        imp = ImpairmentParams(1e-8, 1.0)
+        for best, covered, til in _subband_blocks(s, imp, np.random.SeedSequence(8), 2000):
+            gap = np.abs(np.sqrt(til) - np.sqrt(best))[covered]
+            assert gap.size and np.max(gap) <= 1e-3
+        res = run_imperfect(
+            ExperimentSpec(
+                "subband", s, impairments=imp, strategy=StrategyParams(beta1=0.9),
+                trials=4000, seed=9,
+            )
+        )
+        values = (res.goodput.value, res.outage.value, res.outage.std_error)
+        assert all(math.isfinite(v) for v in values)
+        assert res.goodput.value > 0 and res.outage.value < 1e-3
 
 
 class TestPerfectEstimates:

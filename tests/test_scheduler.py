@@ -3,9 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from hetfb.channel import Cluster, SystemConfig, gen_subband_fading
-from hetfb.feedback import FeedbackReport, subband_reports
-from hetfb.scheduler import realize_fixed_rate, realize_variable_rate, schedule
+from hetfb.channel import Cluster, SystemConfig
+from tests.perdraw import (
+    FeedbackReport,
+    gen_subband_fading,
+    realize_fixed_rate,
+    realize_variable_rate,
+    schedule,
+    subband_reports,
+)
 
 
 def sys_two_users():
