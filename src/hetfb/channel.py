@@ -17,7 +17,6 @@ sqrt(1-alpha^2)*eps``.  The draws themselves live in ``montecarlo``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -223,14 +222,10 @@ def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndar
     return math.sqrt(0.5) * (z[..., 0] + 1j * z[..., 1])
 
 
-@functools.lru_cache(maxsize=16)
 def _dft_phases(cfg: CorrelatedChannelConfig) -> np.ndarray:
-    """Tap-to-subcarrier DFT matrix (L, Nc); cached read-only per configuration."""
     l = np.arange(cfg.num_taps)[:, None]
     n = np.arange(cfg.num_subcarriers)[None, :]
-    phases = np.exp(-2j * math.pi * l * n / cfg.num_subcarriers)
-    phases.flags.writeable = False
-    return phases
+    return np.exp(-2j * math.pi * l * n / cfg.num_subcarriers)
 
 
 def _correlated_gains(cfg: CorrelatedChannelConfig, taps: np.ndarray) -> np.ndarray:

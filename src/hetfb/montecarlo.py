@@ -167,12 +167,27 @@ def _keep_best(values: np.ndarray, quota: int) -> np.ndarray:
     are nonnegative, so a zeroed entry never beats a kept one in a maximum
     over users, and the mask tells whether anybody reported a subband.  A
     multiply, unlike a masked store, does not branch per element.
+
+    Exactly ``quota`` entries are kept per row: ties at the threshold keep
+    the lowest indices, as the per-user oracle does.  Ties are systematic
+    where one draw covers several feedback subbands (the homogeneous
+    strategy), and have probability zero for continuous draws, whose rows
+    skip the tie pass.
     """
     n = values.shape[-1]
     if quota >= n:
         return np.broadcast_to(True, values.shape)
-    kth = np.partition(values, n - quota, axis=-1)[..., n - quota, None]
+    # a copy, so the partitioned array is freed at once
+    kth = np.partition(values, n - quota, axis=-1)[..., n - quota, None].copy()
     kept = values >= kth
+    # every row keeps at least quota entries, so an equal total means no ties
+    if np.count_nonzero(kept) > quota * (kept.size // n):
+        tied = np.count_nonzero(kept, axis=-1) > quota
+        rows, row_kth = values[tied], kth[tied]
+        above = rows > row_kth
+        room = quota - np.count_nonzero(above, axis=-1)
+        at_kth = rows == row_kth
+        kept[tied] = above | (at_kth & (np.cumsum(at_kth, axis=-1) <= room[:, None]))
     values *= kept
     return kept
 
@@ -262,13 +277,15 @@ def _correlated_rb_rates(
     cfg: CorrelatedChannelConfig, snr: float, users: int, rng, t: int
 ) -> np.ndarray:
     """Per-RB average rates (t, users, num_rbs); subcarrier gains in row blocks."""
-    parts = []
+    out = np.empty((t, users, cfg.num_rbs))
+    lo = 0
     # complex gains and their real-valued temporaries per subcarrier
     for r in _row_blocks(t, 48 * users * cfg.num_subcarriers):
         taps = _complex_normal(rng, (r, users, cfg.num_taps))
         rates = np.log2(1.0 + snr * np.abs(_correlated_gains(cfg, taps)) ** 2)
-        parts.append(rates.reshape(r, users, cfg.num_rbs, cfg.subcarriers_per_rb).mean(axis=3))
-    return np.concatenate(parts)
+        out[lo : lo + r] = rates.reshape(r, users, cfg.num_rbs, cfg.subcarriers_per_rb).mean(axis=3)
+        lo += r
+    return out
 
 
 def _schedule_on_avg_rate(rb_rate: np.ndarray, eta: int, quota: int, snr: float) -> np.ndarray:
@@ -486,9 +503,11 @@ def _run_homogeneous(sys: SystemConfig, eta_fb: int, trials: int, seed) -> Estim
     users = sys.num_users
     rates = []
     for seq, t in _chunk_plan(trials, seed):
-        draws, _ = _cluster_streams(seq, sys.num_clusters)
-        # block-grid CQIs, their rates and the temporaries between them
-        for r in _row_blocks(t, 8 * 4 * users * n):
+        # the draw streams of the subband kernel (its noise streams come after)
+        draws = [np.random.default_rng(s) for s in seq.spawn(sys.num_clusters)]
+        # block-grid rates (the CQI draws, in place), feedback CQIs and the
+        # selector's tie pass over them
+        for r in _row_blocks(t, 8 * 5 * users * n):
             z = np.concatenate(
                 [
                     np.repeat(
@@ -500,7 +519,9 @@ def _run_homogeneous(sys: SystemConfig, eta_fb: int, trials: int, seed) -> Estim
                 ],
                 axis=1,
             )
-            rate_blocks = np.log2(1.0 + sys.snr * z)
+            z *= sys.snr
+            z += 1.0
+            rate_blocks = np.log2(z, out=z)
             cqi = rate_blocks.reshape(r, users, n // eta_fb, eta_fb).mean(axis=3)
             kept = _keep_best(cqi, quota)
             sel = np.repeat(cqi.argmax(axis=1), eta_fb, axis=1)

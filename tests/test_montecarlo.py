@@ -166,9 +166,15 @@ class TestAgainstOpsPipeline:
 
 
 class TestKernel:
-    @pytest.mark.parametrize("users,subbands,quota", [(3, 16, 4), (5, 16, 1), (4, 8, 8), (0, 8, 2)])
-    def test_selector_keeps_each_rows_largest(self, users, subbands, quota):
-        values = np.random.default_rng(quota).standard_exponential((6, users, subbands))
+    @pytest.mark.parametrize(
+        "users,subbands,quota,tie",
+        [(3, 16, 4, 1), (5, 16, 1, 1), (4, 8, 8, 1), (0, 8, 2, 1), (3, 16, 3, 2), (4, 16, 6, 4)],
+    )
+    def test_selector_keeps_each_rows_largest(self, users, subbands, quota, tie):
+        # tie > 1 repeats every draw, as a feedback subband finer than the
+        # channel's does; the quota then splits tie groups
+        draws = np.random.default_rng(quota).standard_exponential((6, users, subbands // tie))
+        values = np.repeat(draws, tie, axis=-1)
         out = values.copy()
         kept = _keep_best(out, quota)
         assert kept.shape == values.shape
@@ -209,17 +215,26 @@ class TestKernel:
         assert len(mc._row_blocks(CHUNK_TRIALS, 8 * s.num_rbs)) > 1
         assert [run() for run in runs] == reference
 
-    def test_peak_memory_under_budget_at_large_size(self):
-        s = SystemConfig(256, (Cluster(1, 150), Cluster(4, 150)), 16, 10.0)
+    @pytest.mark.parametrize(
+        "num_rbs,users,best_m,trials", [(256, 150, 16, 300), (16, 4, 2, CHUNK_TRIALS)]
+    )
+    def test_peak_memory_under_budget(self, num_rbs, users, best_m, trials):
+        # one trial per block at the large size, many at the small one
+        s = SystemConfig(num_rbs, (Cluster(1, users), Cluster(4, users)), best_m, 10.0)
         imp = ImpairmentParams(0.01, 0.98)
         runs = (
-            lambda: run_perfect(ExperimentSpec("subband", s, trials=300, seed=1)),
+            lambda: run_perfect(ExperimentSpec("subband", s, trials=trials, seed=1)),
             lambda: run_imperfect(
                 ExperimentSpec(
                     "subband", s, impairments=imp, strategy=StrategyParams(beta0=1.0),
-                    trials=300, seed=2,
+                    trials=trials, seed=2,
                 )
             ),
+        ) + tuple(
+            (lambda eta=eta: run_strategy_comparison(
+                s, "homogeneous", subband_size=eta, trials=trials, seed=3
+            ))
+            for eta in (1, 2, 8)
         )
         for run in runs:
             tracemalloc.start()
@@ -229,6 +244,20 @@ class TestKernel:
             finally:
                 tracemalloc.stop()
             assert peak < mc._BLOCK_BYTES
+
+    @pytest.mark.parametrize(
+        "subcarriers,per_rb,users,trials", [(1024, 64, 50, 300), (256, 8, 10, CHUNK_TRIALS)]
+    )
+    def test_correlated_working_set_under_budget(self, subcarriers, per_rb, users, trials):
+        # beyond the (trials, users, num_rbs) result, which the scheduler needs whole
+        cfg = CorrelatedChannelConfig(subcarriers, per_rb, tuple(pdp_exponential(16, 4.0)))
+        tracemalloc.start()
+        try:
+            rates = mc._correlated_rb_rates(cfg, 10.0, users, np.random.default_rng(1), trials)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < mc._BLOCK_BYTES + rates.nbytes
 
     def test_near_perfect_actual_tracks_estimate(self):
         s = two_cluster_system(10, 4)
@@ -390,6 +419,46 @@ class TestStrategyComparison:
         hom = run_strategy_comparison(s, "homogeneous", subband_size=1, trials=2000, seed=4)
         sep = run_strategy_comparison(s, "separate", trials=2000, seed=4)
         assert 0.0 < sep.value < hom.value
+
+    @pytest.mark.parametrize("best_m,eta_fb", [(4, 1), (2, 2)])
+    def test_homogeneous_matches_per_user_oracle(self, best_m, eta_fb):
+        # the common size is finer than the eta-4 cluster's, so its users'
+        # CQIs tie in groups that the quota splits
+        s = SystemConfig(16, (Cluster(1, 3), Cluster(4, 3)), best_m, 10.0)
+        t, users, n = 40, s.num_users, s.num_rbs
+        quota = min(mc.homogeneous_quota(s), n // eta_fb)
+        assert quota % (4 // eta_fb)
+        est = run_strategy_comparison(s, "homogeneous", subband_size=eta_fb, trials=t, seed=11)
+
+        ((seq, _),) = mc._chunk_plan(t, 11)
+        draws = [np.random.default_rng(c) for c in seq.spawn(s.num_clusters)]
+        z = np.concatenate(
+            [
+                np.repeat(
+                    draws[g].standard_exponential((t, c.num_users, s.num_subbands(g))),
+                    c.subband_size,
+                    axis=2,
+                )
+                for g, c in enumerate(s.clusters)
+            ],
+            axis=1,
+        )
+        rates = []
+        for i in range(t):
+            rate_blocks = np.log2(1.0 + s.snr * z[i])
+            cqi = rate_blocks.reshape(users, n // eta_fb, eta_fb).mean(axis=2)
+            reports = {}
+            for k in range(users):
+                entries = best_m_select(cqi[k], quota)
+                assert len(entries) == quota
+                for j, v in entries:
+                    reports.setdefault(j, []).append((v, -k))
+            total = 0.0
+            for j, entries in reports.items():
+                k = -max(entries)[1]
+                total += rate_blocks[k, j * eta_fb : (j + 1) * eta_fb].sum()
+            rates.append(total / n)
+        assert abs(np.mean(rates) - est.value) < 1e-12
 
     def test_homogeneous_needs_subband_size(self):
         with pytest.raises(ValueError):
