@@ -4,20 +4,17 @@ Distribution of the scheduled CQI under heterogeneous best-M feedback, the
 average sum rate, and the smallest feedback amount reaching a target
 fraction of the full-feedback rate.
 
-Two evaluation routes are provided and cross-checked:
-
-* a coefficient route that expands the conditional CDF of the scheduled
-  CQI into powers of the base CDF (selection coefficients are built in
-  exact rational arithmetic, per feedback-set vector);
-* a mixture-CDF route that evaluates the unconditioned scheduled-CQI CDF
-  through regularized incomplete beta functions, on a whole array of
-  abscissae at once, and integrates the metric by vectorized quadrature.
-
-The coefficient route is exact but its alternating coefficients grow
-combinatorially (beyond roughly 1e6 the float contraction of the final
-sum loses the answer), so metric evaluation auto-selects the mixture
-route for anything but small configurations.  Both agree to ~1e-9 where
-they overlap.
+Partial-feedback metrics have one evaluation route: the metric is integrated
+by vectorized quadrature against the unconditioned scheduled-CQI law
+(``ScheduledCqiMixture``), whose CDF is evaluated through regularized
+incomplete beta functions on a whole array of abscissae at once and is
+stable at any size.  The paper's closed form instead sums, over feedback
+sets, selection coefficients that expand the conditional CDF of the
+scheduled CQI into powers of the base CDF.  Those coefficients alternate
+and grow combinatorially, so summed in floats they lose digits; they are
+built here in exact rational arithmetic (``selection_coefficients``,
+``feedback_set_pmf``) as tables, and the tests sum them exactly as the
+reference for the mixture route.
 
 The order-statistic moment integrals (I1 here, I2, I4 and the I3 bound in
 ``goodput``) each have two routes: the alternating binomial closed form in
@@ -63,12 +60,6 @@ _LN2 = math.log(2.0)
 # it the binomial scale ~2^b eats the double-precision digits, and the
 # moment integrals are integrated in their defining form instead.
 _B_FLOAT_MAX = 20
-
-# Coefficient-route guards: beyond these the alternating selection
-# coefficients cancel catastrophically in double precision.
-_SERIES_TAU_SPACE_MAX = 4096
-_SERIES_LOG_COEFF_MAX = 6.0
-_SERIES_B_MAX = 60
 
 
 @functools.lru_cache(maxsize=None)
@@ -161,22 +152,16 @@ class CoefficientTable:
 
     Conditioned on ``tau`` (reporting users per cluster), the scheduled
     CQI has CDF ``sum_m theta[m] * F(x)**(b_total - m)`` where
-    ``b_total = sum_g num_subbands(g) * tau[g]``.  Exact rational values
-    are kept alongside the float views.
+    ``b_total = sum_g num_subbands(g) * tau[g]``.  The exact rational
+    values are kept alongside the float ``theta``.
     """
 
     tau: tuple[int, ...]
-    xi: tuple[np.ndarray, ...]
-    lam: tuple[np.ndarray, ...]
     theta: np.ndarray
     b_total: int
     xi_exact: tuple[tuple[Fraction, ...], ...]
     lam_exact: tuple[tuple[Fraction, ...], ...]
     theta_exact: tuple[Fraction, ...]
-
-    @property
-    def phi(self) -> int:
-        return len(self.theta) - 1
 
 
 def selection_coefficients(sys: SystemConfig, tau) -> CoefficientTable:
@@ -202,8 +187,6 @@ def selection_coefficients(sys: SystemConfig, tau) -> CoefficientTable:
         b_total += sys.num_subbands(g) * t
     return CoefficientTable(
         tau=tau,
-        xi=tuple(np.array([float(x) for x in v]) for v in xi_ex),
-        lam=tuple(np.array([float(x) for x in v]) for v in lam_ex),
         theta=np.array([float(x) for x in theta]),
         b_total=b_total,
         xi_exact=tuple(xi_ex),
@@ -237,9 +220,6 @@ class FeedbackSetDistribution:
 
     def probability(self, tau) -> float:
         return float(self.probability_exact(tau))
-
-    def support_size(self) -> int:
-        return math.prod(k + 1 for k in self.counts)
 
     def __iter__(self) -> Iterator[tuple[tuple[int, ...], float]]:
         for tau in itertools.product(*(range(k + 1) for k in self.counts)):
@@ -435,61 +415,14 @@ def i1(a: float, b: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _coefficient_route_feasible(sys: SystemConfig) -> bool:
-    dist = feedback_set_pmf(sys)
-    if dist.support_size() > _SERIES_TAU_SPACE_MAX:
-        return False
-    b_max = sum(sys.num_subbands(g) * c.num_users for g, c in enumerate(sys.clusters))
-    if b_max > _SERIES_B_MAX:
-        return False
-    log_coeff = 0.0
-    for g, c in enumerate(sys.clusters):
-        xi = _xi_exact(sys.num_subbands(g), cluster_feedback_quota(sys, g))
-        log_coeff += c.num_users * math.log10(float(sum(abs(x) for x in xi)))
-    return log_coeff <= _SERIES_LOG_COEFF_MAX
-
-
-def _route(sys: SystemConfig, method: str) -> str:
-    """Evaluation route of a partial-feedback metric: "coefficients" or "cdf"."""
-    if method == "auto":
-        return "coefficients" if _coefficient_route_feasible(sys) else "cdf"
-    if method in ("coefficients", "cdf"):
-        return method
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _metric_over_sets(sys: SystemConfig, term: Callable[[int], float]) -> float:
-    """sum over nonempty feedback sets of P(tau) * sum_m theta_m * term(b-m)."""
-    cache: dict[int, float] = {}
-
-    def cached(b: int) -> float:
-        if b not in cache:
-            cache[b] = term(b)
-        return cache[b]
-
-    total = 0.0
-    for tau, prob in feedback_set_pmf(sys):
-        if prob == 0.0 or all(t == 0 for t in tau):
-            continue
-        table = selection_coefficients(sys, tau)
-        inner = math.fsum(
-            th * cached(table.b_total - m) for m, th in enumerate(table.theta)
-        )
-        total += prob * inner
-    return total
-
-
-def average_sum_rate(sys: SystemConfig, method: str = "auto") -> float:
+def average_sum_rate(sys: SystemConfig) -> float:
     """Average sum rate (bits/s/Hz per resource block) with perfect feedback.
 
-    ``method`` selects the evaluation route: "coefficients" (per
-    feedback-set expansion), "cdf" (mixture quadrature), or "auto".
-    Full feedback short-circuits to the order-statistics rate integral.
+    Partial feedback integrates the rate against the scheduled-CQI mixture;
+    full feedback short-circuits to the order-statistics rate integral.
     """
     if sys.best_m == sys.m_full:
         return i1(sys.snr, sys.num_users)
-    if _route(sys, method) == "coefficients":
-        return _metric_over_sets(sys, lambda b: i1(sys.snr, b))
     return ScheduledCqiMixture(sys).expect_log_rate(sys.snr)
 
 

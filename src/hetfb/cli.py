@@ -149,6 +149,17 @@ def split_users(total: int, fractions: list[float]) -> list[int]:
     return sizes
 
 
+def _user_grid_systems(system: SystemConfig, users_grid: str) -> list[tuple[int, SystemConfig]]:
+    """(k, ``system`` with k users split in its cluster proportions) per grid point."""
+    fractions = [c.num_users / system.num_users for c in system.clusters]
+    out = []
+    for k in (int(u) for u in parse_grid(users_grid)):
+        sizes = split_users(k, fractions)
+        clusters = tuple(Cluster(c.subband_size, n) for c, n in zip(system.clusters, sizes))
+        out.append((k, dataclasses.replace(system, clusters=clusters)))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Output
 # ---------------------------------------------------------------------------
@@ -292,24 +303,10 @@ def _cmd_analytic(args, cfg) -> tuple[list[dict], list[str], int]:
     if args.full_feedback:
         system = dataclasses.replace(system, best_m=system.m_full)
     if imp is None:
-        grid = [int(u) for u in parse_grid(args.users_grid)]
-        fractions = [c.num_users / system.num_users for c in system.clusters]
-        rows = []
-        for k in grid:
-            sizes = split_users(k, fractions)
-            sys_k = dataclasses.replace(
-                system,
-                clusters=tuple(
-                    Cluster(c.subband_size, n) for c, n in zip(system.clusters, sizes)
-                ),
-            )
-            rows.append(
-                {
-                    "users": k,
-                    "best_m": sys_k.best_m,
-                    "sum_rate": analytic.average_sum_rate(sys_k),
-                }
-            )
+        rows = [
+            {"users": k, "best_m": sys_k.best_m, "sum_rate": analytic.average_sum_rate(sys_k)}
+            for k, sys_k in _user_grid_systems(system, args.users_grid)
+        ]
         return rows, ["users", "best_m", "sum_rate"], EXIT_OK
     rows = []
     for beta in parse_grid(args.beta_grid):
@@ -330,14 +327,8 @@ def _cmd_analytic(args, cfg) -> tuple[list[dict], list[str], int]:
 def _cmd_min_m(args, cfg) -> tuple[list[dict], list[str], int]:
     system = system_from_config(cfg)
     gammas = parse_grid(args.gamma)
-    fractions = [c.num_users / system.num_users for c in system.clusters]
     rows = []
-    for k in [int(u) for u in parse_grid(args.users_grid)]:
-        sizes = split_users(k, fractions)
-        sys_k = dataclasses.replace(
-            system,
-            clusters=tuple(Cluster(c.subband_size, n) for c, n in zip(system.clusters, sizes)),
-        )
+    for k, sys_k in _user_grid_systems(system, args.users_grid):
         for gamma, res in zip(gammas, analytic.minimum_best_m(sys_k, gammas)):
             rows.append(
                 {"users": k, "gamma": gamma, "m_exact": res.exact, "m_approx": res.approx}

@@ -11,10 +11,11 @@ binomial sum in floats up to order 20, and quadrature of the defining
 integral beyond, where the binomial weights outgrow doubles.  Near perfect
 feedback the Marcum-Q arguments grow like 1/sqrt(est_error_var); ``marcum_q1``
 switches to Gauss-Hermite quadrature there, so both routes stay cheap and
-finite.  Partial-feedback metrics route through the per-feedback-set
-coefficient expansion when it is numerically safe and otherwise through the
-stable mixture-CDF quadrature.  Every quadrature integrand is array-valued:
-the Marcum-Q factor is evaluated on all nodes of a refinement level at once.
+finite.  Full feedback uses these order-statistic integrals directly;
+partial-feedback metrics integrate the same conditional success and rate
+against the scheduled estimated-CQI mixture, the one route of
+``analytic``.  Every quadrature integrand is array-valued: the Marcum-Q
+factor is evaluated on all nodes of a refinement level at once.
 """
 
 from __future__ import annotations
@@ -29,9 +30,7 @@ from ._quad import QuadratureError, quad_checked  # noqa: F401
 from .analytic import (
     ScheduledCqiMixture,
     _B_FLOAT_MAX,
-    _metric_over_sets,
     _order_expect,
-    _route,
     _signed_binomials,
     coverage_prob,
 )
@@ -267,7 +266,7 @@ def i3_jensen(a: float, b: int, imp: ImpairmentParams, snr: float) -> float:
 
 
 def fixed_rate_metrics(
-    sys: SystemConfig, imp: ImpairmentParams, beta0: float, method: str = "auto"
+    sys: SystemConfig, imp: ImpairmentParams, beta0: float
 ) -> tuple[float, float]:
     """Average goodput and outage probability of the fixed-rate strategy.
 
@@ -284,19 +283,13 @@ def fixed_rate_metrics(
     if sys.best_m == sys.m_full:
         success = i2(beta0, sys.num_users, imp)
         return rate * success, 1.0 - success
-    if _route(sys, method) == "coefficients":
-        success = _metric_over_sets(sys, lambda b: i2(beta0, b, imp))
-    else:
-        mix = ScheduledCqiMixture(sys, scale=imp.estimate_var)
-        success = mix.expect(_threshold_q1(beta0, imp))
+    mix = ScheduledCqiMixture(sys, scale=imp.estimate_var)
+    success = mix.expect(_threshold_q1(beta0, imp))
     return rate * success, coverage_prob(sys) - success
 
 
 def variable_rate_metrics(
-    sys: SystemConfig,
-    imp: ImpairmentParams,
-    beta1: float,
-    method: str = "auto",
+    sys: SystemConfig, imp: ImpairmentParams, beta1: float
 ) -> tuple[float, float]:
     """Average goodput and outage probability of the variable-rate strategy."""
     if not 0.0 <= beta1 <= 1.0:
@@ -307,14 +300,10 @@ def variable_rate_metrics(
     if sys.best_m == sys.m_full:
         k = sys.num_users
         return i3_quadrature(beta1, k, imp, rho), 1.0 - i4(beta1, k, imp)
-    if _route(sys, method) == "coefficients":
-        goodput = _metric_over_sets(sys, lambda b: i3_quadrature(beta1, b, imp, rho))
-        success = _metric_over_sets(sys, lambda b: i4(beta1, b, imp))
-    else:
-        mix = ScheduledCqiMixture(sys, scale=imp.estimate_var)
-        q1_at = _backoff_q1(beta1, imp)
-        goodput = mix.expect(lambda x: q1_at(x) * np.log2(1.0 + rho * beta1 * x))
-        success = mix.expect(q1_at)
+    mix = ScheduledCqiMixture(sys, scale=imp.estimate_var)
+    q1_at = _backoff_q1(beta1, imp)
+    goodput = mix.expect(lambda x: q1_at(x) * np.log2(1.0 + rho * beta1 * x))
+    success = mix.expect(q1_at)
     return goodput, coverage_prob(sys) - success
 
 

@@ -144,9 +144,18 @@ class CrossValidationReport:
 
 
 def _chunk_plan(trials: int, seed) -> list[tuple[np.random.SeedSequence, int]]:
+    """Per-chunk substreams and sizes.
+
+    The children are what ``spawn`` gives on a fresh sequence, but are built
+    without advancing a caller's ``SeedSequence``, so a repeated run draws
+    the same streams.
+    """
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     n_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
-    seqs = ss.spawn(n_chunks)
+    seqs = [
+        np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (i,), pool_size=ss.pool_size)
+        for i in range(n_chunks)
+    ]
     sizes = [CHUNK_TRIALS] * (n_chunks - 1) + [trials - CHUNK_TRIALS * (n_chunks - 1)]
     return list(zip(seqs, sizes))
 

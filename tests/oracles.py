@@ -9,15 +9,22 @@
   integral, an independent quadrature of what ``i3_quadrature`` computes.
 * The Craig/Simon single-integral form of the Marcum Q-function, which
   stays accurate at arguments far beyond the noncentral chi-square routines.
+* The paper's per-feedback-set expansion of a partial-feedback metric,
+  summed exactly over the rational selection coefficients, the reference
+  for the library's mixture-CDF route.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from typing import Callable
 
 import mpmath as mp
 import numpy as np
 
 from hetfb._quad import quad_checked
-from hetfb.channel import ImpairmentParams
+from hetfb.analytic import feedback_set_pmf, selection_coefficients
+from hetfb.channel import ImpairmentParams, SystemConfig
 from hetfb.goodput import _i3_ub_bracket
 from hetfb.specfun import marcum_q1
 
@@ -148,3 +155,28 @@ def marcum_q1_craig(a: float, b: float, dps: int = 40) -> float:
         total = mp.quad(integrand, [0] + scales + ([mp.pi] if scales[-1] < mp.pi else []))
         value = total / mp.pi  # the integrand is even in phi
         return float(value if b > a else 1 + value)
+
+
+def metric_over_sets(sys: SystemConfig, term: Callable[[int], float]) -> float:
+    """Sum over nonempty feedback sets of P(tau) * sum_m theta_m * term(b_total - m).
+
+    ``term(b)`` is the metric's order-statistic integral for the maximum of
+    b CQIs.  The probabilities and selection coefficients are exact
+    rationals and the sum is formed exactly, so the only rounding is that
+    of each ``term`` value, amplified by at most sum |theta_m|.
+    """
+    dist = feedback_set_pmf(sys)
+    values: dict[int, Fraction] = {}
+    total = Fraction(0)
+    for tau, _ in dist:
+        if not any(tau):
+            continue
+        table = selection_coefficients(sys, tau)
+        inner = Fraction(0)
+        for m, th in enumerate(table.theta_exact):
+            b = table.b_total - m
+            if b not in values:
+                values[b] = Fraction(term(b))
+            inner += th * values[b]
+        total += dist.probability_exact(tau) * inner
+    return float(total)

@@ -26,7 +26,7 @@ from hetfb.analytic import (
 )
 from hetfb.channel import Cluster, SystemConfig
 from tests.conftest import two_cluster_system
-from tests.oracles import i1_mp
+from tests.oracles import i1_mp, metric_over_sets
 from tests.perdraw import gen_subband_fading, schedule, subband_reports
 
 I1_AT_1_1 = 0.860347382270886  # e * E1(1) / ln 2, cross-checked by quadrature
@@ -264,9 +264,19 @@ class TestAverageSumRate:
     )
     def test_routes_agree(self, clusters, m, n):
         s = SystemConfig(n, clusters, m, 10.0)
-        a = average_sum_rate(s, method="coefficients")
-        b = average_sum_rate(s, method="cdf")
-        assert abs(a - b) < 1e-8
+        ref = metric_over_sets(s, lambda b: i1_mp(s.snr, b))
+        assert abs(average_sum_rate(s) - ref) < 1e-8
+
+    @pytest.mark.parametrize(
+        "n,clusters,m",
+        [(16, (Cluster(1, 1), Cluster(2, 1)), 3), (8, (Cluster(1, 3),), 4)],
+    )
+    def test_matches_exact_expansion(self, n, clusters, m):
+        # selection coefficients up to ~4e5 in magnitude: a float sum of the
+        # expansion over float I1 values is off in the 7th digit here
+        s = SystemConfig(n, clusters, m, 10.0)
+        ref = metric_over_sets(s, lambda b: i1_mp(s.snr, b))
+        assert abs(average_sum_rate(s) - ref) < 1e-9
 
     def test_large_config_uses_cdf_route(self):
         s = two_cluster_system(20, 4)
@@ -278,10 +288,6 @@ class TestAverageSumRate:
         assert all(x <= y + 1e-12 for x, y in zip(rates_m, rates_m[1:]))
         rates_k = [average_sum_rate(two_cluster_system(k, 2)) for k in (4, 10, 20, 30)]
         assert all(x < y for x, y in zip(rates_k, rates_k[1:]))
-
-    def test_unknown_method(self, small_system):
-        with pytest.raises(ValueError):
-            average_sum_rate(small_system, method="nope")
 
 
 class TestConditionalCdfValidity:

@@ -21,7 +21,7 @@ from hetfb.goodput import (
     variable_rate_metrics,
 )
 from tests.conftest import two_cluster_system
-from tests.oracles import i2_mp, i3_quadrature_u, i3_ub_mp, i4_mp
+from tests.oracles import i2_mp, i3_quadrature_u, i3_ub_mp, i4_mp, metric_over_sets
 
 JENSEN_B10_SW001 = 2.8996785714285713  # 0.99 * H_10
 
@@ -259,14 +259,17 @@ class TestMetrics:
 
     def test_routes_agree(self, imp_default):
         s = SystemConfig(8, (Cluster(1, 2), Cluster(2, 2)), 1, 10.0)
+        cover = coverage_prob(s)
         for beta0 in (0.5, 2.0):
-            a = fixed_rate_metrics(s, imp_default, beta0, method="coefficients")
-            b = fixed_rate_metrics(s, imp_default, beta0, method="cdf")
-            assert abs(a[0] - b[0]) < 1e-7 and abs(a[1] - b[1]) < 1e-7
+            success = metric_over_sets(s, lambda b: i2_mp(beta0, b, imp_default))
+            r0, p0 = fixed_rate_metrics(s, imp_default, beta0)
+            assert abs(r0 - math.log2(1.0 + s.snr * beta0) * success) < 1e-7
+            assert abs(p0 - (cover - success)) < 1e-7
         for beta1 in (0.3, 0.9):
-            a = variable_rate_metrics(s, imp_default, beta1, method="coefficients")
-            b = variable_rate_metrics(s, imp_default, beta1, method="cdf")
-            assert abs(a[0] - b[0]) < 1e-6 and abs(a[1] - b[1]) < 1e-7
+            goodput = metric_over_sets(s, lambda b: i3_quadrature(beta1, b, imp_default, s.snr))
+            success = metric_over_sets(s, lambda b: i4_mp(beta1, b, imp_default))
+            r1, p1 = variable_rate_metrics(s, imp_default, beta1)
+            assert abs(r1 - goodput) < 1e-6 and abs(p1 - (cover - success)) < 1e-7
 
     def test_fast_mode_close_to_exact(self, imp_default):
         # full feedback: the goodput is the order-20 integral, which the

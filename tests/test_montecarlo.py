@@ -78,6 +78,15 @@ class TestDeterminism:
         a, b = run_perfect(spec), run_perfect(spec)
         assert (a.value, a.std_error) == (b.value, b.std_error)
 
+    def test_seed_sequence_repeatable(self):
+        # a SeedSequence seed is not advanced by a run, and draws the
+        # streams of the integer seed it wraps
+        s = two_cluster_system(6, 2)
+        spec = ExperimentSpec("subband", s, trials=3000, seed=np.random.SeedSequence(7))
+        a, b = run_perfect(spec), run_perfect(spec)
+        c = run_perfect(ExperimentSpec("subband", s, trials=3000, seed=7))
+        assert (a.value, a.std_error) == (b.value, b.std_error) == (c.value, c.std_error)
+
     def test_perfect_seed_sensitivity(self):
         s = two_cluster_system(6, 2)
         a = run_perfect(ExperimentSpec("subband", s, trials=3000, seed=5))
