@@ -14,27 +14,18 @@ from .channel import (
     ImpairmentParams,
     SystemConfig,
     cluster_feedback_quota,
-    conditional_pdf_actual,
     pdp_exponential,
-    subcarrier_correlation,
 )
 from .analytic import (
-    CoefficientTable,
-    FeedbackSetDistribution,
     MinimumBestM,
     ReportedCqiLaw,
     ScheduledCqiMixture,
     average_sum_rate,
     coverage_prob,
-    feedback_set_pmf,
     i1,
     minimum_best_m,
-    reported_cqi_cdf,
-    selection_coefficients,
-    xi_coefficients,
 )
 from .goodput import (
-    IntegralArgs,
     QuadratureError,
     StrategyParams,
     fixed_rate_metrics,
@@ -62,9 +53,7 @@ from .montecarlo import (
 )
 from .specfun import (
     ConvergenceError,
-    bessel_i0,
     bessel_i0e,
-    exp_integral_e1,
     exp_integral_e1_scaled,
     gauss_2f1,
     marcum_q1,

@@ -17,9 +17,11 @@ built here in exact rational arithmetic (``selection_coefficients``,
 reference for the mixture route.
 
 The order-statistic moment integrals (I1 here, I2, I4 and the I3 bound in
-``goodput``) each have two routes: the alternating binomial closed form in
-floats up to order 20, and ``_order_expect``, one shared quadrature of the
-defining integral against the law of the maximum of b exponentials, beyond.
+``goodput``) are expectations over the maximum of b i.i.d. exponentials, a
+signed mixture of b exponentials.  Each passes one helper,
+``_order_moment``, its integrand and that integrand's closed-form
+expectation over one exponential; the helper sums the mixture up to order
+20 and integrates the integrand by quadrature (``_order_expect``) beyond.
 """
 
 from __future__ import annotations
@@ -44,8 +46,6 @@ __all__ = [
     "MinimumBestM",
     "ReportedCqiLaw",
     "ScheduledCqiMixture",
-    "xi_coefficients",
-    "reported_cqi_cdf",
     "selection_coefficients",
     "feedback_set_pmf",
     "i1",
@@ -56,9 +56,8 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
-# Alternating binomial sums are summed in floats up to this order; beyond
-# it the binomial scale ~2^b eats the double-precision digits, and the
-# moment integrals are integrated in their defining form instead.
+# ``_order_moment`` sums its signed mixture in floats up to this order;
+# beyond it the binomial scale ~2^b eats the double-precision digits.
 _B_FLOAT_MAX = 20
 
 
@@ -89,17 +88,6 @@ def _xi_exact(num_subbands: int, quota: int) -> list[Fraction]:
             )
         out.append(acc)
     return out
-
-
-def xi_coefficients(sys: SystemConfig, g: int) -> np.ndarray:
-    """Expansion coefficients of the reported-CQI CDF for cluster ``g``.
-
-    The reported CQI of a cluster-``g`` user has CDF
-    ``sum_m xi[m] * F(x)**(num_subbands - m)`` with F the base CQI CDF.
-    """
-    return np.array(
-        [float(x) for x in _xi_exact(sys.num_subbands(g), cluster_feedback_quota(sys, g))]
-    )
 
 
 def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -159,8 +147,6 @@ class CoefficientTable:
     tau: tuple[int, ...]
     theta: np.ndarray
     b_total: int
-    xi_exact: tuple[tuple[Fraction, ...], ...]
-    lam_exact: tuple[tuple[Fraction, ...], ...]
     theta_exact: tuple[Fraction, ...]
 
 
@@ -175,22 +161,16 @@ def selection_coefficients(sys: SystemConfig, tau) -> CoefficientTable:
         if not 0 <= t <= sys.clusters[g].num_users:
             raise ValueError(f"tau[{g}]={t} outside [0, {sys.clusters[g].num_users}]")
 
-    xi_ex, lam_ex = [], []
     theta = [Fraction(1)]
     b_total = 0
     for g, t in enumerate(tau):
         xi_g = _xi_exact(sys.num_subbands(g), cluster_feedback_quota(sys, g))
-        lam_g = _lambda_exact(xi_g, t)
-        xi_ex.append(tuple(xi_g))
-        lam_ex.append(tuple(lam_g))
-        theta = _poly_mul(theta, lam_g)
+        theta = _poly_mul(theta, _lambda_exact(xi_g, t))
         b_total += sys.num_subbands(g) * t
     return CoefficientTable(
         tau=tau,
         theta=np.array([float(x) for x in theta]),
         b_total=b_total,
-        xi_exact=tuple(xi_ex),
-        lam_exact=tuple(lam_ex),
         theta_exact=tuple(theta),
     )
 
@@ -363,13 +343,8 @@ class ScheduledCqiMixture:
         )
 
 
-def reported_cqi_cdf(x, sys: SystemConfig, g: int):
-    """CDF of the CQI a cluster-``g`` user reports for a covered subband."""
-    return ReportedCqiLaw(sys.num_subbands(g), cluster_feedback_quota(sys, g)).cdf(x)
-
-
 # ---------------------------------------------------------------------------
-# Rate integral I1
+# Order-statistic moments and the rate integral I1
 # ---------------------------------------------------------------------------
 
 
@@ -390,24 +365,45 @@ def _order_expect(func: Callable[[np.ndarray], np.ndarray], b: int, scale: float
     )
 
 
-def i1(a: float, b: int) -> float:
-    """E[log2(1 + a X)] for X the maximum of b unit-mean exponentials.
+def _order_moment(
+    closed_form: Callable[[np.ndarray], np.ndarray],
+    func: Callable[[np.ndarray], np.ndarray],
+    b: int,
+    scale: float,
+) -> float:
+    """E[func(X)] for X the maximum of b i.i.d. exponentials with mean ``scale``.
 
-    Closed form through exp(x)E1(x) up to order 20, defining-integral
-    quadrature beyond.
+    X has the signed mixture density sum_l b (-1)^l C(b-1, l)/(l+1) times
+    the exponential density of mean scale/(l+1), l < b.  ``closed_form``
+    maps an array of means to E[func(Y)] for Y exponential with each mean;
+    the mixture of those is summed up to order 20, and ``func`` integrated
+    by ``_order_expect`` beyond.
     """
-    if not a > 0:
-        raise ValueError("a must be positive")
     b = int(b)
     if b < 1:
         raise ValueError("b must be a positive integer")
-    if b <= _B_FLOAT_MAX:
-        # the alternating sum amplifies any E1 rounding by the
-        # binomial-to-result ratio, so it is summed exactly rounded
-        order = np.arange(1, b + 1)
-        weights = _signed_binomials(b) / order
-        return b * math.fsum(weights * exp_integral_e1_scaled(order / a)) / _LN2
-    return _order_expect(lambda x: np.log2(1.0 + a * x), b, 1.0)
+    if b > _B_FLOAT_MAX:
+        return _order_expect(func, b, scale)
+    order = np.arange(1, b + 1)
+    # the alternating sum amplifies any rounding of the closed form by the
+    # binomial-to-result ratio, so it is summed exactly rounded
+    return b * math.fsum(_signed_binomials(b) / order * closed_form(scale / order))
+
+
+def i1(a: float, b: int) -> float:
+    """E[log2(1 + a X)] for X the maximum of b unit-mean exponentials.
+
+    E[log2(1 + a Y)] = exp(1/(a m)) E1(1/(a m)) / ln 2 for Y exponential
+    with mean m.
+    """
+    if not a > 0:
+        raise ValueError("a must be positive")
+    return _order_moment(
+        lambda mean: exp_integral_e1_scaled(1.0 / (a * mean)) / _LN2,
+        lambda x: np.log2(1.0 + a * x),
+        b,
+        1.0,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -22,17 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import bessel_i0e
-
 __all__ = [
     "Cluster",
     "SystemConfig",
     "CorrelatedChannelConfig",
     "ImpairmentParams",
     "pdp_exponential",
-    "subcarrier_correlation",
     "cluster_feedback_quota",
-    "conditional_pdf_actual",
 ]
 
 _PDP_NORM_TOL = 1e-12
@@ -205,13 +201,6 @@ def pdp_exponential(num_taps: int, decay: float) -> np.ndarray:
     return scale * np.exp(-l / decay)
 
 
-def subcarrier_correlation(pdp, n1: int, n2: int, num_subcarriers: int) -> complex:
-    """Correlation between the gains at subcarriers n1 and n2."""
-    pdp = np.asarray(pdp, dtype=float)
-    l = np.arange(pdp.size)
-    return complex(np.sum(pdp * np.exp(-2j * math.pi * l * (n2 - n1) / num_subcarriers)))
-
-
 def cluster_feedback_quota(sys: SystemConfig, g: int) -> int:
     """Number of CQI values a user in cluster ``g`` reports."""
     return (sys.eta_max // sys.clusters[g].subband_size) * sys.best_m
@@ -228,22 +217,11 @@ def _dft_phases(cfg: CorrelatedChannelConfig) -> np.ndarray:
     return np.exp(-2j * math.pi * l * n / cfg.num_subcarriers)
 
 
-def _correlated_gains(cfg: CorrelatedChannelConfig, taps: np.ndarray) -> np.ndarray:
-    """Map i.i.d. unit taps (..., L) to subcarrier gains (..., Nc)."""
-    sigma = np.sqrt(np.asarray(cfg.pdp))
-    return (taps * sigma) @ _dft_phases(cfg)
+def _correlated_gain_map(cfg: CorrelatedChannelConfig):
+    """The map of i.i.d. unit taps (..., L) to subcarrier gains (..., Nc).
 
-
-def conditional_pdf_actual(x: float, chi_hat: float, imp: ImpairmentParams) -> float:
-    """Density of the actual CQI given the reported estimate ``chi_hat``.
-
-    Noncentral-exponential law of |h_tilde|^2 given |h_hat|^2; evaluated
-    through the scaled Bessel function so large arguments cannot overflow.
+    Its tap scaling and DFT phases are built once, for every call of the map.
     """
-    if x < 0 or chi_hat < 0:
-        raise ValueError("CQI values must be nonnegative")
-    aw2 = imp.alpha_w**2
-    a = imp.delay_corr
-    bessel_arg = aw2 * a * math.sqrt(chi_hat * x)
-    exponent = -0.5 * aw2 * (math.sqrt(x) - a * math.sqrt(chi_hat)) ** 2
-    return 0.5 * aw2 * bessel_i0e(bessel_arg) * math.exp(exponent)
+    sigma = np.sqrt(np.asarray(cfg.pdp))
+    phases = _dft_phases(cfg)
+    return lambda taps: (taps * sigma) @ phases

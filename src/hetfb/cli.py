@@ -113,8 +113,6 @@ def strategy_from_config(cfg: dict) -> StrategyParams | None:
     beta1 = cfg.get("beta1")
     if beta0 is None and beta1 is None:
         return None
-    if beta0 is not None and beta1 is not None:
-        raise ValueError("set exactly one of beta0/beta1 in the config")
     return StrategyParams(
         beta0=None if beta0 is None else float(beta0),
         beta1=None if beta1 is None else float(beta1),
@@ -686,3 +684,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     _sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -5,13 +5,13 @@ variable-rate strategies, the mean-value (Jensen) and low-SNR bounds for
 the variable-rate integral, and the optimization of the rate-adaptation
 parameters beta0 / beta1.
 
-The moment integrals over the scheduled estimated CQI take one of two
-routes, as in the perfect-feedback engine: the closed-form alternating
-binomial sum in floats up to order 20, and quadrature of the defining
-integral beyond, where the binomial weights outgrow doubles.  Near perfect
-feedback the Marcum-Q arguments grow like 1/sqrt(est_error_var); ``marcum_q1``
-switches to Gauss-Hermite quadrature there, so both routes stay cheap and
-finite.  Full feedback uses these order-statistic integrals directly;
+The moment integrals I2, I4 and the I3 bound over the scheduled estimated
+CQI go through ``analytic._order_moment``, as I1 does: each gives its
+integrand and the integrand's closed-form expectation over one exponential,
+and the helper picks the mixture sum or quadrature by order.  Near perfect
+feedback the Marcum-Q arguments grow like 1/sqrt(est_error_var);
+``marcum_q1`` switches to Gauss-Hermite quadrature there, so both stay
+cheap and finite.  Full feedback uses these order-statistic integrals directly;
 partial-feedback metrics integrate the same conditional success and rate
 against the scheduled estimated-CQI mixture, the one route of
 ``analytic``.  Every quadrature integrand is array-valued: the Marcum-Q
@@ -27,19 +27,12 @@ import numpy as np
 
 # quad_checked stays bound here: perfbench/selftest.py checks its tracing in this module
 from ._quad import QuadratureError, quad_checked  # noqa: F401
-from .analytic import (
-    ScheduledCqiMixture,
-    _B_FLOAT_MAX,
-    _order_expect,
-    _signed_binomials,
-    coverage_prob,
-)
+from .analytic import ScheduledCqiMixture, _order_expect, _order_moment, coverage_prob
 from .channel import ImpairmentParams, SystemConfig
 from .specfun import gauss_2f1, marcum_q1
 
 __all__ = [
     "StrategyParams",
-    "IntegralArgs",
     "QuadratureError",
     "i2",
     "i4",
@@ -59,58 +52,18 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class StrategyParams:
-    """Rate-adaptation parameters; set the one matching the strategy."""
+    """Rate-adaptation parameters of one strategy: exactly one of beta0/beta1."""
 
     beta0: float | None = None  # fixed-rate CQI threshold
     beta1: float | None = None  # variable-rate backoff factor
 
     def __post_init__(self) -> None:
+        if (self.beta0 is None) == (self.beta1 is None):
+            raise ValueError("set exactly one of beta0/beta1")
         if self.beta0 is not None and self.beta0 < 0:
             raise ValueError("beta0 must be nonnegative")
         if self.beta1 is not None and not 0.0 <= self.beta1 <= 1.0:
             raise ValueError("beta1 must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class IntegralArgs:
-    """Shared symbols of the imperfect-feedback moment integrals.
-
-    Built for a threshold ``a`` and expansion order ``b``; the
-    hypergeometric argument 4*varpi^2*vartheta^2/phi^2 stays strictly
-    below one because every zeta term is positive.
-    """
-
-    varpi: float
-    vartheta: float
-    zeta: np.ndarray
-    phi: np.ndarray
-    psi: np.ndarray
-    varsigma: np.ndarray
-
-    @classmethod
-    def build(cls, a: float, b: int, imp: ImpairmentParams) -> "IntegralArgs":
-        if a < 0:
-            raise ValueError("threshold must be nonnegative")
-        if b < 1:
-            raise ValueError("order must be a positive integer")
-        aw = imp.alpha_w
-        varpi = aw * imp.delay_corr
-        vartheta = aw * math.sqrt(a)
-        ell = np.arange(b)
-        zeta = 2.0 * (ell + 1) / imp.estimate_var
-        phi = varpi**2 + vartheta**2 + zeta
-        psi = varpi**2 - vartheta**2 + zeta
-        # phi^2 - 4 varpi^2 vartheta^2 in product form (no cancellation)
-        varsigma = np.sqrt(((varpi - vartheta) ** 2 + zeta) * ((varpi + vartheta) ** 2 + zeta))
-        args = cls(varpi, vartheta, zeta, phi, psi, varsigma)
-        hyp = 4.0 * varpi**2 * vartheta**2 / phi**2
-        if np.any(hyp >= 1.0):
-            raise ValueError("hypergeometric argument left [0, 1); invalid parameters")
-        return args
-
-    @property
-    def hyp_args(self) -> np.ndarray:
-        return 4.0 * self.varpi**2 * self.vartheta**2 / self.phi**2
 
 
 # ---------------------------------------------------------------------------
@@ -125,28 +78,30 @@ def i2(a: float, b: int, imp: ImpairmentParams) -> float:
     ``a`` when the scheduled estimate is the largest of ``b`` i.i.d.
     estimated CQIs.
     """
-    b = int(b)
-    if b < 1:
-        raise ValueError("b must be a positive integer")
+    if a < 0:
+        raise ValueError("threshold must be nonnegative")
     if a == 0:
         return 1.0
-    v = imp.estimate_var
-    if b <= _B_FLOAT_MAX:
-        args = IntegralArgs.build(a, b, imp)
-        w2, t2 = args.varpi**2, args.vartheta**2
-        z = args.zeta
+    varpi, vartheta = _marcum_args(a, imp)
+    w2, t2 = varpi**2, vartheta**2
+
+    def closed_form(mean: np.ndarray) -> np.ndarray:
+        z = 2.0 / mean
         c = w2 + z
-        bracket = math.exp(-0.5 * t2) + np.exp(-0.5 * z * t2 / c) * -np.expm1(-0.5 * w2 * t2 / c)
-        val = 2.0 * b / v * math.fsum(_signed_binomials(b) * bracket / z)
-    else:
-        val = _order_expect(_threshold_q1(a, imp), b, v)
+        return math.exp(-0.5 * t2) + np.exp(-0.5 * z * t2 / c) * -np.expm1(-0.5 * w2 * t2 / c)
+
+    val = _order_moment(closed_form, _threshold_q1(a, imp), b, imp.estimate_var)
     return min(max(val, 0.0), 1.0)
+
+
+def _marcum_args(a: float, imp: ImpairmentParams) -> tuple[float, float]:
+    """(varpi, vartheta) = alpha_w * (alpha, sqrt(a)): the Q1 arguments at unit CQI."""
+    return imp.alpha_w * imp.delay_corr, imp.alpha_w * math.sqrt(a)
 
 
 def _threshold_q1(a: float, imp: ImpairmentParams):
     """x -> Q1(varpi*sqrt(x), alpha_w*sqrt(a)), the fixed-rate success given estimate x."""
-    varpi = imp.alpha_w * imp.delay_corr
-    vth = imp.alpha_w * math.sqrt(a)
+    varpi, vth = _marcum_args(a, imp)
     return lambda x: marcum_q1(varpi * np.sqrt(x), vth)
 
 
@@ -157,18 +112,19 @@ def _threshold_q1(a: float, imp: ImpairmentParams):
 
 def i4(a: float, b: int, imp: ImpairmentParams) -> float:
     """E[Q1(varpi*sqrt(X), alpha_w*sqrt(a X))]; backoff success probability."""
-    b = int(b)
-    if b < 1:
-        raise ValueError("b must be a positive integer")
+    if a < 0:
+        raise ValueError("backoff must be nonnegative")
     if a == 0:
         return 1.0
-    v = imp.estimate_var
-    if b <= _B_FLOAT_MAX:
-        args = IntegralArgs.build(a, b, imp)
-        terms = _signed_binomials(b) / args.zeta * (1.0 + args.psi / args.varsigma)
-        val = b / v * math.fsum(terms)
-    else:
-        val = _order_expect(_backoff_q1(a, imp), b, v)
+    varpi, vartheta = _marcum_args(a, imp)
+
+    def closed_form(mean: np.ndarray) -> np.ndarray:
+        z = 2.0 / mean
+        # sqrt(phi^2 - 4 varpi^2 vartheta^2) in product form (no cancellation)
+        varsigma = np.sqrt(((varpi - vartheta) ** 2 + z) * ((varpi + vartheta) ** 2 + z))
+        return 0.5 * (1.0 + (varpi**2 - vartheta**2 + z) / varsigma)
+
+    val = _order_moment(closed_form, _backoff_q1(a, imp), b, imp.estimate_var)
     return min(max(val, 0.0), 1.0)
 
 
@@ -201,38 +157,34 @@ def i3_quadrature(a: float, b: int, imp: ImpairmentParams, snr: float) -> float:
     return _order_expect(lambda x: q1_at(x) * np.log2(1.0 + snr * a * x), b, imp.estimate_var)
 
 
+# (a, b, c) of the four 2F1 factors of the I3 bound, in ``_i3_ub_bracket`` order
+_I3_UB_2F1 = ((1.0, 1.5, 2.0), (0.5, 1.0, 1.0), (1.5, 2.0, 2.0), (1.0, 1.5, 1.0))
+
+
 def i3_upper_bound(a: float, b: int, imp: ImpairmentParams, snr: float) -> float:
     """Low-SNR closed-form upper bound on the variable-rate goodput integral.
 
     Linearizes the log inside the goodput integral; tight as snr -> 0.
-    Beyond order 20 the linearized defining integral is integrated instead.
     """
-    b = int(b)
-    if b < 1:
-        raise ValueError("b must be a positive integer")
     if not 0.0 <= a <= 1.0:
         raise ValueError("backoff must lie in [0, 1]")
     if a == 0.0:
         return 0.0
-    v = imp.estimate_var
-    if b <= _B_FLOAT_MAX:
-        args = IntegralArgs.build(a, b, imp)
-        w2, t2 = args.varpi**2, args.vartheta**2
-        hyp = args.hyp_args
-        bracket = _i3_ub_bracket(
-            w2,
-            t2,
-            args.zeta,
-            args.phi,
-            gauss_2f1(1.0, 1.5, 2.0, hyp),
-            gauss_2f1(0.5, 1.0, 1.0, hyp),
-            gauss_2f1(1.5, 2.0, 2.0, hyp),
-            gauss_2f1(1.0, 1.5, 1.0, hyp),
-        )
-        terms = _signed_binomials(b) * bracket / args.zeta**2
-        return 4.0 * snr * a * b / (v * _LN2) * math.fsum(terms)
+    varpi, vartheta = _marcum_args(a, imp)
+    w2, t2 = varpi**2, vartheta**2
+
+    def closed_form(mean: np.ndarray) -> np.ndarray:
+        z = 2.0 / mean
+        phi = w2 + t2 + z
+        # 4 varpi^2 vartheta^2 / phi^2 < 1: phi^2 - 4 varpi^2 vartheta^2 > 0 as z > 0
+        hyp = 4.0 * w2 * t2 / phi**2
+        f = [gauss_2f1(p, q, r, hyp) for p, q, r in _I3_UB_2F1]
+        return snr * a * mean / _LN2 * _i3_ub_bracket(w2, t2, z, phi, *f)
+
     q1_at = _backoff_q1(a, imp)
-    return _order_expect(lambda x: snr * a * x / _LN2 * q1_at(x), b, v)
+    return _order_moment(
+        closed_form, lambda x: snr * a * x / _LN2 * q1_at(x), b, imp.estimate_var
+    )
 
 
 def _i3_ub_bracket(w2, t2, z, phi, f1, f2, f3, f4):

@@ -31,11 +31,12 @@ import numpy as np
 
 from . import analytic, goodput
 from .channel import (
+    Cluster,
     CorrelatedChannelConfig,
     ImpairmentParams,
     SystemConfig,
     _complex_normal,
-    _correlated_gains,
+    _correlated_gain_map,
     cluster_feedback_quota,
 )
 from .goodput import StrategyParams
@@ -143,21 +144,25 @@ class CrossValidationReport:
 # ---------------------------------------------------------------------------
 
 
-def _chunk_plan(trials: int, seed) -> list[tuple[np.random.SeedSequence, int]]:
-    """Per-chunk substreams and sizes.
+def _substreams(seed, n: int) -> list[np.random.SeedSequence]:
+    """The ``n`` children ``spawn`` gives on a fresh ``SeedSequence(seed)``.
 
-    The children are what ``spawn`` gives on a fresh sequence, but are built
-    without advancing a caller's ``SeedSequence``, so a repeated run draws
-    the same streams.
+    ``seed`` is an int, a tuple of ints or a ``SeedSequence``.  The children
+    are built without advancing a caller's ``SeedSequence``, so a repeated
+    run draws the same streams.
     """
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    n_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
-    seqs = [
+    return [
         np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (i,), pool_size=ss.pool_size)
-        for i in range(n_chunks)
+        for i in range(n)
     ]
+
+
+def _chunk_plan(trials: int, seed) -> list[tuple[np.random.SeedSequence, int]]:
+    """Per-chunk substreams and sizes."""
+    n_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     sizes = [CHUNK_TRIALS] * (n_chunks - 1) + [trials - CHUNK_TRIALS * (n_chunks - 1)]
-    return list(zip(seqs, sizes))
+    return list(zip(_substreams(seed, n_chunks), sizes))
 
 
 def _mean_estimate(samples: np.ndarray) -> EstimateWithError:
@@ -214,7 +219,7 @@ def _row_blocks(t: int, row_bytes: int) -> list[int]:
 
 def _cluster_streams(seq: np.random.SeedSequence, num_clusters: int):
     """Per-cluster generators of one chunk: CQI draws, then winner noise."""
-    rngs = [np.random.default_rng(s) for s in seq.spawn(2 * num_clusters)]
+    rngs = [np.random.default_rng(s) for s in _substreams(seq, 2 * num_clusters)]
     return rngs[:num_clusters], rngs[num_clusters:]
 
 
@@ -274,24 +279,17 @@ def _subband_blocks(sys: SystemConfig, imp: ImpairmentParams | None, seq, t: int
 # ---------------------------------------------------------------------------
 
 
-def _perfect_correlated_chunk(
-    sys: SystemConfig, cfg: CorrelatedChannelConfig, rng, t: int
-) -> np.ndarray:
-    rb_rate = _correlated_rb_rates(cfg, sys.snr, sys.num_users, rng, t)
-    eta = sys.clusters[0].subband_size
-    return _schedule_on_avg_rate(rb_rate, eta, sys.best_m, sys.snr)
-
-
 def _correlated_rb_rates(
     cfg: CorrelatedChannelConfig, snr: float, users: int, rng, t: int
 ) -> np.ndarray:
     """Per-RB average rates (t, users, num_rbs); subcarrier gains in row blocks."""
     out = np.empty((t, users, cfg.num_rbs))
+    gains = _correlated_gain_map(cfg)
     lo = 0
     # complex gains and their real-valued temporaries per subcarrier
     for r in _row_blocks(t, 48 * users * cfg.num_subcarriers):
         taps = _complex_normal(rng, (r, users, cfg.num_taps))
-        rates = np.log2(1.0 + snr * np.abs(_correlated_gains(cfg, taps)) ** 2)
+        rates = np.log2(1.0 + snr * np.abs(gains(taps)) ** 2)
         out[lo : lo + r] = rates.reshape(r, users, cfg.num_rbs, cfg.subcarriers_per_rb).mean(axis=3)
         lo += r
     return out
@@ -314,16 +312,17 @@ def run_perfect(spec: ExperimentSpec) -> EstimateWithError:
     """Empirical average sum rate (bits/s/Hz per block) with perfect feedback."""
     if spec.impairments is not None:
         raise ValueError("run_perfect does not accept impairments")
-    rates = []
-    for seq, t in _chunk_plan(spec.trials, spec.seed):
-        if spec.model == "subband":
-            rates += [
-                _mean_rate(best, spec.system.snr)
-                for best, _, _ in _subband_blocks(spec.system, None, seq, t)
-            ]
-        else:
-            rng = np.random.default_rng(seq)
-            rates.append(_perfect_correlated_chunk(spec.system, spec.correlated, rng, t))
+    sys = spec.system
+    if spec.model == "correlated":
+        combo = (sys.clusters[0].subband_size, sys.best_m)
+        return correlated_rate_grid(
+            spec.correlated, sys.snr, sys.num_users, [combo], spec.trials, spec.seed
+        )[combo]
+    rates = [
+        _mean_rate(best, sys.snr)
+        for seq, t in _chunk_plan(spec.trials, spec.seed)
+        for best, _, _ in _subband_blocks(sys, None, seq, t)
+    ]
     return _mean_estimate(np.concatenate(rates))
 
 
@@ -346,6 +345,7 @@ def correlated_rate_grid(
         rb_rate = _correlated_rb_rates(cfg, snr, num_users, rng, t)
         for eta, m in combos:
             per_combo[(eta, m)].append(_schedule_on_avg_rate(rb_rate, eta, m, snr))
+        del rb_rate  # freed before the next chunk fills its own
     return {c: _mean_estimate(np.concatenate(v)) for c, v in per_combo.items()}
 
 
@@ -374,9 +374,6 @@ def run_imperfect_grid(
         raise ValueError("impairments are modeled on the subband channel only")
     if spec.impairments is None:
         raise ValueError("run_imperfect requires impairment parameters")
-    for s in strategies:
-        if (s.beta0 is None) == (s.beta1 is None):
-            raise ValueError("each strategy must set exactly one of beta0/beta1")
 
     n = spec.system.num_rbs
     rho = spec.system.snr
@@ -513,7 +510,7 @@ def _run_homogeneous(sys: SystemConfig, eta_fb: int, trials: int, seed) -> Estim
     rates = []
     for seq, t in _chunk_plan(trials, seed):
         # the draw streams of the subband kernel (its noise streams come after)
-        draws = [np.random.default_rng(s) for s in seq.spawn(sys.num_clusters)]
+        draws = [np.random.default_rng(s) for s in _substreams(seq, sys.num_clusters)]
         # block-grid rates (the CQI draws, in place), feedback CQIs and the
         # selector's tie pass over them
         for r in _row_blocks(t, 8 * 5 * users * n):
@@ -541,9 +538,7 @@ def _run_homogeneous(sys: SystemConfig, eta_fb: int, trials: int, seed) -> Estim
 
 
 def _run_separate(sys: SystemConfig, trials: int, seed) -> EstimateWithError:
-    from .channel import Cluster
-
-    seqs = np.random.SeedSequence(seed).spawn(sys.num_clusters)
+    seqs = _substreams(seed, sys.num_clusters)
     per_cluster = []
     for g, cluster in enumerate(sys.clusters):
         quota = cluster_feedback_quota(sys, g)

@@ -1,10 +1,9 @@
 """Special functions of the closed-form engines: thin ``scipy.special`` wrappers.
 
 Every closed-form expression in the analytic and goodput engines reduces to
-four primitives: the exponential integral E1 (plus the scaled exp(x)*E1(x)),
-the modified Bessel function I0 (plus the scaled exp(-x)*I0(x)), the
-first-order Marcum-Q function, and the Gaussian hypergeometric function 2F1
-on [0, 1).  Each wrapper checks its domain, then hands the whole argument
+four primitives: the scaled exponential integral exp(x)*E1(x), the scaled
+modified Bessel function exp(-x)*I0(x), the first-order Marcum-Q function,
+and the Gaussian hypergeometric function 2F1 on [0, 1).  Each wrapper checks its domain, then hands the whole argument
 array to compiled ufuncs: scalars and arrays broadcast as in numpy, and a
 scalar input gives a scalar result.
 
@@ -40,13 +39,11 @@ import math
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.special import chndtr, exp1, hyp2f1, hyperu, i0, i0e, ndtr
+from scipy.special import chndtr, exp1, hyp2f1, hyperu, i0e, ndtr
 
 __all__ = [
     "ConvergenceError",
-    "exp_integral_e1",
     "exp_integral_e1_scaled",
-    "bessel_i0",
     "bessel_i0e",
     "marcum_q1",
     "gauss_2f1",
@@ -75,14 +72,6 @@ def _finite(name: str, value: np.ndarray):
     return value[()]
 
 
-def exp_integral_e1(x):
-    """Exponential integral E1(x) = int_x^inf exp(-t)/t dt for x > 0."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(x > 0):
-        raise ValueError(f"exp_integral_e1 requires x > 0, got {x!r}")
-    return exp1(x)[()]
-
-
 def exp_integral_e1_scaled(x):
     """exp(x) * E1(x), finite for arbitrarily large x."""
     x = np.asarray(x, dtype=float)
@@ -90,14 +79,6 @@ def exp_integral_e1_scaled(x):
         raise ValueError(f"exp_integral_e1_scaled requires x > 0, got {x!r}")
     small = np.minimum(x, _E1_SCALED_SPLIT)
     return np.where(x <= _E1_SCALED_SPLIT, np.exp(small) * exp1(small), hyperu(1.0, 1.0, x))[()]
-
-
-def bessel_i0(x):
-    """Modified Bessel function I0(x) for x >= 0 (inf on overflow)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError(f"bessel_i0 requires x >= 0, got {x!r}")
-    return i0(x)[()]
 
 
 def bessel_i0e(x):

@@ -12,21 +12,27 @@
 * The paper's per-feedback-set expansion of a partial-feedback metric,
   summed exactly over the rational selection coefficients, the reference
   for the library's mixture-CDF route.
+* Closed forms only the tests evaluate: the float expansion coefficients
+  and the CDF of the reported CQI, the subcarrier correlation of the
+  correlated model, the conditional density of the actual CQI given its
+  estimate, and the unscaled E1 and I0.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable
 
 import mpmath as mp
 import numpy as np
+from scipy.special import exp1, i0
 
 from hetfb._quad import quad_checked
-from hetfb.analytic import feedback_set_pmf, selection_coefficients
-from hetfb.channel import ImpairmentParams, SystemConfig
+from hetfb.analytic import ReportedCqiLaw, _xi_exact, feedback_set_pmf, selection_coefficients
+from hetfb.channel import ImpairmentParams, SystemConfig, cluster_feedback_quota
 from hetfb.goodput import _i3_ub_bracket
-from hetfb.specfun import marcum_q1
+from hetfb.specfun import bessel_i0e, marcum_q1
 
 
 def mp_dps(b: int) -> int:
@@ -180,3 +186,57 @@ def metric_over_sets(sys: SystemConfig, term: Callable[[int], float]) -> float:
             inner += th * values[b]
         total += dist.probability_exact(tau) * inner
     return float(total)
+
+
+def xi_coefficients(sys: SystemConfig, g: int) -> np.ndarray:
+    """Expansion coefficients of the reported-CQI CDF for cluster ``g``.
+
+    The reported CQI of a cluster-``g`` user has CDF
+    ``sum_m xi[m] * F(x)**(num_subbands - m)`` with F the base CQI CDF.
+    """
+    return np.array(
+        [float(x) for x in _xi_exact(sys.num_subbands(g), cluster_feedback_quota(sys, g))]
+    )
+
+
+def reported_cqi_cdf(x, sys: SystemConfig, g: int):
+    """CDF of the CQI a cluster-``g`` user reports for a covered subband."""
+    return ReportedCqiLaw(sys.num_subbands(g), cluster_feedback_quota(sys, g)).cdf(x)
+
+
+def subcarrier_correlation(pdp, n1: int, n2: int, num_subcarriers: int) -> complex:
+    """Correlation between the gains at subcarriers n1 and n2."""
+    pdp = np.asarray(pdp, dtype=float)
+    l = np.arange(pdp.size)
+    return complex(np.sum(pdp * np.exp(-2j * math.pi * l * (n2 - n1) / num_subcarriers)))
+
+
+def conditional_pdf_actual(x: float, chi_hat: float, imp: ImpairmentParams) -> float:
+    """Density of the actual CQI given the reported estimate ``chi_hat``.
+
+    Noncentral-exponential law of |h_tilde|^2 given |h_hat|^2; evaluated
+    through the scaled Bessel function so large arguments cannot overflow.
+    """
+    if x < 0 or chi_hat < 0:
+        raise ValueError("CQI values must be nonnegative")
+    aw2 = imp.alpha_w**2
+    a = imp.delay_corr
+    bessel_arg = aw2 * a * math.sqrt(chi_hat * x)
+    exponent = -0.5 * aw2 * (math.sqrt(x) - a * math.sqrt(chi_hat)) ** 2
+    return 0.5 * aw2 * bessel_i0e(bessel_arg) * math.exp(exponent)
+
+
+def exp_integral_e1(x):
+    """Exponential integral E1(x) = int_x^inf exp(-t)/t dt for x > 0."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(x > 0):
+        raise ValueError(f"exp_integral_e1 requires x > 0, got {x!r}")
+    return exp1(x)[()]
+
+
+def bessel_i0(x):
+    """Modified Bessel function I0(x) for x >= 0 (inf on overflow)."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
+        raise ValueError(f"bessel_i0 requires x >= 0, got {x!r}")
+    return i0(x)[()]

@@ -25,7 +25,7 @@ from hetfb.channel import (
     ImpairmentParams,
     SystemConfig,
     _complex_normal,
-    _correlated_gains,
+    _correlated_gain_map,
     cluster_feedback_quota,
 )
 
@@ -72,7 +72,7 @@ def gen_correlated_channel(
         raise ValueError("num_users must be >= 1")
     rng = np.random.default_rng(seed)
     taps = _complex_normal(rng, (num_users, cfg.num_taps))
-    gains = _correlated_gains(cfg, taps)
+    gains = _correlated_gain_map(cfg)(taps)
     return ChannelRealization("subcarrier", (gains,))
 
 

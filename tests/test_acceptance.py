@@ -23,7 +23,6 @@ from hetfb.analytic import (
     feedback_set_pmf,
     i1,
     minimum_best_m,
-    reported_cqi_cdf,
     selection_coefficients,
 )
 from hetfb.channel import Cluster, CorrelatedChannelConfig, ImpairmentParams, SystemConfig
@@ -47,7 +46,7 @@ from hetfb.montecarlo import (
     run_perfect,
     run_strategy_comparison,
 )
-from tests.oracles import i1_mp, i2_mp, i4_mp
+from tests.oracles import i1_mp, i2_mp, i4_mp, reported_cqi_cdf
 
 IMP_REF = ImpairmentParams(est_error_var=0.01, delay_corr=0.98)
 SNR_10DB = 10.0

@@ -20,13 +20,11 @@ from hetfb.analytic import (
     feedback_set_pmf,
     i1,
     minimum_best_m,
-    reported_cqi_cdf,
     selection_coefficients,
-    xi_coefficients,
 )
 from hetfb.channel import Cluster, SystemConfig
 from tests.conftest import two_cluster_system
-from tests.oracles import i1_mp, metric_over_sets
+from tests.oracles import i1_mp, metric_over_sets, reported_cqi_cdf, xi_coefficients
 from tests.perdraw import gen_subband_fading, schedule, subband_reports
 
 I1_AT_1_1 = 0.860347382270886  # e * E1(1) / ln 2, cross-checked by quadrature

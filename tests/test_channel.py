@@ -11,11 +11,10 @@ from hetfb.channel import (
     CorrelatedChannelConfig,
     ImpairmentParams,
     SystemConfig,
-    conditional_pdf_actual,
     pdp_exponential,
-    subcarrier_correlation,
 )
 from hetfb.specfun import marcum_q1
+from tests.oracles import conditional_pdf_actual, subcarrier_correlation
 from tests.perdraw import (
     ChannelRealization,
     apply_impairments,

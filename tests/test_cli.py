@@ -295,3 +295,15 @@ def test_per_draw_pipeline_is_test_only():
         "sys.exit(bool({'hetfb.feedback', 'hetfb.scheduler'} & set(sys.modules)))"
     )
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_python_m_runs_the_command(tmp_path):
+    src = str(Path(analytic.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "hetfb", "figure", "4a", "--out", str(tmp_path)]
+    assert subprocess.run(argv, env=env).returncode == 0
+    assert len(read_csv(tmp_path / "figure_4a.csv")) == 2 * 46
+    usage = subprocess.run(
+        [sys.executable, "-m", "hetfb.cli", "--help"], env=env, capture_output=True, text=True
+    )
+    assert usage.returncode == 0 and usage.stdout.startswith("usage: hetfb")

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from hetfb.analytic import ScheduledCqiMixture, coverage_prob, minimum_best_m
+from hetfb.analytic import ScheduledCqiMixture, coverage_prob, i1, minimum_best_m
 from hetfb.channel import Cluster, ImpairmentParams, SystemConfig
 from hetfb.goodput import (
-    IntegralArgs,
     StrategyParams,
     fixed_rate_metrics,
     i2,
@@ -83,25 +82,36 @@ class TestStrategyParams:
             StrategyParams(beta1=1.1)
 
 
-class TestIntegralArgs:
-    def test_hyp_argument_strictly_inside_unit_interval(self, imp_default):
-        for a in (0.01, 0.5, 1.0, 5.0, 40.0):
-            for b in (1, 8, 40):
-                args = IntegralArgs.build(a, b, imp_default)
-                assert np.all(args.hyp_args < 1.0)
-                assert np.all(args.hyp_args >= 0.0)
-                assert np.all(args.varsigma > 0.0)
+class TestMomentDomain:
+    """Domain of the moment integrals I1, I2, I4 and the I3 bound, on both
+    sides of order 20 (closed form below, quadrature above)."""
 
-    def test_varsigma_product_form(self, imp_default):
-        args = IntegralArgs.build(2.0, 5, imp_default)
-        direct = np.sqrt(args.phi**2 - 4 * args.varpi**2 * args.vartheta**2)
-        assert np.allclose(args.varsigma, direct, rtol=1e-12)
+    @staticmethod
+    def moments(imp):
+        return (
+            lambda a, b: i1(a, b),
+            lambda a, b: i2(a, b, imp),
+            lambda a, b: i4(a, b, imp),
+            lambda a, b: i3_upper_bound(a, b, imp, 10.0),
+        )
 
     def test_validation(self, imp_default):
-        with pytest.raises(ValueError):
-            IntegralArgs.build(-1.0, 3, imp_default)
-        with pytest.raises(ValueError):
-            IntegralArgs.build(1.0, 0, imp_default)
+        for moment in self.moments(imp_default):
+            for b in (5, 30):
+                with pytest.raises(ValueError):
+                    moment(-1.0, b)
+            with pytest.raises(ValueError):
+                moment(0.5, 0)
+
+    def test_finite_across_arguments(self, imp_default):
+        # the 2F1 argument 4 varpi^2 vartheta^2 / phi^2 of the I3 bound stays
+        # below one and the I4 root stays real at every threshold and order
+        for b in (1, 8, 40):
+            for a in (0.01, 0.5, 1.0, 5.0, 40.0):
+                assert 0.0 < i2(a, b, imp_default) <= 1.0
+                assert 0.0 < i4(a, b, imp_default) <= 1.0
+            for a in (0.01, 0.5, 1.0):
+                assert 0.0 < i3_upper_bound(a, b, imp_default, 10.0) < math.inf
 
 
 class TestI2:

@@ -110,6 +110,14 @@ class TestDeterminism:
         spec = ExperimentSpec("correlated", s, correlated=corr_cfg(), trials=1000, seed=3)
         assert run_perfect(spec).value == run_perfect(spec).value
 
+    def test_plan_entry_reruns_identically(self):
+        # the per-cluster substreams leave the chunk's sequence as it was
+        s = two_cluster_system(6, 8)
+        ((seq, t),) = mc._chunk_plan(200, 5)
+        first, second = (list(_subband_blocks(s, ImpairmentParams(0.01, 0.98), seq, t)) for _ in "ab")
+        for one, two in zip(first, second):
+            assert all(np.array_equal(x, y) for x, y in zip(one, two))
+
 
 class TestAgainstOpsPipeline:
     """The vectorized kernel must agree with the reference operation chain.
@@ -428,6 +436,14 @@ class TestStrategyComparison:
         hom = run_strategy_comparison(s, "homogeneous", subband_size=1, trials=2000, seed=4)
         sep = run_strategy_comparison(s, "separate", trials=2000, seed=4)
         assert 0.0 < sep.value < hom.value
+
+    def test_separate_accepts_seed_sequence(self):
+        # as every other strategy does, drawing the streams of the integer it wraps
+        s = self._sys()
+        seq = np.random.SeedSequence(4)
+        a = run_strategy_comparison(s, "separate", trials=2000, seed=seq)
+        assert a == run_strategy_comparison(s, "separate", trials=2000, seed=4)
+        assert a == run_strategy_comparison(s, "separate", trials=2000, seed=seq)
 
     @pytest.mark.parametrize("best_m,eta_fb", [(4, 1), (2, 2)])
     def test_homogeneous_matches_per_user_oracle(self, best_m, eta_fb):

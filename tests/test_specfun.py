@@ -7,15 +7,8 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.special import i0e as scipy_i0e
 
-from hetfb.specfun import (
-    bessel_i0,
-    bessel_i0e,
-    exp_integral_e1,
-    exp_integral_e1_scaled,
-    gauss_2f1,
-    marcum_q1,
-)
-from tests.oracles import marcum_q1_craig
+from hetfb.specfun import bessel_i0e, exp_integral_e1_scaled, gauss_2f1, marcum_q1
+from tests.oracles import bessel_i0, exp_integral_e1, marcum_q1_craig
 
 # Frozen oracle values, recomputed below by the independent oracles.
 E1_AT_1 = 0.21938393439552029  # adaptive quadrature of int_1^inf exp(-t)/t dt
