@@ -53,7 +53,6 @@ from .montecarlo import (
 )
 from .specfun import (
     ConvergenceError,
-    bessel_i0e,
     exp_integral_e1_scaled,
     gauss_2f1,
     marcum_q1,

@@ -217,11 +217,29 @@ def _dft_phases(cfg: CorrelatedChannelConfig) -> np.ndarray:
     return np.exp(-2j * math.pi * l * n / cfg.num_subcarriers)
 
 
-def _correlated_gain_map(cfg: CorrelatedChannelConfig):
-    """The map of i.i.d. unit taps (..., L) to subcarrier gains (..., Nc).
+# Multiply-adds of one complex matrix product from which OpenBLAS runs it on
+# every core.  Products this small gain about a tenth in wall time for twice
+# the CPU time that way, and they fight the Monte Carlo chunk threads.
+_BLAS_THREADED_MACS = 2**16
 
-    Its tap scaling and DFT phases are built once, for every call of the map.
+
+def _correlated_gain_map(cfg: CorrelatedChannelConfig):
+    """The map of i.i.d. unit taps (..., users, L) to subcarrier gains (..., users, Nc).
+
+    Its tap scaling and DFT phases are built once, for every call of the
+    map.  Users are multiplied in groups small enough that BLAS runs each
+    product on the calling thread; every gain is one dot product over the
+    taps either way, so the grouping does not change a bit.
     """
     sigma = np.sqrt(np.asarray(cfg.pdp))
     phases = _dft_phases(cfg)
-    return lambda taps: (taps * sigma) @ phases
+    group = max(1, (_BLAS_THREADED_MACS - 1) // phases.size)
+
+    def gains(taps: np.ndarray) -> np.ndarray:
+        scaled = taps * sigma
+        out = np.empty(scaled.shape[:-1] + phases.shape[1:], dtype=complex)
+        for lo in range(0, scaled.shape[-2], group):
+            np.matmul(scaled[..., lo : lo + group, :], phases, out=out[..., lo : lo + group, :])
+        return out
+
+    return gains

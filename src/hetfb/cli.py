@@ -12,7 +12,8 @@ figure     emit the data series of a named figure with its documented
 
 Every run writes a CSV (12 significant digits) plus a JSON manifest
 echoing the resolved configuration and seed.  Exit codes: 0 ok,
-2 validation error, 3 numerical failure, 4 cross-validation flagged.
+2 validation error, 3 numerical failure, 4 cross-validation flagged,
+5 internal error.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import datetime
 import json
 import os
 import sys as _sys
+import traceback
 from pathlib import Path
 
 from . import __version__, analytic, goodput, montecarlo
@@ -40,6 +42,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_CROSSVAL = 4
+EXIT_INTERNAL = 5
 
 DEFAULT_CONFIG = {
     "model": "subband",
@@ -75,16 +78,32 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     return cfg
 
 
+_REQUIRED = object()
+
+
+def _config_value(cfg: dict, key: str, kind, default=_REQUIRED):
+    """``kind(cfg[key])``; a missing or mistyped key raises ``ValueError``."""
+    if key not in cfg and default is _REQUIRED:
+        raise ValueError(f"config key {key!r} is missing")
+    try:
+        return kind(cfg.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"config key {key!r}: {exc}") from None
+
+
 def system_from_config(cfg: dict) -> SystemConfig:
+    raw = _config_value(cfg, "clusters", list)
+    if not all(isinstance(c, dict) for c in raw):
+        raise ValueError('config key "clusters" must list {"eta": ..., "users": ...} objects')
     clusters = tuple(
-        Cluster(subband_size=int(c["eta"]), num_users=int(c["users"]))
-        for c in cfg["clusters"]
+        Cluster(subband_size=_config_value(c, "eta", int), num_users=_config_value(c, "users", int))
+        for c in raw
     )
     return SystemConfig(
-        num_rbs=int(cfg["n_rbs"]),
+        num_rbs=_config_value(cfg, "n_rbs", int),
         clusters=clusters,
-        best_m=int(cfg["best_m"]),
-        snr=10.0 ** (float(cfg["snr_db"]) / 10.0),
+        best_m=_config_value(cfg, "best_m", int),
+        snr=10.0 ** (_config_value(cfg, "snr_db", float) / 10.0),
     )
 
 
@@ -92,15 +111,15 @@ def impairments_from_config(cfg: dict) -> ImpairmentParams | None:
     if "alpha" not in cfg and "est_err_var" not in cfg:
         return None
     return ImpairmentParams(
-        est_error_var=float(cfg.get("est_err_var", 0.0)),
-        delay_corr=float(cfg.get("alpha", 1.0)),
+        est_error_var=_config_value(cfg, "est_err_var", float, 0.0),
+        delay_corr=_config_value(cfg, "alpha", float, 1.0),
     )
 
 
 def correlated_from_config(cfg: dict) -> CorrelatedChannelConfig:
-    n_sc = int(cfg["num_subcarriers"])
-    n_rbs = int(cfg["n_rbs"])
-    pdp = pdp_exponential(int(cfg["num_taps"]), float(cfg["pdp_decay"]))
+    n_sc = _config_value(cfg, "num_subcarriers", int)
+    n_rbs = _config_value(cfg, "n_rbs", int)
+    pdp = pdp_exponential(_config_value(cfg, "num_taps", int), _config_value(cfg, "pdp_decay", float))
     return CorrelatedChannelConfig(
         num_subcarriers=n_sc,
         subcarriers_per_rb=n_sc // n_rbs,
@@ -109,14 +128,8 @@ def correlated_from_config(cfg: dict) -> CorrelatedChannelConfig:
 
 
 def strategy_from_config(cfg: dict) -> StrategyParams | None:
-    beta0 = cfg.get("beta0")
-    beta1 = cfg.get("beta1")
-    if beta0 is None and beta1 is None:
-        return None
-    return StrategyParams(
-        beta0=None if beta0 is None else float(beta0),
-        beta1=None if beta1 is None else float(beta1),
-    )
+    betas = {k: _config_value(cfg, k, float) for k in ("beta0", "beta1") if cfg.get(k) is not None}
+    return StrategyParams(**betas) if betas else None
 
 
 def parse_grid(text: str) -> list[float]:
@@ -252,8 +265,8 @@ def _cmd_simulate(args, cfg) -> tuple[list[dict], list[str], int]:
         correlated=correlated_from_config(cfg) if cfg.get("model") == "correlated" else None,
         impairments=imp,
         strategy=strategy,
-        trials=int(cfg["trials"]),
-        seed=int(cfg["seed"]),
+        trials=_config_value(cfg, "trials", int),
+        seed=_config_value(cfg, "seed", int),
     )
     exit_code = EXIT_OK
     if args.cross_validate:
@@ -580,7 +593,7 @@ _FIGURES = {
 def _cmd_figure(args, cfg) -> tuple[list[dict], list[str], int]:
     recipe, default_trials = _FIGURES[args.name]
     trials = args.trials if args.trials is not None else (default_trials or None)
-    seed = args.seed if args.seed is not None else int(cfg["seed"])
+    seed = args.seed if args.seed is not None else _config_value(cfg, "seed", int)
     rows, columns = recipe(trials, seed)
     return rows, columns, EXIT_OK
 
@@ -673,12 +686,17 @@ def run(argv=None) -> int:
             config=cfg,
             seed=cfg.get("seed"),
         )
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         print(_error_record("validation", exc), file=_sys.stderr)
         return EXIT_VALIDATION
     except (QuadratureError, ConvergenceError, ArithmeticError) as exc:
         print(_error_record("numerical", exc), file=_sys.stderr)
         return EXIT_NUMERICAL
+    except Exception as exc:
+        # a bug, not a bad input: keep the traceback, then the one-line record
+        traceback.print_exc(file=_sys.stderr)
+        print(_error_record("internal", exc), file=_sys.stderr)
+        return EXIT_INTERNAL
     return code
 
 

@@ -6,6 +6,12 @@ given (spec, seed) regardless of how the host schedules the work.  The
 chunk width is part of the reproducibility contract: changing it changes
 the stream assignment.
 
+Chunks run on a thread pool of min(cpus, chunks, ``_MAX_WORKERS``) workers
+(numpy releases the interpreter lock in the draws, the selection and the
+matmul), and their per-trial results are reduced in chunk order, so an
+estimate is bit-identical at any worker count.  Each worker holds one row
+block at a time, so peak block memory is workers x ``_BLOCK_BYTES``.
+
 The subband model runs one kernel (``_subband_blocks``): draw exponential
 CQIs, keep each user's best M by a partition threshold, take the maximum
 over users per cluster subband and then over clusters per block, and, under
@@ -25,6 +31,8 @@ never-reported fraction exposed separately.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +73,9 @@ CHUNK_TRIALS = 2048
 # from its own substreams in trial order, so the blocking never changes a
 # result.
 _BLOCK_BYTES = 4 * 2**20
+
+# Upper bound on chunk worker threads; each holds one row block at a time.
+_MAX_WORKERS = 4
 
 _Z_FLAG = 3.0
 
@@ -163,6 +174,33 @@ def _chunk_plan(trials: int, seed) -> list[tuple[np.random.SeedSequence, int]]:
     n_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     sizes = [CHUNK_TRIALS] * (n_chunks - 1) + [trials - CHUNK_TRIALS * (n_chunks - 1)]
     return list(zip(_substreams(seed, n_chunks), sizes))
+
+
+def _worker_count(n_chunks: int) -> int:
+    """Threads for ``n_chunks`` chunks: min(usable cpus, chunks, ``_MAX_WORKERS``)."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_chunks, _MAX_WORKERS)
+
+
+def _map_chunks(fn, plan: list[tuple[np.random.SeedSequence, int]]) -> list:
+    """``[fn(seq, t) for seq, t in plan]``, with the chunks run on a thread pool.
+
+    Results come back in chunk order whatever order the chunks finish in.
+    One chunk or one worker runs the plain loop and starts no thread.  The
+    first failing chunk's exception propagates, and chunks not yet started
+    are cancelled.
+    """
+    workers = _worker_count(len(plan))
+    if workers == 1:
+        return [fn(seq, t) for seq, t in plan]
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        return list(pool.map(fn, *zip(*plan)))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _mean_estimate(samples: np.ndarray) -> EstimateWithError:
@@ -279,20 +317,14 @@ def _subband_blocks(sys: SystemConfig, imp: ImpairmentParams | None, seq, t: int
 # ---------------------------------------------------------------------------
 
 
-def _correlated_rb_rates(
-    cfg: CorrelatedChannelConfig, snr: float, users: int, rng, t: int
-) -> np.ndarray:
-    """Per-RB average rates (t, users, num_rbs); subcarrier gains in row blocks."""
-    out = np.empty((t, users, cfg.num_rbs))
+def _correlated_rb_rates(cfg: CorrelatedChannelConfig, snr: float, users: int, rng, t: int):
+    """Per-RB average rates of ``t`` trials, yielded in (rows, users, num_rbs) blocks."""
     gains = _correlated_gain_map(cfg)
-    lo = 0
     # complex gains and their real-valued temporaries per subcarrier
     for r in _row_blocks(t, 48 * users * cfg.num_subcarriers):
         taps = _complex_normal(rng, (r, users, cfg.num_taps))
         rates = np.log2(1.0 + snr * np.abs(gains(taps)) ** 2)
-        out[lo : lo + r] = rates.reshape(r, users, cfg.num_rbs, cfg.subcarriers_per_rb).mean(axis=3)
-        lo += r
-    return out
+        yield rates.reshape(r, users, cfg.num_rbs, cfg.subcarriers_per_rb).mean(axis=3)
 
 
 def _schedule_on_avg_rate(rb_rate: np.ndarray, eta: int, quota: int, snr: float) -> np.ndarray:
@@ -318,12 +350,13 @@ def run_perfect(spec: ExperimentSpec) -> EstimateWithError:
         return correlated_rate_grid(
             spec.correlated, sys.snr, sys.num_users, [combo], spec.trials, spec.seed
         )[combo]
-    rates = [
-        _mean_rate(best, sys.snr)
-        for seq, t in _chunk_plan(spec.trials, spec.seed)
-        for best, _, _ in _subband_blocks(sys, None, seq, t)
-    ]
-    return _mean_estimate(np.concatenate(rates))
+
+    def chunk(seq, t):
+        return np.concatenate(
+            [_mean_rate(best, sys.snr) for best, _, _ in _subband_blocks(sys, None, seq, t)]
+        )
+
+    return _mean_estimate(np.concatenate(_map_chunks(chunk, _chunk_plan(spec.trials, spec.seed))))
 
 
 def correlated_rate_grid(
@@ -337,16 +370,21 @@ def correlated_rate_grid(
     """Sum rate of several (subband_size, best_m) choices on shared channels.
 
     All combinations see the same fading draws, which pins their relative
-    ordering down to far fewer trials.
+    ordering down to far fewer trials.  Each row block of per-RB rates is
+    scheduled for every combination before the next one is drawn.
     """
-    per_combo = {c: [] for c in combos}
-    for seq, t in _chunk_plan(trials, seed):
-        rng = np.random.default_rng(seq)
-        rb_rate = _correlated_rb_rates(cfg, snr, num_users, rng, t)
-        for eta, m in combos:
-            per_combo[(eta, m)].append(_schedule_on_avg_rate(rb_rate, eta, m, snr))
-        del rb_rate  # freed before the next chunk fills its own
-    return {c: _mean_estimate(np.concatenate(v)) for c, v in per_combo.items()}
+
+    def chunk(seq, t):
+        per_combo = [[] for _ in combos]
+        for rb_rate in _correlated_rb_rates(cfg, snr, num_users, np.random.default_rng(seq), t):
+            for rates, (eta, m) in zip(per_combo, combos):
+                rates.append(_schedule_on_avg_rate(rb_rate, eta, m, snr))
+        return [np.concatenate(rates) for rates in per_combo]
+
+    per_chunk = _map_chunks(chunk, _chunk_plan(trials, seed))
+    return {
+        c: _mean_estimate(np.concatenate(rates)) for c, rates in zip(combos, zip(*per_chunk))
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +415,14 @@ def run_imperfect_grid(
 
     n = spec.system.num_rbs
     rho = spec.system.snr
-    good = [[] for _ in strategies]
-    out_blocks = [[] for _ in strategies]
-    sched_blocks = []
-    for seq, t in _chunk_plan(spec.trials, spec.seed):
+
+    def chunk(seq, t):
+        """Per-trial scheduled-block counts, then goodputs and outage counts per strategy."""
+        sched = []
+        good = [[] for _ in strategies]
+        out_blocks = [[] for _ in strategies]
         for best, covered, til in _subband_blocks(spec.system, spec.impairments, seq, t):
-            sched_blocks.append(covered.sum(axis=1))
+            sched.append(covered.sum(axis=1))
             for i, s in enumerate(strategies):
                 if s.beta0 is not None:
                     rate = math.log2(1.0 + rho * s.beta0)
@@ -392,12 +432,18 @@ def run_imperfect_grid(
                     success = covered & (til > s.beta1 * best)
                 good[i].append(np.where(success, rate, 0.0).sum(axis=1) / n)
                 out_blocks[i].append((covered & ~success).sum(axis=1))
+        return (
+            np.concatenate(sched),
+            [np.concatenate(g) for g in good],
+            [np.concatenate(o) for o in out_blocks],
+        )
 
-    sched = np.concatenate(sched_blocks).astype(float)
+    sched, good, out_blocks = zip(*_map_chunks(chunk, _chunk_plan(spec.trials, spec.seed)))
+    sched = np.concatenate(sched).astype(float)
     results = []
     for i, s in enumerate(strategies):
-        gp = np.concatenate(good[i])
-        ob = np.concatenate(out_blocks[i]).astype(float)
+        gp = np.concatenate([g[i] for g in good])
+        ob = np.concatenate([o[i] for o in out_blocks]).astype(float)
         results.append(
             ImperfectResult(
                 strategy=s,
@@ -507,8 +553,9 @@ def _run_homogeneous(sys: SystemConfig, eta_fb: int, trials: int, seed) -> Estim
         raise ValueError("the common subband size must divide num_rbs")
     quota = min(homogeneous_quota(sys), n // eta_fb)
     users = sys.num_users
-    rates = []
-    for seq, t in _chunk_plan(trials, seed):
+
+    def chunk(seq, t):
+        rates = []
         # the draw streams of the subband kernel (its noise streams come after)
         draws = [np.random.default_rng(s) for s in _substreams(seq, sys.num_clusters)]
         # block-grid rates (the CQI draws, in place), feedback CQIs and the
@@ -534,7 +581,9 @@ def _run_homogeneous(sys: SystemConfig, eta_fb: int, trials: int, seed) -> Estim
             covered = np.repeat(kept.any(axis=1), eta_fb, axis=1)
             actual = np.take_along_axis(rate_blocks, sel[:, None, :], axis=1)[:, 0, :]
             rates.append(np.where(covered, actual, 0.0).mean(axis=1))
-    return _mean_estimate(np.concatenate(rates))
+        return np.concatenate(rates)
+
+    return _mean_estimate(np.concatenate(_map_chunks(chunk, _chunk_plan(trials, seed))))
 
 
 def _run_separate(sys: SystemConfig, trials: int, seed) -> EstimateWithError:

@@ -3,13 +3,16 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from hetfb import analytic
+import hetfb.montecarlo as mc
+from hetfb import analytic, cli
 from hetfb.cli import emit, load_config, parse_grid, run, split_users
-from hetfb.montecarlo import CrossValidationEntry, CrossValidationReport
+from hetfb.montecarlo import CHUNK_TRIALS, CrossValidationEntry, CrossValidationReport
+from hetfb.specfun import ConvergenceError
 
 
 def read_csv(path: Path):
@@ -95,6 +98,15 @@ class TestSimulate:
         b = (tmp_path / "b" / "simulate.csv").read_bytes()
         assert a == b
 
+    @pytest.mark.parametrize("extra", [{}, {"alpha": 0.95, "est_err_var": 0.02, "beta0": 1.0}])
+    def test_csv_independent_of_worker_count(self, tmp_path, monkeypatch, extra):
+        cfg = write_config(tmp_path, dict(BASE, trials=3 * CHUNK_TRIALS + 17, **extra))
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "pooled")]) == 0
+        monkeypatch.setattr(mc, "_MAX_WORKERS", 1)
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "serial")]) == 0
+        pooled = (tmp_path / "pooled" / "simulate.csv").read_bytes()
+        assert pooled == (tmp_path / "serial" / "simulate.csv").read_bytes()
+
     def test_imperfect_rows(self, tmp_path):
         payload = dict(BASE, best_m=4, alpha=0.95, est_err_var=0.02, beta1=0.8)
         cfg = write_config(tmp_path, payload)
@@ -163,6 +175,52 @@ class TestValidationFailures:
     def test_bad_override(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
         assert run(["simulate", "--config", cfg, "--set", "oops"]) == 2
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            'clusters=[{"eta": 1}]',
+            "model=correlated",  # no num_subcarriers
+            "clusters=3",
+            "clusters=[1, 2]",
+            "n_rbs=[8]",
+            'snr_db={"x": 1}',
+            "beta1=[0.5]",
+            "trials=[10]",
+        ],
+    )
+    def test_malformed_keys_exit_2(self, tmp_path, override, capsys):
+        cfg = write_config(tmp_path, BASE)
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path), "--set", override]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "validation"
+
+
+class TestInternalFailures:
+    def test_key_error_in_handler_exits_5(self, tmp_path, monkeypatch, capsys):
+        def broken(args, cfg):
+            return {}["missing"]
+
+        monkeypatch.setitem(cli._HANDLERS, "simulate", broken)
+        cfg = write_config(tmp_path, BASE)
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_INTERNAL == 5
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "internal"
+
+    def test_numerical_failure_in_pooled_chunk_exits_3(self, tmp_path, monkeypatch, capsys):
+        raised_on = []
+
+        def failing(*args):
+            raised_on.append(threading.current_thread() is threading.main_thread())
+            raise ConvergenceError("series did not converge")
+
+        monkeypatch.setattr(mc, "_subband_blocks", failing)
+        monkeypatch.setattr(mc, "_worker_count", lambda n_chunks: min(n_chunks, 2))
+        cfg = write_config(tmp_path, dict(BASE, trials=3 * CHUNK_TRIALS))
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "numerical"
+        assert raised_on and not any(raised_on)
 
 
 class TestAnalyticCommand:

@@ -1,4 +1,6 @@
 import math
+import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -233,10 +235,13 @@ class TestKernel:
         assert [run() for run in runs] == reference
 
     @pytest.mark.parametrize(
-        "num_rbs,users,best_m,trials", [(256, 150, 16, 300), (16, 4, 2, CHUNK_TRIALS)]
+        "num_rbs,users,best_m,trials",
+        [(256, 150, 16, 300), (16, 4, 2, CHUNK_TRIALS), (16, 4, 2, 3 * CHUNK_TRIALS + 17)],
     )
     def test_peak_memory_under_budget(self, num_rbs, users, best_m, trials):
-        # one trial per block at the large size, many at the small one
+        # one trial per block at the large size, many at the small one; every
+        # worker holds one block, and tracemalloc traces every thread
+        workers = mc._worker_count(len(mc._chunk_plan(trials, 0)))
         s = SystemConfig(num_rbs, (Cluster(1, users), Cluster(4, users)), best_m, 10.0)
         imp = ImpairmentParams(0.01, 0.98)
         runs = (
@@ -260,21 +265,23 @@ class TestKernel:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < mc._BLOCK_BYTES
+            assert peak < workers * mc._BLOCK_BYTES
 
     @pytest.mark.parametrize(
-        "subcarriers,per_rb,users,trials", [(1024, 64, 50, 300), (256, 8, 10, CHUNK_TRIALS)]
+        "subcarriers,per_rb,users,trials",
+        [(1024, 64, 50, 300), (256, 8, 10, CHUNK_TRIALS), (256, 8, 10, 3 * CHUNK_TRIALS + 17)],
     )
     def test_correlated_working_set_under_budget(self, subcarriers, per_rb, users, trials):
-        # beyond the (trials, users, num_rbs) result, which the scheduler needs whole
+        # per-RB rates are scheduled one row block at a time, never held per chunk
         cfg = CorrelatedChannelConfig(subcarriers, per_rb, tuple(pdp_exponential(16, 4.0)))
+        workers = mc._worker_count(len(mc._chunk_plan(trials, 0)))
         tracemalloc.start()
         try:
-            rates = mc._correlated_rb_rates(cfg, 10.0, users, np.random.default_rng(1), trials)
+            correlated_rate_grid(cfg, 10.0, users, [(1, 2), (4, 4)], trials, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < mc._BLOCK_BYTES + rates.nbytes
+        assert peak < workers * mc._BLOCK_BYTES
 
     def test_near_perfect_actual_tracks_estimate(self):
         s = two_cluster_system(10, 4)
@@ -492,6 +499,59 @@ class TestStrategyComparison:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             run_strategy_comparison(self._sys(), "mixed", trials=100, seed=1)
+
+
+class TestChunkPool:
+    TRIALS = 3 * CHUNK_TRIALS + 17
+
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        s = two_cluster_system(6, 2)
+        imp = ImpairmentParams(0.01, 0.98)
+        t = self.TRIALS
+        runs = (
+            lambda: run_perfect(ExperimentSpec("subband", s, trials=t, seed=4)),
+            lambda: run_imperfect_grid(
+                ExperimentSpec("subband", s, impairments=imp, trials=t, seed=5),
+                [StrategyParams(beta0=1.0), StrategyParams(beta1=0.8)],
+            ),
+            lambda: correlated_rate_grid(corr_cfg(), 10.0, 6, [(1, 2), (2, 4)], t, 7),
+            lambda: run_strategy_comparison(s, "homogeneous", subband_size=2, trials=t, seed=6),
+            lambda: run_strategy_comparison(s, "separate", trials=t, seed=8),
+        )
+        pooled = [run() for run in runs]
+        monkeypatch.setattr(mc, "_MAX_WORKERS", 1)
+        assert [run() for run in runs] == pooled
+
+    def test_pool_size_is_capped(self, monkeypatch):
+        sizes = []
+        pool = mc.ThreadPoolExecutor
+
+        def spy(max_workers):
+            sizes.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", spy)
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count()
+        s = two_cluster_system(4, 2)
+        for trials in (CHUNK_TRIALS, 2 * CHUNK_TRIALS, self.TRIALS, 9 * CHUNK_TRIALS):
+            sizes.clear()
+            run_perfect(ExperimentSpec("subband", s, trials=trials, seed=1))
+            cap = min(cpus, math.ceil(trials / CHUNK_TRIALS), mc._MAX_WORKERS)
+            # a single chunk or a single cpu starts no executor
+            assert sizes == ([cap] if cap > 1 else [])
+
+    def test_results_in_chunk_order(self):
+        plan = mc._chunk_plan(self.TRIALS, 3)
+
+        def late_first(seq, t):
+            i = seq.spawn_key[-1]
+            time.sleep(0.02 * (len(plan) - i))  # earlier chunks finish later
+            return i, t
+
+        assert mc._map_chunks(late_first, plan) == [(i, t) for i, (_, t) in enumerate(plan)]
 
 
 class TestCorrelatedGrid:

@@ -5,9 +5,22 @@ and ``goodput.quad_checked``) by binding site, so a library refactor that
 drops one breaks the benchmark; running its self-test here catches that.
 """
 
+import importlib.util
 import subprocess
 import sys
+import threading
 from pathlib import Path
+
+import hetfb.montecarlo as mc
+from hetfb.channel import (
+    Cluster,
+    CorrelatedChannelConfig,
+    ImpairmentParams,
+    SystemConfig,
+    pdp_exponential,
+)
+from hetfb.goodput import StrategyParams
+from hetfb.montecarlo import ExperimentSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -22,3 +35,46 @@ def test_perfbench_selftest():
     )
     assert proc.returncode == 0, proc.stderr
     assert "selftest ok" in proc.stdout
+
+
+def test_traced_names_stay_on_the_calling_thread(monkeypatch):
+    # the tracer keeps one call stack, so no name it wraps may run in a
+    # Monte Carlo chunk thread
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = set()
+    for target in tracer.TARGETS:
+        module, qualname = target.split(".", 1)
+        targets.add((f"hetfb.{module}", qualname))
+
+    in_workers = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            in_workers.add((frame.f_globals.get("__name__"), frame.f_code.co_qualname))
+
+    monkeypatch.setattr(mc, "_worker_count", lambda n_chunks: min(n_chunks, 2))
+    s = SystemConfig(16, (Cluster(1, 2), Cluster(4, 2)), 2, 10.0)
+    imp = ImpairmentParams(0.01, 0.98)
+    trials = 2 * mc.CHUNK_TRIALS + 1
+    corr = SystemConfig(16, (Cluster(2, 3),), 2, 10.0)
+    threading.setprofile(profile)  # every thread started from here on
+    try:
+        mc.run_perfect(ExperimentSpec("subband", s, trials=trials, seed=1))
+        mc.run_imperfect_grid(
+            ExperimentSpec("subband", s, impairments=imp, trials=trials, seed=2),
+            [StrategyParams(beta0=1.0), StrategyParams(beta1=0.8)],
+        )
+        mc.run_perfect(
+            ExperimentSpec(
+                "correlated", corr, trials=trials, seed=3,
+                correlated=CorrelatedChannelConfig(64, 4, tuple(pdp_exponential(8, 3.0))),
+            )
+        )
+        for strategy in ("homogeneous", "separate"):
+            mc.run_strategy_comparison(s, strategy, subband_size=2, trials=trials, seed=4)
+    finally:
+        threading.setprofile(None)
+    assert ("hetfb.montecarlo", "run_perfect.<locals>.chunk") in in_workers
+    assert not in_workers & targets
