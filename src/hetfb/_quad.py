@@ -7,7 +7,7 @@ refined.  Panel errors use the QUADPACK estimate, so they mean what
 ``scipy.integrate.quad``'s ``abserr`` means.  Each level bisects the panels
 with the largest errors, as many as it takes for the remaining error to fit
 within half the tolerance, until the total error estimate meets
-``max(epsabs, epsrel * |value|)`` or the pool holds ``limit`` panels.
+``max(1e-11, 1e-10 * |value|)`` or the pool holds ``limit`` panels.
 """
 
 from __future__ import annotations
@@ -96,8 +96,6 @@ def quad_checked(
     b: float,
     *,
     points=None,
-    epsabs: float = 1e-11,
-    epsrel: float = 1e-10,
     limit: int = 300,
     abs_fail: float = 1e-7,
 ) -> float:
@@ -117,7 +115,7 @@ def quad_checked(
     val, err = _gauss_kronrod(f, lo, hi)
     while True:
         value, error = math.fsum(val), float(err.sum())
-        tol = max(epsabs, epsrel * abs(value))
+        tol = max(1e-11, 1e-10 * abs(value))
         converged = error <= tol
         if converged or lo.size >= limit:
             break

@@ -10,10 +10,15 @@ optimize   optimal beta0/beta1 over an impairment grid
 figure     emit the data series of a named figure with its documented
            default parameters
 
-Every run writes a CSV (12 significant digits) plus a JSON manifest
-echoing the resolved configuration and seed.  Exit codes: 0 ok,
-2 validation error, 3 numerical failure, 4 cross-validation flagged,
-5 internal error.
+Each handler returns its rows (``simulate`` also its exit code), built by
+row builders that the figure recipes share with the subcommands.  A row is
+a dict, and the keys of the first row are the table's columns.  Every run
+writes a CSV (12 significant digits) plus a JSON manifest recording the
+configuration that ran: the resolved config of a subcommand; the figure,
+seed and trial count of a Monte Carlo figure; ``null`` for a closed-form
+figure.  Exit codes: 0 ok, 2 validation error (a bad config, argument or
+output path), 3 numerical failure, 4 cross-validation flagged, 5 internal
+error.
 """
 
 from __future__ import annotations
@@ -177,8 +182,6 @@ def _user_grid_systems(system: SystemConfig, users_grid: str) -> list[tuple[int,
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return format(value, ".12g")
     return str(value)
@@ -193,29 +196,16 @@ def _timestamp() -> str:
     return dt.isoformat()
 
 
-@dataclasses.dataclass(frozen=True)
-class RunManifest:
-    """Sidecar metadata; each emitted data file references exactly one."""
+def emit(rows, *, out_dir, name, fmt, command, config, seed) -> list[str]:
+    """Write the result table and its manifest; returns the written paths.
 
-    command: str
-    config: dict
-    seed: int | None
-    artifact_version: str
-    timestamp: str
-    outputs: list[str]
-    columns: list[str]
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-def emit(rows, columns, *, out_dir, name, fmt, command, config, seed) -> list[str]:
-    """Write the result table and its manifest; returns the written paths."""
+    The columns are the keys of the first row, in order.
+    """
     if not rows:
         raise ValueError("refusing to emit an empty result set")
+    columns = list(rows[0])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
     if fmt == "csv":
         data_path = out / f"{name}.csv"
         with open(data_path, "w", newline="", encoding="utf-8") as fh:
@@ -225,29 +215,70 @@ def emit(rows, columns, *, out_dir, name, fmt, command, config, seed) -> list[st
                 writer.writerow([_fmt(row[c]) for c in columns])
     elif fmt == "json":
         data_path = out / f"{name}.json"
-        payload = {"columns": list(columns), "rows": [{c: row[c] for c in columns} for row in rows]}
+        payload = {"columns": columns, "rows": [{c: row[c] for c in columns} for row in rows]}
         with open(data_path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=1, default=_fmt)
             fh.write("\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    written.append(str(data_path))
 
-    manifest = RunManifest(
-        command=command,
-        config=config,
-        seed=seed,
-        artifact_version=__version__,
-        timestamp=_timestamp(),
-        outputs=list(written),
-        columns=list(columns),
+    manifest = dict(
+        command=command, config=config, seed=seed, artifact_version=__version__,
+        timestamp=_timestamp(), outputs=[str(data_path)], columns=columns,
     )
     manifest_path = out / f"{name}.manifest.json"
     with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest.to_dict(), fh, indent=1, sort_keys=True, default=str)
+        json.dump(manifest, fh, indent=1, sort_keys=True, default=str)
         fh.write("\n")
-    written.append(str(manifest_path))
-    return written
+    return [str(data_path), str(manifest_path)]
+
+
+# ---------------------------------------------------------------------------
+# Row builders, shared by the subcommands and the figure recipes
+# ---------------------------------------------------------------------------
+
+
+def _estimate_rows(estimates: dict) -> list[dict]:
+    """One row per named Monte Carlo estimate."""
+    return [
+        {"metric": name, "value": est.value, "std_error": est.std_error, "trials": est.trials}
+        for name, est in estimates.items()
+    ]
+
+
+def _goodput_pair(system, imp, beta0, beta1, lead: dict, detail=lambda beta: {}) -> list[dict]:
+    """Fixed-rate goodput at ``beta0``, then variable-rate goodput at ``beta1``.
+
+    Each row holds ``lead``, the strategy, ``detail(beta)``, goodput and outage.
+    """
+    r0, p0 = goodput.fixed_rate_metrics(system, imp, beta0)
+    r1, p1 = goodput.variable_rate_metrics(system, imp, beta1)
+    return [
+        {**lead, "strategy": "fixed", **detail(beta0), "goodput": r0, "outage": p0},
+        {**lead, "strategy": "variable", **detail(beta1), "goodput": r1, "outage": p1},
+    ]
+
+
+def _min_m_rows(systems, gammas) -> list[dict]:
+    """Minimum best-M per (users, gamma), for ``systems`` listing (users, system)."""
+    return [
+        {"users": k, "gamma": gamma, "m_exact": res.exact, "m_approx": res.approx}
+        for k, sys_k in systems
+        for gamma, res in zip(gammas, analytic.minimum_best_m(sys_k, gammas))
+    ]
+
+
+def _optimize_rows(system, sw2_grid, alpha_grid) -> list[dict]:
+    """Optimal beta0 and beta1, with their goodputs, over an impairment grid."""
+    rows = []
+    for sw2 in sw2_grid:
+        for alpha in alpha_grid:
+            imp = ImpairmentParams(est_error_var=sw2, delay_corr=alpha)
+            b0, r0 = goodput.optimize_beta0(system, imp)
+            b1, r1 = goodput.optimize_beta1(system, imp)
+            rows.append({"est_err_var": sw2, "alpha": alpha, "beta0_opt": b0, "r0_opt": r0,
+                         "beta1_opt": b1, "r1_approx_opt": r1})
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +286,7 @@ def emit(rows, columns, *, out_dir, name, fmt, command, config, seed) -> list[st
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(args, cfg) -> tuple[list[dict], list[str], int]:
+def _cmd_simulate(args, cfg) -> tuple[list[dict], int]:
     system = system_from_config(cfg)
     imp = impairments_from_config(cfg)
     strategy = strategy_from_config(cfg)
@@ -268,214 +299,125 @@ def _cmd_simulate(args, cfg) -> tuple[list[dict], list[str], int]:
         trials=_config_value(cfg, "trials", int),
         seed=_config_value(cfg, "seed", int),
     )
-    exit_code = EXIT_OK
     if args.cross_validate:
         report = montecarlo.cross_validate(spec)
-        columns = ["metric", "empirical", "std_error", "analytic", "z"]
         rows = [
-            {
-                "metric": e.name,
-                "empirical": e.empirical,
-                "std_error": e.std_error,
-                "analytic": e.analytic,
-                "z": e.z_score,
-            }
+            {"metric": e.name, "empirical": e.empirical, "std_error": e.std_error,
+             "analytic": e.analytic, "z": e.z_score}
             for e in report.entries
         ]
-        if report.flagged:
-            exit_code = EXIT_CROSSVAL
-        return rows, columns, exit_code
-
-    columns = ["metric", "value", "std_error", "trials"]
-    rows = []
+        return rows, EXIT_CROSSVAL if report.flagged else EXIT_OK
     if imp is None:
-        est = montecarlo.run_perfect(spec)
-        rows.append(
-            {"metric": "sum_rate", "value": est.value, "std_error": est.std_error, "trials": est.trials}
-        )
-    else:
-        if strategy is None:
-            raise ValueError("imperfect simulation needs beta0 or beta1 in the config")
-        res = montecarlo.run_imperfect(spec)
-        for name, est in (
-            ("goodput", res.goodput),
-            ("outage", res.outage),
-            ("scheduling_outage", res.scheduling_outage),
-        ):
-            rows.append(
-                {"metric": name, "value": est.value, "std_error": est.std_error, "trials": est.trials}
-            )
-    return rows, columns, exit_code
+        return _estimate_rows({"sum_rate": montecarlo.run_perfect(spec)}), EXIT_OK
+    if strategy is None:
+        raise ValueError("imperfect simulation needs beta0 or beta1 in the config")
+    res = montecarlo.run_imperfect(spec)
+    estimates = {"goodput": res.goodput, "outage": res.outage,
+                 "scheduling_outage": res.scheduling_outage}
+    return _estimate_rows(estimates), EXIT_OK
 
 
-def _cmd_analytic(args, cfg) -> tuple[list[dict], list[str], int]:
+def _cmd_analytic(args, cfg) -> list[dict]:
     system = system_from_config(cfg)
     imp = impairments_from_config(cfg)
     if args.full_feedback:
         system = dataclasses.replace(system, best_m=system.m_full)
     if imp is None:
-        rows = [
+        return [
             {"users": k, "best_m": sys_k.best_m, "sum_rate": analytic.average_sum_rate(sys_k)}
             for k, sys_k in _user_grid_systems(system, args.users_grid)
         ]
-        return rows, ["users", "best_m", "sum_rate"], EXIT_OK
-    rows = []
-    for beta in parse_grid(args.beta_grid):
-        r0, p0 = goodput.fixed_rate_metrics(system, imp, args.beta0_scale * beta)
-        r1, p1 = goodput.variable_rate_metrics(system, imp, beta)
-        rows.append(
-            {
-                "beta": beta,
-                "strategy": "fixed",
-                "goodput": r0,
-                "outage": p0,
-            }
-        )
-        rows.append({"beta": beta, "strategy": "variable", "goodput": r1, "outage": p1})
-    return rows, ["beta", "strategy", "goodput", "outage"], EXIT_OK
+    return [
+        row
+        for beta in parse_grid(args.beta_grid)
+        for row in _goodput_pair(system, imp, args.beta0_scale * beta, beta, {"beta": beta})
+    ]
 
 
-def _cmd_min_m(args, cfg) -> tuple[list[dict], list[str], int]:
+def _cmd_min_m(args, cfg) -> list[dict]:
     system = system_from_config(cfg)
-    gammas = parse_grid(args.gamma)
-    rows = []
-    for k, sys_k in _user_grid_systems(system, args.users_grid):
-        for gamma, res in zip(gammas, analytic.minimum_best_m(sys_k, gammas)):
-            rows.append(
-                {"users": k, "gamma": gamma, "m_exact": res.exact, "m_approx": res.approx}
-            )
-    return rows, ["users", "gamma", "m_exact", "m_approx"], EXIT_OK
+    return _min_m_rows(_user_grid_systems(system, args.users_grid), parse_grid(args.gamma))
 
 
-def _cmd_optimize(args, cfg) -> tuple[list[dict], list[str], int]:
+def _cmd_optimize(args, cfg) -> list[dict]:
     system = system_from_config(cfg)
     m_star = analytic.minimum_best_m(system, args.gamma).exact
-    rows = []
-    for sw2 in parse_grid(args.est_err_grid):
-        for alpha in parse_grid(args.alpha_grid):
-            imp = ImpairmentParams(est_error_var=sw2, delay_corr=alpha)
-            b0, r0 = goodput.optimize_beta0(system, imp)
-            b1, r1 = goodput.optimize_beta1(system, imp)
-            rows.append(
-                {
-                    "est_err_var": sw2,
-                    "alpha": alpha,
-                    "beta0_opt": b0,
-                    "r0_opt": r0,
-                    "beta1_opt": b1,
-                    "r1_approx_opt": r1,
-                    "m_star": m_star,
-                }
-            )
-    columns = ["est_err_var", "alpha", "beta0_opt", "r0_opt", "beta1_opt", "r1_approx_opt", "m_star"]
-    return rows, columns, EXIT_OK
+    rows = _optimize_rows(system, parse_grid(args.est_err_grid), parse_grid(args.alpha_grid))
+    return [dict(row, m_star=m_star) for row in rows]
 
 
 # -- figure recipes ---------------------------------------------------------
 
+_FIG_IMPAIRMENTS = ImpairmentParams(est_error_var=0.01, delay_corr=0.98)
+
 
 def _figure_1(trials, seed):
     cfg = CorrelatedChannelConfig(
-        num_subcarriers=256,
-        subcarriers_per_rb=8,
-        pdp=tuple(pdp_exponential(16, 4.0)),
+        num_subcarriers=256, subcarriers_per_rb=8, pdp=tuple(pdp_exponential(16, 4.0))
     )
-    snr = 10.0
     combos = [(eta, m) for eta in (1, 2, 4) for m in (2, 4)]
     rows = []
     for k in (2, 5, 10, 15, 20, 25, 30):
-        grid = montecarlo.correlated_rate_grid(cfg, snr, k, combos, trials, (seed, k))
+        grid = montecarlo.correlated_rate_grid(cfg, 10.0, k, combos, trials, (seed, k))
         for (eta, m), est in grid.items():
-            rows.append(
-                {
-                    "users": k,
-                    "eta": eta,
-                    "best_m": m,
-                    "sum_rate": est.value,
-                    "std_error": est.std_error,
-                    "trials": est.trials,
-                }
-            )
-    return rows, ["users", "eta", "best_m", "sum_rate", "std_error", "trials"]
+            rows.append({"users": k, "eta": eta, "best_m": m, "sum_rate": est.value,
+                         "std_error": est.std_error, "trials": est.trials})
+    return rows
 
 
 def _fig3_system(k: int, m: int) -> SystemConfig:
     half = k // 2
-    return SystemConfig(
-        num_rbs=64,
-        clusters=(Cluster(1, half), Cluster(4, k - half)),
-        best_m=m,
-        snr=10.0,
-    )
+    return SystemConfig(64, (Cluster(1, half), Cluster(4, k - half)), best_m=m, snr=10.0)
 
 
-def _figure_3(trials, seed):
-    imp = ImpairmentParams(est_error_var=0.01, delay_corr=0.98)
+def _figure_3():
     k = 20
-    rows = []
     betas = [round(0.05 * i, 2) for i in range(1, 20)]
+    rows = []
     for snr_db in (10.0, 20.0):
         snr = 10.0 ** (snr_db / 10.0)
         for m in (2, 4, 16):
             system = dataclasses.replace(_fig3_system(k, m), snr=snr)
             for beta in betas:
-                r1, _ = goodput.variable_rate_metrics(system, imp, beta)
+                r1, _ = goodput.variable_rate_metrics(system, _FIG_IMPAIRMENTS, beta)
                 rows.append(
-                    {
-                        "snr_db": snr_db,
-                        "beta1": beta,
-                        "best_m": m,
-                        "method": "exact",
-                        "goodput": r1,
-                    }
+                    {"snr_db": snr_db, "beta1": beta, "best_m": m, "method": "exact", "goodput": r1}
                 )
         for beta in betas:
+            r1 = goodput.i3_jensen(beta, k, _FIG_IMPAIRMENTS, snr)
             rows.append(
-                {
-                    "snr_db": snr_db,
-                    "beta1": beta,
-                    "best_m": 16,
-                    "method": "jensen",
-                    "goodput": goodput.i3_jensen(beta, k, imp, snr),
-                }
+                {"snr_db": snr_db, "beta1": beta, "best_m": 16, "method": "jensen", "goodput": r1}
             )
-    return rows, ["snr_db", "beta1", "best_m", "method", "goodput"]
+    return rows
 
 
-def _figure_4a(trials, seed):
-    rows = []
-    for k in range(5, 51):
-        sys_k = _fig3_system(k, 1)
-        gammas = (0.9, 0.99)
-        for gamma, res in zip(gammas, analytic.minimum_best_m(sys_k, gammas)):
-            rows.append({"users": k, "gamma": gamma, "m_exact": res.exact, "m_approx": res.approx})
-    return rows, ["users", "gamma", "m_exact", "m_approx"]
+def _figure_4a():
+    return _min_m_rows([(k, _fig3_system(k, 1)) for k in range(5, 51)], (0.9, 0.99))
 
 
-def _figure_4b(trials, seed):
+def _figure_4b():
     rows = []
     for k in (10, 20, 30, 40, 50):
         for frac in [round(0.1 * i, 1) for i in range(1, 10)]:
             k1 = round(frac * k)
-            sys_k = SystemConfig(
-                num_rbs=64,
-                clusters=(Cluster(1, k1), Cluster(4, k - k1)),
-                best_m=1,
-                snr=10.0,
-            )
+            sys_k = SystemConfig(64, (Cluster(1, k1), Cluster(4, k - k1)), best_m=1, snr=10.0)
             res = analytic.minimum_best_m(sys_k, 0.99)
             rows.append({"users": k, "k1_fraction": frac, "m_exact": res.exact})
-    return rows, ["users", "k1_fraction", "m_exact"]
+    return rows
 
 
 def _fig5_system(k: int, m: int) -> SystemConfig:
-    per = k // 4
-    return SystemConfig(
-        num_rbs=64,
-        clusters=tuple(Cluster(eta, per) for eta in (1, 2, 4, 8)),
-        best_m=m,
-        snr=10.0,
-    )
+    clusters = tuple(Cluster(eta, k // 4) for eta in (1, 2, 4, 8))
+    return SystemConfig(64, clusters, best_m=m, snr=10.0)
+
+
+# (series, strategy, common subband size) of figure 5, in seed order
+_FIG5_SERIES = (
+    ("joint", "joint", None),
+    ("homogeneous_eta2", "homogeneous", 2),
+    ("homogeneous_eta4", "homogeneous", 4),
+    ("separate", "separate", None),
+)
 
 
 def _figure_5(trials, seed):
@@ -483,119 +425,68 @@ def _figure_5(trials, seed):
     for m in (2, 4):
         for k in (8, 16, 24, 32, 40):
             system = _fig5_system(k, m)
-            series = {
-                "joint": montecarlo.run_strategy_comparison(
-                    system, "joint", trials=trials, seed=(seed, m, k, 0)
-                ),
-                "homogeneous_eta2": montecarlo.run_strategy_comparison(
-                    system, "homogeneous", subband_size=2, trials=trials, seed=(seed, m, k, 1)
-                ),
-                "homogeneous_eta4": montecarlo.run_strategy_comparison(
-                    system, "homogeneous", subband_size=4, trials=trials, seed=(seed, m, k, 2)
-                ),
-                "separate": montecarlo.run_strategy_comparison(
-                    system, "separate", trials=trials, seed=(seed, m, k, 3)
-                ),
-            }
-            for name, est in series.items():
-                rows.append(
-                    {
-                        "users": k,
-                        "best_m": m,
-                        "strategy": name,
-                        "sum_rate": est.value,
-                        "std_error": est.std_error,
-                    }
+            for i, (series, strategy, eta) in enumerate(_FIG5_SERIES):
+                est = montecarlo.run_strategy_comparison(
+                    system, strategy, subband_size=eta, trials=trials, seed=(seed, m, k, i)
                 )
-    return rows, ["users", "best_m", "strategy", "sum_rate", "std_error"]
+                rows.append({"users": k, "best_m": m, "strategy": series,
+                             "sum_rate": est.value, "std_error": est.std_error})
+    return rows
 
 
-def _figure_6(trials, seed):
-    imp = ImpairmentParams(est_error_var=0.01, delay_corr=0.98)
+def _figure_6():
     rows = []
-    betas = [round(0.05 * i, 2) for i in range(1, 21)]
     for k in (10, 20):
         system = _fig3_system(k, 16)
-        for beta in betas:
-            r0, p0 = goodput.fixed_rate_metrics(system, imp, 10.0 * beta)
-            r1, p1 = goodput.variable_rate_metrics(system, imp, beta)
-            rows.append(
-                {"users": k, "beta": beta, "strategy": "fixed", "goodput": r0, "outage": p0}
-            )
-            rows.append(
-                {"users": k, "beta": beta, "strategy": "variable", "goodput": r1, "outage": p1}
-            )
-    return rows, ["users", "beta", "strategy", "goodput", "outage"]
+        for beta in [round(0.05 * i, 2) for i in range(1, 21)]:
+            lead = {"users": k, "beta": beta}
+            rows += _goodput_pair(system, _FIG_IMPAIRMENTS, 10.0 * beta, beta, lead)
+    return rows
 
 
-def _figure_7(trials, seed):
-    system = _fig3_system(10, 16)
-    rows = []
+def _figure_7():
     sw2_grid = [round(0.005 * i, 3) for i in range(0, 21)]
     alpha_grid = [round(0.9 + 0.005 * i, 3) for i in range(0, 19)]
-    for sw2 in sw2_grid:
-        for alpha in alpha_grid:
-            imp = ImpairmentParams(est_error_var=sw2, delay_corr=alpha)
-            b0, _ = goodput.optimize_beta0(system, imp)
-            b1, _ = goodput.optimize_beta1(system, imp)
-            rows.append(
-                {"est_err_var": sw2, "alpha": alpha, "beta0_opt": b0, "beta1_opt": b1}
-            )
-    return rows, ["est_err_var", "alpha", "beta0_opt", "beta1_opt"]
+    rows = _optimize_rows(_fig3_system(10, 16), sw2_grid, alpha_grid)
+    for row in rows:
+        del row["r0_opt"], row["r1_approx_opt"]
+    return rows
 
 
-def _figure_8(trials, seed):
-    imp = ImpairmentParams(est_error_var=0.01, delay_corr=0.98)
+def _figure_8():
     rows = []
     for k in (8, 12, 16, 20, 24, 28, 32, 36, 40):
         system = _fig5_system(k, 1)
-        b0, _ = goodput.optimize_beta0(system, imp)
-        b1, _ = goodput.optimize_beta1(system, imp)
-        m_star = analytic.minimum_best_m(system, 0.99).exact
-        sys_star = dataclasses.replace(system, best_m=min(m_star, system.m_full))
-        r0, p0 = goodput.fixed_rate_metrics(sys_star, imp, b0)
-        r1, p1 = goodput.variable_rate_metrics(sys_star, imp, b1)
-        rows.append(
-            {
-                "users": k,
-                "strategy": "fixed",
-                "beta_opt": b0,
-                "m_star": sys_star.best_m,
-                "goodput": r0,
-                "outage": p0,
-            }
+        b0, _ = goodput.optimize_beta0(system, _FIG_IMPAIRMENTS)
+        b1, _ = goodput.optimize_beta1(system, _FIG_IMPAIRMENTS)
+        m_star = min(analytic.minimum_best_m(system, 0.99).exact, system.m_full)
+        sys_star = dataclasses.replace(system, best_m=m_star)
+        rows += _goodput_pair(
+            sys_star, _FIG_IMPAIRMENTS, b0, b1, {"users": k},
+            lambda beta: {"beta_opt": beta, "m_star": m_star},
         )
-        rows.append(
-            {
-                "users": k,
-                "strategy": "variable",
-                "beta_opt": b1,
-                "m_star": sys_star.best_m,
-                "goodput": r1,
-                "outage": p1,
-            }
-        )
-    return rows, ["users", "strategy", "beta_opt", "m_star", "goodput", "outage"]
+    return rows
 
 
 _FIGURES = {
-    "1": (_figure_1, 20_000),
-    "3": (_figure_3, 0),
-    "4a": (_figure_4a, 0),
-    "4b": (_figure_4b, 0),
-    "5": (_figure_5, 20_000),
-    "6": (_figure_6, 0),
-    "7": (_figure_7, 0),
-    "8": (_figure_8, 0),
+    "1": _figure_1, "3": _figure_3, "4a": _figure_4a, "4b": _figure_4b,
+    "5": _figure_5, "6": _figure_6, "7": _figure_7, "8": _figure_8,
 }
+# The Monte Carlo figures and their default trial counts; the rest are closed-form.
+_FIGURE_TRIALS = {"1": 20_000, "5": 20_000}
 
 
-def _cmd_figure(args, cfg) -> tuple[list[dict], list[str], int]:
-    recipe, default_trials = _FIGURES[args.name]
-    trials = args.trials if args.trials is not None else (default_trials or None)
-    seed = args.seed if args.seed is not None else _config_value(cfg, "seed", int)
-    rows, columns = recipe(trials, seed)
-    return rows, columns, EXIT_OK
+def _figure_run(args, cfg) -> dict | None:
+    """The figure, seed and trials a Monte Carlo figure runs; None for a closed-form one."""
+    if args.name not in _FIGURE_TRIALS:
+        return None
+    trials = args.trials if args.trials is not None else _FIGURE_TRIALS[args.name]
+    return {"figure": args.name, "seed": _config_value(cfg, "seed", int), "trials": trials}
+
+
+def _cmd_figure(args, figure_run) -> list[dict]:
+    recipe = _FIGURES[args.name]
+    return recipe(figure_run["trials"], figure_run["seed"]) if figure_run else recipe()
 
 
 # ---------------------------------------------------------------------------
@@ -654,9 +545,28 @@ _HANDLERS = {
     "figure": _cmd_figure,
 }
 
+_EXIT_CODES = {
+    "validation": EXIT_VALIDATION, "numerical": EXIT_NUMERICAL, "internal": EXIT_INTERNAL
+}
 
-def _error_record(kind: str, exc: Exception) -> str:
-    return json.dumps({"error": {"type": kind, "message": str(exc)}})
+
+def _fail(exc: Exception, kind: str | None = None) -> int:
+    """Print the JSON error record of ``exc``; return its exit code.
+
+    ``kind`` defaults to what the class of ``exc`` says: a bad input
+    (``ValueError``), a numerical failure or, for anything else, a bug.
+    """
+    if kind is None:
+        if isinstance(exc, ValueError):
+            kind = "validation"
+        elif isinstance(exc, (QuadratureError, ConvergenceError, ArithmeticError)):
+            kind = "numerical"
+        else:
+            # a bug, not a bad input: keep the traceback, then the one-line record
+            traceback.print_exc(file=_sys.stderr)
+            kind = "internal"
+    print(json.dumps({"error": {"type": kind, "message": str(exc)}}), file=_sys.stderr)
+    return _EXIT_CODES[kind]
 
 
 def run(argv=None) -> int:
@@ -667,36 +577,25 @@ def run(argv=None) -> int:
             cfg["trials"] = args.trials
         if args.seed is not None:
             cfg["seed"] = args.seed
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(_error_record("validation", exc), file=_sys.stderr)
-        return EXIT_VALIDATION
+    except (ValueError, OSError) as exc:
+        return _fail(exc, "validation")
 
-    name = args.command.replace("-", "_")
-    if args.command == "figure":
-        name = f"figure_{args.name}"
+    name = f"figure_{args.name}" if args.command == "figure" else args.command.replace("-", "_")
+    # each handler gets the configuration it runs, and the manifest records it
     try:
-        rows, columns, code = _HANDLERS[args.command](args, cfg)
-        emit(
-            rows,
-            columns,
-            out_dir=args.out,
-            name=name,
-            fmt=args.format,
-            command=args.command,
-            config=cfg,
-            seed=cfg.get("seed"),
-        )
-    except ValueError as exc:
-        print(_error_record("validation", exc), file=_sys.stderr)
-        return EXIT_VALIDATION
-    except (QuadratureError, ConvergenceError, ArithmeticError) as exc:
-        print(_error_record("numerical", exc), file=_sys.stderr)
-        return EXIT_NUMERICAL
+        config = _figure_run(args, cfg) if args.command == "figure" else cfg
+        result = _HANDLERS[args.command](args, config)
     except Exception as exc:
-        # a bug, not a bad input: keep the traceback, then the one-line record
-        traceback.print_exc(file=_sys.stderr)
-        print(_error_record("internal", exc), file=_sys.stderr)
-        return EXIT_INTERNAL
+        return _fail(exc)
+    rows, code = result if args.command == "simulate" else (result, EXIT_OK)
+    try:
+        emit(rows, out_dir=args.out, name=name, fmt=args.format, command=args.command,
+             config=config, seed=cfg.get("seed"))
+    except OSError as exc:
+        # the output path is at fault, not the program
+        return _fail(exc, "validation")
+    except Exception as exc:
+        return _fail(exc)
     return code
 
 

@@ -281,11 +281,11 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return x, f(x)
 
 
-def _refine_newton(f, x: float, lo: float, hi: float, steps: int = 3) -> tuple[float, float]:
-    """A few guarded central-difference Newton steps on a smooth maximizer."""
+def _refine_newton(f, x: float, lo: float, hi: float) -> tuple[float, float]:
+    """Up to three guarded central-difference Newton steps on a smooth maximizer."""
     h = 1e-5 * max(hi - lo, 1.0)
     best_x, best_f = x, f(x)
-    for _ in range(steps):
+    for _ in range(3):
         f0, fp, fm = f(x), f(x + h), f(x - h)
         d1 = (fp - fm) / (2 * h)
         d2 = (fp - 2 * f0 + fm) / (h * h)

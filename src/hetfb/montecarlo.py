@@ -171,6 +171,8 @@ def _substreams(seed, n: int) -> list[np.random.SeedSequence]:
 
 def _chunk_plan(trials: int, seed) -> list[tuple[np.random.SeedSequence, int]]:
     """Per-chunk substreams and sizes."""
+    if trials < 2:
+        raise ValueError("at least two trials are required")
     n_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     sizes = [CHUNK_TRIALS] * (n_chunks - 1) + [trials - CHUNK_TRIALS * (n_chunks - 1)]
     return list(zip(_substreams(seed, n_chunks), sizes))

@@ -60,13 +60,11 @@ class TestHelpers:
 
     def test_emit_refuses_empty(self, tmp_path):
         with pytest.raises(ValueError):
-            emit([], ["a"], out_dir=tmp_path, name="x", fmt="csv", command="t", config={}, seed=1)
+            emit([], out_dir=tmp_path, name="x", fmt="csv", command="t", config={}, seed=1)
 
     def test_emit_round_trip(self, tmp_path):
         rows = [{"a": 1, "b": 0.123456789012345}]
-        emit(
-            rows, ["a", "b"], out_dir=tmp_path, name="x", fmt="csv", command="t", config={}, seed=1
-        )
+        emit(rows, out_dir=tmp_path, name="x", fmt="csv", command="t", config={}, seed=1)
         got = read_csv(tmp_path / "x.csv")
         assert got[0]["a"] == "1"
         assert float(got[0]["b"]) == pytest.approx(0.123456789012345, rel=1e-11)
@@ -194,6 +192,26 @@ class TestValidationFailures:
         assert run(["simulate", "--config", cfg, "--out", str(tmp_path), "--set", override]) == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"]["type"] == "validation"
+
+
+class TestOutputFailures:
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = ["min-m", "--users-grid", "5", "--gamma", "0.9", "--out", str(blocker / "x")]
+        assert run(argv) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "validation"
+
+    def test_os_error_in_handler_exits_5(self, tmp_path, monkeypatch, capsys):
+        def broken(args, cfg):
+            raise FileNotFoundError("handler bug")
+
+        monkeypatch.setitem(cli._HANDLERS, "min-m", broken)
+        assert run(["min-m", "--out", str(tmp_path)]) == 5
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "internal"
+        assert not list(tmp_path.iterdir())
 
 
 class TestInternalFailures:
@@ -325,6 +343,103 @@ class TestFigureCommand:
         assert code == 0
         payload = json.loads((tmp_path / "figure_4b.json").read_text())
         assert payload["columns"] == ["users", "k1_fraction", "m_exact"]
+
+    @pytest.mark.parametrize("trials", ["0", "1", "-5"])
+    def test_too_few_trials_exit_2(self, tmp_path, trials, capsys):
+        assert run(["figure", "1", "--trials", trials, "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        message = "at least two trials are required"
+        assert err["error"] == {"type": "validation", "message": message}
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["1", "--trials", "600", "--seed", "7"], {"figure": "1", "seed": 7, "trials": 600}),
+            (["5", "--trials", "400"], {"figure": "5", "seed": 12345, "trials": 400}),
+            (["4b", "--seed", "1234"], None),
+        ],
+    )
+    def test_manifest_records_what_ran(self, tmp_path, argv, config):
+        assert run(["figure", *argv, "--out", str(tmp_path)]) == 0
+        (manifest,) = tmp_path.glob("*.manifest.json")
+        assert json.loads(manifest.read_text())["config"] == config
+
+
+# The column contract: each command form's CSV header, which the manifest echoes.
+SMALL = ["--set", "n_rbs=8", "--set", 'clusters=[{"eta": 1, "users": 2}, {"eta": 2, "users": 2}]']
+IMPAIRED = SMALL + ["--set", "best_m=4", "--set", "est_err_var=0.02", "--set", "alpha=0.95"]
+
+
+@pytest.mark.parametrize(
+    "argv, columns",
+    [
+        pytest.param(
+            ["simulate", "--trials", "1500"] + SMALL,
+            ["metric", "value", "std_error", "trials"],
+            id="simulate-perfect",
+        ),
+        pytest.param(
+            ["simulate", "--trials", "1500", "--set", "beta1=0.8"] + IMPAIRED,
+            ["metric", "value", "std_error", "trials"],
+            id="simulate-imperfect",
+        ),
+        pytest.param(
+            ["simulate", "--trials", "4000", "--cross-validate"] + SMALL,
+            ["metric", "empirical", "std_error", "analytic", "z"],
+            id="simulate-cross-validate",
+        ),
+        pytest.param(
+            ["analytic", "--users-grid", "4,8"] + SMALL,
+            ["users", "best_m", "sum_rate"],
+            id="analytic-users",
+        ),
+        pytest.param(
+            ["analytic", "--beta-grid", "0.2,0.6"] + IMPAIRED,
+            ["beta", "strategy", "goodput", "outage"],
+            id="analytic-beta",
+        ),
+        pytest.param(
+            ["min-m", "--users-grid", "6", "--gamma", "0.9"],
+            ["users", "gamma", "m_exact", "m_approx"],
+            id="min-m",
+        ),
+        pytest.param(
+            ["optimize", "--est-err-grid", "0.01", "--alpha-grid", "0.95"] + IMPAIRED,
+            ["est_err_var", "alpha", "beta0_opt", "r0_opt", "beta1_opt", "r1_approx_opt", "m_star"],
+            id="optimize",
+        ),
+        pytest.param(
+            ["figure", "1", "--trials", "600"],
+            ["users", "eta", "best_m", "sum_rate", "std_error", "trials"],
+            id="figure-1",
+        ),
+        pytest.param(
+            ["figure", "3"], ["snr_db", "beta1", "best_m", "method", "goodput"], id="figure-3"
+        ),
+        pytest.param(["figure", "4a"], ["users", "gamma", "m_exact", "m_approx"], id="figure-4a"),
+        pytest.param(["figure", "4b"], ["users", "k1_fraction", "m_exact"], id="figure-4b"),
+        pytest.param(
+            ["figure", "5", "--trials", "600"],
+            ["users", "best_m", "strategy", "sum_rate", "std_error"],
+            id="figure-5",
+        ),
+        pytest.param(
+            ["figure", "6"], ["users", "beta", "strategy", "goodput", "outage"], id="figure-6"
+        ),
+        pytest.param(
+            ["figure", "8"],
+            ["users", "strategy", "beta_opt", "m_star", "goodput", "outage"],
+            id="figure-8",
+        ),
+    ],
+)
+def test_column_contract(tmp_path, argv, columns):
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+    (data,) = tmp_path.glob("*.csv")
+    with open(data, newline="") as fh:
+        header = next(csv.reader(fh))
+    (manifest,) = tmp_path.glob("*.manifest.json")
+    assert header == columns == json.loads(manifest.read_text())["columns"]
 
 
 def test_cli_import_leaves_mpmath_unloaded():

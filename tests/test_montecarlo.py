@@ -73,6 +73,19 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             EstimateWithError(1.0, 0.1, 1)
 
+    @pytest.mark.parametrize("trials", [-3, 0, 1])
+    def test_entry_points_need_two_trials(self, trials):
+        s = SystemConfig(16, (Cluster(1, 2), Cluster(2, 2)), 2, 10.0)
+        calls = (
+            lambda: correlated_rate_grid(corr_cfg(), 10.0, 4, [(1, 2)], trials, 1),
+            lambda: run_strategy_comparison(
+                s, "homogeneous", subband_size=2, trials=trials, seed=1
+            ),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="^at least two trials are required$"):
+                call()
+
 
 class TestDeterminism:
     def test_perfect_bit_identical(self):
