@@ -16,7 +16,8 @@ a dict, and the keys of the first row are the table's columns.  Every run
 writes a CSV (12 significant digits) plus a JSON manifest recording the
 configuration that ran: the resolved config of a subcommand; the figure,
 seed and trial count of a Monte Carlo figure; ``null`` for a closed-form
-figure.  Exit codes: 0 ok, 2 validation error (a bad config, argument or
+figure.  The manifest's top-level seed is that configuration's seed.
+Exit codes: 0 ok, 2 validation error (a bad config, argument or
 output path), 3 numerical failure, 4 cross-validation flagged, 5 internal
 error.
 """
@@ -64,8 +65,8 @@ DEFAULT_CONFIG = {
 # ---------------------------------------------------------------------------
 
 
-def load_config(path: str | None, overrides: list[str]) -> dict:
-    cfg = dict(DEFAULT_CONFIG)
+def load_config(path: str | None, overrides: list[str], defaults: dict = DEFAULT_CONFIG) -> dict:
+    cfg = dict(defaults)
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
@@ -480,8 +481,8 @@ def _figure_run(args, cfg) -> dict | None:
     """The figure, seed and trials a Monte Carlo figure runs; None for a closed-form one."""
     if args.name not in _FIGURE_TRIALS:
         return None
-    trials = args.trials if args.trials is not None else _FIGURE_TRIALS[args.name]
-    return {"figure": args.name, "seed": _config_value(cfg, "seed", int), "trials": trials}
+    return {"figure": args.name, "seed": _config_value(cfg, "seed", int),
+            "trials": _config_value(cfg, "trials", int)}
 
 
 def _cmd_figure(args, figure_run) -> list[dict]:
@@ -571,8 +572,11 @@ def _fail(exc: Exception, kind: str | None = None) -> int:
 
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    defaults = DEFAULT_CONFIG
+    if args.command == "figure" and args.name in _FIGURE_TRIALS:
+        defaults = {**DEFAULT_CONFIG, "trials": _FIGURE_TRIALS[args.name]}
     try:
-        cfg = load_config(args.config, args.overrides)
+        cfg = load_config(args.config, args.overrides, defaults)
         if args.trials is not None:
             cfg["trials"] = args.trials
         if args.seed is not None:
@@ -590,7 +594,7 @@ def run(argv=None) -> int:
     rows, code = result if args.command == "simulate" else (result, EXIT_OK)
     try:
         emit(rows, out_dir=args.out, name=name, fmt=args.format, command=args.command,
-             config=config, seed=cfg.get("seed"))
+             config=config, seed=(config or {}).get("seed"))
     except OSError as exc:
         # the output path is at fault, not the program
         return _fail(exc, "validation")

@@ -206,10 +206,7 @@ def i3_jensen(a: float, b: int, imp: ImpairmentParams, snr: float) -> float:
     if not 0.0 <= a <= 1.0:
         raise ValueError("backoff must lie in [0, 1]")
     mean = jensen_mean(b, imp)
-    q = marcum_q1(
-        imp.alpha_w * imp.delay_corr * math.sqrt(mean), imp.alpha_w * math.sqrt(a * mean)
-    )
-    return q * math.log2(1.0 + snr * a * mean)
+    return _backoff_q1(a, imp)(mean) * math.log2(1.0 + snr * a * mean)
 
 
 # ---------------------------------------------------------------------------
@@ -281,51 +278,28 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return x, f(x)
 
 
-def _refine_newton(f, x: float, lo: float, hi: float) -> tuple[float, float]:
-    """Up to three guarded central-difference Newton steps on a smooth maximizer."""
-    h = 1e-5 * max(hi - lo, 1.0)
-    best_x, best_f = x, f(x)
-    for _ in range(3):
-        f0, fp, fm = f(x), f(x + h), f(x - h)
-        d1 = (fp - fm) / (2 * h)
-        d2 = (fp - 2 * f0 + fm) / (h * h)
-        if d2 >= 0:
-            break
-        step = d1 / d2
-        x = min(max(x - step, lo), hi)
-        fx = f(x)
-        if fx > best_f:
-            best_x, best_f = x, fx
-        if abs(step) < 1e-9:
-            break
-    return best_x, best_f
-
-
-def _grid_bracket(f, lo: float, hi: float, n: int) -> tuple[int, np.ndarray, np.ndarray]:
-    xs = np.linspace(lo, hi, n)
-    vals = np.array([f(x) for x in xs])
-    return int(np.argmax(vals)), xs, vals
+def _grid_bracket(f, hi: float, n: int) -> tuple[float, float]:
+    """The grid neighbours of the best of ``n`` points on [0, hi], clipped to the grid."""
+    xs = np.linspace(0.0, hi, n)
+    idx = int(np.argmax([f(x) for x in xs]))
+    return xs[max(idx - 1, 0)], xs[min(idx + 1, n - 1)]
 
 
 def optimize_beta1(sys: SystemConfig, imp: ImpairmentParams) -> tuple[float, float]:
     """Backoff maximizing the full-feedback mean-value goodput at ``sys.snr``.
 
-    Optimizes over [0, 1] by a coarse bracket plus golden-section search
-    (a derivative refinement polishes the result).  Returns (beta1*,
-    goodput approximation at the optimum).  The matched feedback amount M*
-    does not depend on the impairments: callers take it once per system
-    from ``minimum_best_m(sys, gamma).exact``.
+    Optimizes over [0, 1] by a coarse grid bracket, then golden-section
+    search.  Returns (beta1*, goodput approximation at the optimum).  The
+    matched feedback amount M* does not depend on the impairments: callers
+    take it once per system from ``minimum_best_m(sys, gamma).exact``.
     """
     k, snr = sys.num_users, sys.snr
 
     def f(b1: float) -> float:
         return i3_jensen(b1, k, imp, snr)
 
-    idx, xs, _ = _grid_bracket(f, 0.0, 1.0, 41)
-    lo = xs[max(idx - 1, 0)]
-    hi = xs[min(idx + 1, xs.size - 1)]
-    x, _ = _golden_max(f, lo, hi, 1e-6)
-    return _refine_newton(f, x, 0.0, 1.0)
+    lo, hi = _grid_bracket(f, 1.0, 41)
+    return _golden_max(f, lo, hi, 1e-6)
 
 
 def optimize_beta0(sys: SystemConfig, imp: ImpairmentParams) -> tuple[float, float]:
@@ -334,7 +308,7 @@ def optimize_beta0(sys: SystemConfig, imp: ImpairmentParams) -> tuple[float, flo
     The search domain starts at (1-sigma_w^2)*(ln K + 6), where the max
     of K estimates concentrates, and extends geometrically while the
     maximizer sits at the boundary; a coarse grid brackets the optimum
-    before refinement because unimodality is not guaranteed.
+    before golden-section search because unimodality is not guaranteed.
     """
     k, snr = sys.num_users, sys.snr
 
@@ -343,12 +317,8 @@ def optimize_beta0(sys: SystemConfig, imp: ImpairmentParams) -> tuple[float, flo
 
     hi = imp.estimate_var * (math.log(k) + 6.0)
     for _ in range(40):
-        idx, xs, _ = _grid_bracket(f, 0.0, hi, 65)
-        if idx < xs.size - 2:
+        lo, hi_b = _grid_bracket(f, hi, 65)
+        if hi_b < hi:  # the bracket lies inside the domain
             break
         hi *= 1.6
-    lo_b = xs[max(idx - 1, 0)]
-    hi_b = xs[min(idx + 1, xs.size - 1)]
-    x, fx = _golden_max(f, lo_b, hi_b, 1e-6 * max(hi, 1.0))
-    x, fx = _refine_newton(f, x, 0.0, hi)
-    return x, fx
+    return _golden_max(f, lo, hi_b, 1e-6 * max(hi, 1.0))

@@ -106,6 +106,8 @@ class ExperimentSpec:
                 raise ValueError("resource-block counts of system and channel disagree")
             if self.impairments is not None:
                 raise ValueError("impairments are modeled on the subband channel only")
+        elif self.correlated is not None:
+            raise ValueError("a CorrelatedChannelConfig needs model='correlated'")
 
 
 @dataclass(frozen=True)

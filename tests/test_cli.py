@@ -357,12 +357,16 @@ class TestFigureCommand:
             (["1", "--trials", "600", "--seed", "7"], {"figure": "1", "seed": 7, "trials": 600}),
             (["5", "--trials", "400"], {"figure": "5", "seed": 12345, "trials": 400}),
             (["4b", "--seed", "1234"], None),
+            (["1", "--set", "trials=600", "--seed", "7"], {"figure": "1", "seed": 7, "trials": 600}),
         ],
     )
     def test_manifest_records_what_ran(self, tmp_path, argv, config):
         assert run(["figure", *argv, "--out", str(tmp_path)]) == 0
         (manifest,) = tmp_path.glob("*.manifest.json")
-        assert json.loads(manifest.read_text())["config"] == config
+        manifest = json.loads(manifest.read_text())
+        assert manifest["config"] == config
+        # the top-level seed is the seed of what ran: none for a closed-form figure
+        assert manifest["seed"] == (config["seed"] if config else None)
 
 
 # The column contract: each command form's CSV header, which the manifest echoes.

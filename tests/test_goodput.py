@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from hetfb import goodput
 from hetfb.analytic import ScheduledCqiMixture, coverage_prob, i1, minimum_best_m
 from hetfb.channel import Cluster, ImpairmentParams, SystemConfig
 from hetfb.goodput import (
@@ -319,6 +320,34 @@ class TestOptimizers:
         best = grid[int(np.argmax(vals))]
         assert abs(b0 - best) < 1e-2
         assert val >= max(vals) - 1e-9
+
+    def test_beta0_extends_its_domain(self):
+        # at sigma_w^2 = 0.99 the first domain, 0.01 * (ln 10 + 6) = 0.083 wide,
+        # holds no interior maximum, so the search has to leave it
+        imp = ImpairmentParams(0.99, 0.1)
+        s = two_cluster_system(10, 16)
+        b0, val = optimize_beta0(s, imp)
+        assert b0 > imp.estimate_var * (math.log(10) + 6.0)
+        grid = np.arange(1e-3, 2.0, 1e-3)
+        vals = [math.log2(1.0 + s.snr * b) * i2(float(b), 10, imp) for b in grid]
+        assert abs(b0 - grid[int(np.argmax(vals))]) < 1e-3
+        assert val >= max(vals) - 1e-9
+
+    @pytest.mark.parametrize(
+        "optimizer, objective",
+        [(optimize_beta0, "i2"), (optimize_beta1, "i3_jensen")],
+        ids=["beta0", "beta1"],
+    )
+    def test_no_repeated_evaluations(self, monkeypatch, imp_default, optimizer, objective):
+        inner, args = getattr(goodput, objective), []
+
+        def record(a, *rest):
+            args.append(a)
+            return inner(a, *rest)
+
+        monkeypatch.setattr(goodput, objective, record)
+        optimizer(two_cluster_system(20, 4), imp_default)
+        assert args and len(set(args)) == len(args)
 
     def test_beta0_grows_with_users(self):
         imp = ImpairmentParams(1e-4, 0.999)

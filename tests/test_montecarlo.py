@@ -64,6 +64,11 @@ class TestSpecValidation:
                 "correlated", s, correlated=corr_cfg(), impairments=ImpairmentParams(0.01, 0.9)
             )
 
+    def test_subband_rejects_correlated_config(self):
+        s = SystemConfig(16, (Cluster(2, 3),), 2, 10.0)
+        with pytest.raises(ValueError, match="model='correlated'"):
+            ExperimentSpec("subband", s, correlated=corr_cfg())
+
     def test_unknown_model(self):
         s = SystemConfig(16, (Cluster(2, 3),), 2, 10.0)
         with pytest.raises(ValueError):
