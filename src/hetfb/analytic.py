@@ -6,13 +6,14 @@ fraction of the full-feedback rate.
 
 Partial-feedback metrics have one evaluation route: the metric is integrated
 by vectorized quadrature against the unconditioned scheduled-CQI law
-(``ScheduledCqiMixture``), whose CDF is evaluated through regularized
-incomplete beta functions on a whole array of abscissae at once and is
-stable at any size.  The paper's closed form instead sums, over feedback
-sets, selection coefficients that expand the conditional CDF of the
-scheduled CQI into powers of the base CDF.  Those coefficients alternate
-and grow combinatorially, so summed in floats they lose digits; they are
-built here in exact rational arithmetic (``selection_coefficients``,
+(``ScheduledCqiMixture``).  Its per-cluster reported-CQI law
+(``ReportedCqiLaw``) takes two regularized incomplete beta functions at any
+quota, on a whole array of abscissae at once, and is stable at any size.
+The paper's closed form instead sums, over feedback sets, selection
+coefficients that expand the conditional CDF of the scheduled CQI into
+powers of the base CDF.  Those coefficients alternate and grow
+combinatorially, so summed in floats they lose digits; they are built here
+in exact rational arithmetic (``selection_coefficients``,
 ``feedback_set_pmf``) as tables, and the tests sum them exactly as the
 reference for the mixture route.
 
@@ -34,7 +35,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.special import betainc, gammaln
+from scipy.special import betainc
 
 from ._quad import quad_checked
 from .channel import SystemConfig, cluster_feedback_quota
@@ -221,20 +222,23 @@ def coverage_prob(sys: SystemConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Stable pointwise laws (order-statistics form)
+# Stable pointwise laws (incomplete-beta form)
 # ---------------------------------------------------------------------------
 
 
 class ReportedCqiLaw:
-    """Reported-CQI law of one cluster, evaluated in a cancellation-free form.
+    """Reported-CQI law of one cluster, in closed form.
 
     A user reporting a subband shows one of its ``quota`` largest CQI
-    values, uniformly; the CDF is therefore the average of the top
-    ``quota`` order-statistic CDFs of ``num_subbands`` i.i.d. exponential
-    CQIs with mean ``scale``, computed through regularized incomplete
-    beta functions.  Identical to the coefficient expansion, but stable
-    for any size.  ``cdf``, ``sf`` and ``pdf`` take a scalar or an array
-    and broadcast the order index over a trailing axis.
+    values, uniformly, out of ``num_subbands`` i.i.d. exponential CQIs with
+    mean ``scale``.  With S the base survival at x and N ~ Bin(n, S) the
+    number of CQIs above x (n = ``num_subbands``, q = ``quota``), the
+    survival is E[min(q, N)] / q = (n/q) S I_F(n-q, q) + I_S(q+1, n-q),
+    F = 1 - S and I the regularized incomplete beta function, and the
+    density is (n/q) (S/scale) I_F(n-q, q).  Both are sums of nonnegative
+    terms, stable at any size; a cluster reporting every subband (q = n)
+    is the base exponential itself.  ``cdf``, ``sf`` and ``pdf`` take a
+    scalar or an array.
     """
 
     def __init__(self, num_subbands: int, quota: int, scale: float = 1.0):
@@ -243,36 +247,28 @@ class ReportedCqiLaw:
         self.num_subbands = num_subbands
         self.quota = quota
         self.scale = scale
-        self._j = np.arange(num_subbands - quota + 1, num_subbands + 1)
-        # log of j * C(num_subbands, j) = num_subbands! / ((j-1)!(num_subbands-j)!)
-        self._logc = (
-            gammaln(num_subbands + 1) - gammaln(self._j) - gammaln(num_subbands - self._j + 1)
-        )
 
-    def _log_sf(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(x as an array, log of the base survival at max(x, 0))."""
+    def _within_quota(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x as an array, S, E[N; N <= q] / q = (n/q) S I_F(n-q, q)) at max(x, 0)."""
         x = np.asarray(x, dtype=float)
-        return x, -np.maximum(x, 0.0) / self.scale
+        t = np.maximum(x, 0.0) / self.scale
+        s = np.exp(-t)
+        n, q = self.num_subbands, self.quota
+        if q == n:
+            return x, s, s
+        return x, s, n / q * s * betainc(n - q, q, -np.expm1(-t))
 
     def cdf(self, x):
-        x, log_sf = self._log_sf(x)
-        base = -np.expm1(log_sf)[..., None]
-        vals = betainc(self._j, self.num_subbands - self._j + 1, base).mean(axis=-1)
-        return np.where(x <= 0, 0.0, vals)[()]
+        return 1.0 - self.sf(x)
 
     def sf(self, x):
-        x, log_sf = self._log_sf(x)
-        base_sf = np.exp(log_sf)[..., None]
-        vals = betainc(self.num_subbands - self._j + 1, self._j, base_sf).mean(axis=-1)
-        return np.where(x <= 0, 1.0, vals)[()]
+        _, s, within = self._within_quota(x)
+        n, q = self.num_subbands, self.quota
+        return (within + betainc(q + 1, n - q, s) if q < n else within)[()]
 
     def pdf(self, x):
-        x, log_sf = self._log_sf(x)
-        log_sf = np.where(x > 0, log_sf, -1.0)[..., None]  # keeps log(F) finite at x <= 0
-        log_f = np.log(-np.expm1(log_sf))
-        terms = self._logc + (self._j - 1) * log_f + (self.num_subbands - self._j + 1) * log_sf
-        vals = np.exp(terms).mean(axis=-1) / self.scale
-        return np.where(x <= 0, 0.0, vals)[()]
+        x, _, within = self._within_quota(x)
+        return np.where(x <= 0, 0.0, within / self.scale)[()]
 
 
 class ScheduledCqiMixture:

@@ -90,8 +90,8 @@ class SystemConfig:
             raise ValueError(
                 f"best_m must lie in [1, {self.m_full}] for this configuration"
             )
-        if not self.snr > 0:
-            raise ValueError("snr must be positive (linear scale)")
+        if not 0.0 < self.snr < math.inf:
+            raise ValueError("snr must be positive and finite (linear scale)")
 
     @property
     def num_clusters(self) -> int:
@@ -194,8 +194,8 @@ def pdp_exponential(num_taps: int, decay: float) -> np.ndarray:
     """Exponentially decaying tap powers, normalized to unit total power."""
     if num_taps < 1:
         raise ValueError("num_taps must be >= 1")
-    if not decay > 0:
-        raise ValueError("decay must be positive")
+    if not 0.0 < decay < math.inf:
+        raise ValueError("decay must be positive and finite")
     l = np.arange(num_taps)
     scale = -math.expm1(-1.0 / decay) / (-math.expm1(-num_taps / decay))
     return scale * np.exp(-l / decay)

@@ -29,6 +29,7 @@ import csv
 import dataclasses
 import datetime
 import json
+import math
 import os
 import sys as _sys
 import traceback
@@ -88,11 +89,20 @@ _REQUIRED = object()
 
 
 def _config_value(cfg: dict, key: str, kind, default=_REQUIRED):
-    """``kind(cfg[key])``; a missing or mistyped key raises ``ValueError``."""
+    """``kind(cfg[key])``; a missing or mistyped key raises ``ValueError``.
+
+    A bool is not a number here, and an int key takes a float only when it
+    is integral (``1e5``), so no value is silently truncated.
+    """
     if key not in cfg and default is _REQUIRED:
         raise ValueError(f"config key {key!r} is missing")
+    value = cfg.get(key, default)
     try:
-        return kind(cfg.get(key, default))
+        if isinstance(value, bool) and kind in (int, float):
+            raise TypeError(f"expected a number, got {value!r}")
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"expected an integer, got {value!r}")
+        return kind(value)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"config key {key!r}: {exc}") from None
 
@@ -105,11 +115,15 @@ def system_from_config(cfg: dict) -> SystemConfig:
         Cluster(subband_size=_config_value(c, "eta", int), num_users=_config_value(c, "users", int))
         for c in raw
     )
+    try:
+        snr = 10.0 ** (_config_value(cfg, "snr_db", float) / 10.0)
+    except OverflowError:  # past ~3083 dB; SystemConfig rejects the inf
+        snr = math.inf
     return SystemConfig(
         num_rbs=_config_value(cfg, "n_rbs", int),
         clusters=clusters,
         best_m=_config_value(cfg, "best_m", int),
-        snr=10.0 ** (_config_value(cfg, "snr_db", float) / 10.0),
+        snr=snr,
     )
 
 

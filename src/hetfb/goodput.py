@@ -60,8 +60,8 @@ class StrategyParams:
     def __post_init__(self) -> None:
         if (self.beta0 is None) == (self.beta1 is None):
             raise ValueError("set exactly one of beta0/beta1")
-        if self.beta0 is not None and self.beta0 < 0:
-            raise ValueError("beta0 must be nonnegative")
+        if self.beta0 is not None and not 0.0 <= self.beta0 < math.inf:
+            raise ValueError("beta0 must be finite and nonnegative")
         if self.beta1 is not None and not 0.0 <= self.beta1 <= 1.0:
             raise ValueError("beta1 must lie in [0, 1]")
 
@@ -223,8 +223,8 @@ def fixed_rate_metrics(
     is scheduled and its transmission fails (blocks nobody reported are
     excluded from the outage event, not renormalized).
     """
-    if beta0 < 0:
-        raise ValueError("beta0 must be nonnegative")
+    if not 0.0 <= beta0 < math.inf:
+        raise ValueError("beta0 must be finite and nonnegative")
     rho = sys.snr
     rate = math.log2(1.0 + rho * beta0)
     if beta0 == 0.0:

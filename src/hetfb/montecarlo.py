@@ -560,8 +560,7 @@ def _run_homogeneous(sys: SystemConfig, eta_fb: int, trials: int, seed) -> Estim
 
     def chunk(seq, t):
         rates = []
-        # the draw streams of the subband kernel (its noise streams come after)
-        draws = [np.random.default_rng(s) for s in _substreams(seq, sys.num_clusters)]
+        draws = _cluster_streams(seq, sys.num_clusters)[0]
         # block-grid rates (the CQI draws, in place), feedback CQIs and the
         # selector's tie pass over them
         for r in _row_blocks(t, 8 * 5 * users * n):

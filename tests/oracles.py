@@ -12,6 +12,8 @@
 * The paper's per-feedback-set expansion of a partial-feedback metric,
   summed exactly over the rational selection coefficients, the reference
   for the library's mixture-CDF route.
+* The reported-CQI law as the average of the top order statistics, the
+  reference for the library's two-term incomplete-beta form.
 * Closed forms only the tests evaluate: the float expansion coefficients
   and the CDF of the reported CQI, the subcarrier correlation of the
   correlated model, the conditional density of the actual CQI given its
@@ -26,7 +28,7 @@ from typing import Callable
 
 import mpmath as mp
 import numpy as np
-from scipy.special import exp1, i0
+from scipy.special import betainc, exp1, gammaln, i0
 
 from hetfb._quad import quad_checked
 from hetfb.analytic import ReportedCqiLaw, _xi_exact, feedback_set_pmf, selection_coefficients
@@ -197,6 +199,24 @@ def xi_coefficients(sys: SystemConfig, g: int) -> np.ndarray:
     return np.array(
         [float(x) for x in _xi_exact(sys.num_subbands(g), cluster_feedback_quota(sys, g))]
     )
+
+
+def reported_cqi_order_stats(n: int, q: int, scale: float, x) -> tuple[np.ndarray, np.ndarray]:
+    """(sf, pdf) at x > 0 of the reported CQI as the average of the top ``q`` order statistics.
+
+    The reported value is one of the ``q`` largest of ``n`` i.i.d.
+    exponential CQIs with mean ``scale``, uniformly, so its law averages
+    theirs: the j-th smallest of n exceeds x with probability
+    I_S(n-j+1, j), S the base survival, and has density
+    j C(n, j) F^(j-1) S^(n-j+1) / scale, F = 1 - S.
+    """
+    j = np.arange(n - q + 1, n + 1)
+    log_c = gammaln(n + 1) - gammaln(j) - gammaln(n - j + 1)  # log of j C(n, j)
+    log_s = (-np.asarray(x, dtype=float) / scale)[..., None]
+    sf = betainc(n - j + 1, j, np.exp(log_s)).mean(axis=-1)
+    log_f = np.log(-np.expm1(log_s))
+    pdf = np.exp(log_c + (j - 1) * log_f + (n - j + 1) * log_s).mean(axis=-1) / scale
+    return sf, pdf
 
 
 def reported_cqi_cdf(x, sys: SystemConfig, g: int):

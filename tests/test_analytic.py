@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -24,7 +25,13 @@ from hetfb.analytic import (
 )
 from hetfb.channel import Cluster, SystemConfig
 from tests.conftest import two_cluster_system
-from tests.oracles import i1_mp, metric_over_sets, reported_cqi_cdf, xi_coefficients
+from tests.oracles import (
+    i1_mp,
+    metric_over_sets,
+    reported_cqi_cdf,
+    reported_cqi_order_stats,
+    xi_coefficients,
+)
 from tests.perdraw import gen_subband_fading, schedule, subband_reports
 
 I1_AT_1_1 = 0.860347382270886  # e * E1(1) / ln 2, cross-checked by quadrature
@@ -124,6 +131,53 @@ class TestReportedCdf:
         assert abs(val - 1.0) < 1e-9
         val_half = integrate.quad(law.pdf, 0.0, 1.3, limit=200)[0]
         assert abs(val_half - law.cdf(1.3)) < 1e-9
+
+
+def _reported_law_mp(n: int, q: int, scale: float, x: float) -> tuple[float, float]:
+    """(sf, pdf) of the reported CQI, summed term by term in 50-digit arithmetic."""
+    with mp.workdps(50):
+        t = mp.mpf(x) / scale
+        s, f = mp.exp(-t), -mp.expm1(-t)
+        pmf = [mp.binomial(n, k) * s**k * f ** (n - k) for k in range(n + 1)]
+        # the j-th largest CQI exceeds x when at least j of them do
+        sf = mp.fsum(mp.fsum(pmf[j:]) for j in range(1, q + 1)) / q
+        pdf = mp.fsum(
+            j * mp.binomial(n, j) * f ** (j - 1) * s ** (n - j + 1) for j in range(n - q + 1, n + 1)
+        )
+        return float(sf), float(pdf / (q * scale))
+
+
+class TestReportedLawClosedForm:
+    @pytest.mark.parametrize("scale", [1.0, 0.99, 3e-4])
+    @pytest.mark.parametrize(
+        "n,q", [(4, 2), (8, 8), (16, 1), (16, 4), (64, 4), (64, 16), (64, 63), (128, 40), (1024, 256)]
+    )
+    def test_matches_order_statistics_and_mpmath(self, n, q, scale):
+        law = ReportedCqiLaw(n, q, scale)
+        xs = scale * np.array([1e-3, 0.05, 0.3, 1.0, 2.0, math.log(n), math.log(n) + 3, 10.0, 30.0])
+        sf, pdf = law.sf(xs), law.pdf(xs)
+        ref_sf, ref_pdf = reported_cqi_order_stats(n, q, scale, xs)
+        np.testing.assert_allclose(sf, ref_sf, rtol=1e-14, atol=0)
+        # the oracle's log-binomial weights carry ~1e-12 relative error at n = 1024
+        np.testing.assert_allclose(pdf, ref_pdf, rtol=1e-11, atol=0)
+        np.testing.assert_allclose(law.cdf(xs), 1.0 - ref_sf, rtol=0, atol=1e-14)
+        if n <= 128:
+            exact = np.array([_reported_law_mp(n, q, scale, x) for x in xs])
+            np.testing.assert_allclose(sf, exact[:, 0], rtol=1e-14, atol=0)
+            np.testing.assert_allclose(pdf, exact[:, 1], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("scale", [1.0, 3e-4])
+    def test_full_quota_is_the_base_exponential(self, scale):
+        law = ReportedCqiLaw(8, 8, scale)
+        for x in (1e-300, 1e-17, 0.5):
+            assert law.sf(x) == math.exp(-x / scale)
+            assert law.pdf(x) == math.exp(-x / scale) / scale
+
+    def test_limits(self):
+        law = ReportedCqiLaw(16, 4, 0.5)
+        assert law.sf(0.0) == 1.0 and law.sf(-1.0) == 1.0
+        assert law.pdf(0.0) == 0.0 and law.pdf(-1.0) == 0.0
+        assert law.cdf(0.0) == 0.0
 
 
 class TestSelectionCoefficients:

@@ -194,6 +194,40 @@ class TestValidationFailures:
         assert err["error"]["type"] == "validation"
 
 
+    @pytest.mark.parametrize(
+        "command,overrides",
+        [
+            ("simulate", ["snr_db=inf"]),
+            ("simulate", ["snr_db=1e400"]),
+            ("simulate", ["snr_db=4000"]),  # 10^400 overflows a float
+            ("analytic", ["snr_db=Infinity"]),
+            ("simulate", ["est_err_var=0.01", "alpha=0.98", "beta0=NaN"]),
+            ("simulate", ["est_err_var=0.01", "alpha=0.98", "beta0=Infinity"]),
+            ("simulate", ["model=correlated", "num_subcarriers=64", "num_taps=4",
+                          "pdp_decay=Infinity"]),
+            ("simulate", ["best_m=2.7"]),
+            ("simulate", ["best_m=true"]),
+            ("simulate", ['clusters=[{"eta": 1, "users": 2.5}]']),
+            ("simulate", ["trials=1e400"]),
+            ("simulate", ["snr_db=false"]),
+        ],
+    )
+    def test_non_finite_and_non_integral_values_exit_2(self, tmp_path, command, overrides, capsys):
+        out = tmp_path / "out"
+        argv = [command, "--config", write_config(tmp_path, BASE), "--out", str(out)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert run(argv) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "validation"
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_integral_float_counts(self, tmp_path):
+        cfg = write_config(tmp_path, BASE)
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path), "--set", "trials=2e3"]) == 0
+        assert read_csv(tmp_path / "simulate.csv")[0]["trials"] == "2000"
+
+
 class TestOutputFailures:
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         blocker = tmp_path / "file"
