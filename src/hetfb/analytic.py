@@ -22,7 +22,9 @@ The order-statistic moment integrals (I1 here, I2, I4 and the I3 bound in
 signed mixture of b exponentials.  Each passes one helper,
 ``_order_moment``, its integrand and that integrand's closed-form
 expectation over one exponential; the helper sums the mixture up to order
-20 and integrates the integrand by quadrature (``_order_expect``) beyond.
+20 (``_order_mixture``) and integrates the integrand by quadrature
+(``_order_expect``) beyond.  I2, which the optimizers evaluate over whole
+grids, calls those two routes itself: the mixture sum takes arrays.
 """
 
 from __future__ import annotations
@@ -261,14 +263,21 @@ class ReportedCqiLaw:
     def cdf(self, x):
         return 1.0 - self.sf(x)
 
+    def _sf(self, s: np.ndarray, within: np.ndarray) -> np.ndarray:
+        n, q = self.num_subbands, self.quota
+        return within + betainc(q + 1, n - q, s) if q < n else within
+
     def sf(self, x):
         _, s, within = self._within_quota(x)
-        n, q = self.num_subbands, self.quota
-        return (within + betainc(q + 1, n - q, s) if q < n else within)[()]
+        return self._sf(s, within)[()]
 
     def pdf(self, x):
-        x, _, within = self._within_quota(x)
-        return np.where(x <= 0, 0.0, within / self.scale)[()]
+        return self.sf_pdf(x)[1]
+
+    def sf_pdf(self, x):
+        """(sf, pdf) at x, sharing one evaluation of the I_F(n-q, q) term."""
+        x, s, within = self._within_quota(x)
+        return self._sf(s, within)[()], np.where(x <= 0, 0.0, within / self.scale)[()]
 
 
 class ScheduledCqiMixture:
@@ -307,12 +316,13 @@ class ScheduledCqiMixture:
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        terms = self._log_terms(x)
+        laws = [law.sf_pdf(x) for law in self.laws]
+        terms = [np.log1p(-self.p * sf) for sf, _ in laws]
         log_w = sum(k * q for k, q in zip(self.counts, terms))
         total = np.zeros(x.shape)
-        for k, law, q in zip(self.counts, self.laws, terms):
+        for k, (_, pdf), q in zip(self.counts, laws, terms):
             if k:
-                total += k * self.p * law.pdf(x) * np.exp(log_w - q)
+                total += k * self.p * pdf * np.exp(log_w - q)
         return np.where(x <= 0, 0.0, total)[()]
 
     @property
@@ -380,10 +390,22 @@ def _order_moment(
         raise ValueError("b must be a positive integer")
     if b > _B_FLOAT_MAX:
         return _order_expect(func, b, scale)
+    return float(_order_mixture(closed_form, b, scale))
+
+
+def _order_mixture(closed_form: Callable[[np.ndarray], np.ndarray], b: int, scale) -> np.ndarray:
+    """The signed mixture sum of ``_order_moment`` at each element of ``scale``.
+
+    ``closed_form`` gets the means with the order l along a trailing axis,
+    ``scale[..., None] / (l + 1)``, and broadcasts its own parameters
+    against them; the result has the broadcast shape without that axis.
+    """
     order = np.arange(1, b + 1)
+    terms = _signed_binomials(b) / order * closed_form(np.asarray(scale)[..., None] / order)
     # the alternating sum amplifies any rounding of the closed form by the
-    # binomial-to-result ratio, so it is summed exactly rounded
-    return b * math.fsum(_signed_binomials(b) / order * closed_form(scale / order))
+    # binomial-to-result ratio, so each element is summed exactly rounded
+    sums = [math.fsum(row.tolist()) for row in terms.reshape(-1, b)]
+    return b * np.array(sums).reshape(terms.shape[:-1])
 
 
 def i1(a: float, b: int) -> float:

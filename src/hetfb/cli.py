@@ -184,7 +184,10 @@ def _user_grid_systems(system: SystemConfig, users_grid: str) -> list[tuple[int,
     """(k, ``system`` with k users split in its cluster proportions) per grid point."""
     fractions = [c.num_users / system.num_users for c in system.clusters]
     out = []
-    for k in (int(u) for u in parse_grid(users_grid)):
+    for u in parse_grid(users_grid):
+        if not u.is_integer():
+            raise ValueError(f"--users-grid: expected integer user counts, got {u!r}")
+        k = int(u)
         sizes = split_users(k, fractions)
         clusters = tuple(Cluster(c.subband_size, n) for c, n in zip(system.clusters, sizes))
         out.append((k, dataclasses.replace(system, clusters=clusters)))
@@ -285,15 +288,15 @@ def _min_m_rows(systems, gammas) -> list[dict]:
 
 def _optimize_rows(system, sw2_grid, alpha_grid) -> list[dict]:
     """Optimal beta0 and beta1, with their goodputs, over an impairment grid."""
-    rows = []
-    for sw2 in sw2_grid:
-        for alpha in alpha_grid:
-            imp = ImpairmentParams(est_error_var=sw2, delay_corr=alpha)
-            b0, r0 = goodput.optimize_beta0(system, imp)
-            b1, r1 = goodput.optimize_beta1(system, imp)
-            rows.append({"est_err_var": sw2, "alpha": alpha, "beta0_opt": b0, "r0_opt": r0,
-                         "beta1_opt": b1, "r1_approx_opt": r1})
-    return rows
+    cells = [ImpairmentParams(est_error_var=sw2, delay_corr=alpha)
+             for sw2 in sw2_grid for alpha in alpha_grid]
+    b0, r0 = (v.tolist() for v in goodput.optimize_beta0_grid(system, cells))
+    b1, r1 = (v.tolist() for v in goodput.optimize_beta1_grid(system, cells))
+    return [
+        {"est_err_var": imp.est_error_var, "alpha": imp.delay_corr, "beta0_opt": b0[i],
+         "r0_opt": r0[i], "beta1_opt": b1[i], "r1_approx_opt": r1[i]}
+        for i, imp in enumerate(cells)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,13 @@ variable-rate strategies, the mean-value (Jensen) and low-SNR bounds for
 the variable-rate integral, and the optimization of the rate-adaptation
 parameters beta0 / beta1.
 
-The moment integrals I2, I4 and the I3 bound over the scheduled estimated
-CQI go through ``analytic._order_moment``, as I1 does: each gives its
-integrand and the integrand's closed-form expectation over one exponential,
-and the helper picks the mixture sum or quadrature by order.  Near perfect
+The moment integrals I4 and the I3 bound over the scheduled estimated CQI
+go through ``analytic._order_moment``, as I1 does: each gives its integrand
+and the integrand's closed-form expectation over one exponential, and the
+helper picks the mixture sum or quadrature by order.  I2 takes the same two
+routes over arrays: its threshold and the impairments broadcast, the
+mixture sum (``analytic._order_mixture``) covers every element in one call,
+and beyond order 20 each element gets its own quadrature.  Near perfect
 feedback the Marcum-Q arguments grow like 1/sqrt(est_error_var);
 ``marcum_q1`` switches to Gauss-Hermite quadrature there, so both stay
 cheap and finite.  Full feedback uses these order-statistic integrals directly;
@@ -16,18 +19,34 @@ partial-feedback metrics integrate the same conditional success and rate
 against the scheduled estimated-CQI mixture, the one route of
 ``analytic``.  Every quadrature integrand is array-valued: the Marcum-Q
 factor is evaluated on all nodes of a refinement level at once.
+
+The optimizers search a whole list of impairment cells in lockstep
+(``optimize_beta0_grid``, ``optimize_beta1_grid``): one array call of
+``i2`` or ``i3_jensen`` evaluates the bracketing grid of a block of cells,
+then each golden-section step evaluates one point for every cell still
+searching, each cell making its own comparisons and stopping at its own
+tolerance.  ``optimize_beta0`` and ``optimize_beta1`` run the same search
+on a single cell.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 # quad_checked stays bound here: perfbench/selftest.py checks its tracing in this module
 from ._quad import QuadratureError, quad_checked  # noqa: F401
-from .analytic import ScheduledCqiMixture, _order_expect, _order_moment, coverage_prob
+from .analytic import (
+    _B_FLOAT_MAX,
+    ScheduledCqiMixture,
+    _order_expect,
+    _order_mixture,
+    _order_moment,
+    coverage_prob,
+)
 from .channel import ImpairmentParams, SystemConfig
 from .specfun import gauss_2f1, marcum_q1
 
@@ -44,6 +63,8 @@ __all__ = [
     "variable_rate_metrics",
     "optimize_beta0",
     "optimize_beta1",
+    "optimize_beta0_grid",
+    "optimize_beta1_grid",
 ]
 
 _LN2 = math.log(2.0)
@@ -71,38 +92,50 @@ class StrategyParams:
 # ---------------------------------------------------------------------------
 
 
-def i2(a: float, b: int, imp: ImpairmentParams) -> float:
+def i2(a, b: int, imp):
     """E[Q1(varpi*sqrt(X), alpha_w*sqrt(a))] for X the max of b estimates.
 
     Success probability of the fixed-rate strategy against threshold
     ``a`` when the scheduled estimate is the largest of ``b`` i.i.d.
-    estimated CQIs.
+    estimated CQIs.  ``a`` and the ``alpha_w``, ``delay_corr`` and
+    ``estimate_var`` of ``imp`` broadcast, so one call serves an array of
+    thresholds over the impairment cells of an optimizer's column arrays;
+    a scalar threshold and one ``ImpairmentParams`` give a scalar.
     """
-    if a < 0:
+    a = np.asarray(a, dtype=float)
+    if np.any(a < 0):
         raise ValueError("threshold must be nonnegative")
-    if a == 0:
-        return 1.0
-    varpi, vartheta = _marcum_args(a, imp)
-    w2, t2 = varpi**2, vartheta**2
+    b = int(b)
+    if b < 1:
+        raise ValueError("b must be a positive integer")
+    varpi, vartheta, scale = np.broadcast_arrays(*_marcum_args(a, imp), imp.estimate_var)
+    val = np.ones(varpi.shape)
+    pos = vartheta > 0  # a > 0, as alpha_w >= sqrt(2)
+    varpi, vartheta, scale = varpi[pos], vartheta[pos], scale[pos]
+    if b > _B_FLOAT_MAX:
+        val[pos] = [
+            _order_expect(_threshold_q1(w, t), b, v) for w, t, v in zip(varpi, vartheta, scale)
+        ]
+    else:
+        w2, t2 = (varpi**2)[:, None], (vartheta**2)[:, None]
 
-    def closed_form(mean: np.ndarray) -> np.ndarray:
-        z = 2.0 / mean
-        c = w2 + z
-        return math.exp(-0.5 * t2) + np.exp(-0.5 * z * t2 / c) * -np.expm1(-0.5 * w2 * t2 / c)
+        def closed_form(mean: np.ndarray) -> np.ndarray:
+            z = 2.0 / mean
+            c = w2 + z
+            return np.exp(-0.5 * t2) + np.exp(-0.5 * z * t2 / c) * -np.expm1(-0.5 * w2 * t2 / c)
 
-    val = _order_moment(closed_form, _threshold_q1(a, imp), b, imp.estimate_var)
-    return min(max(val, 0.0), 1.0)
+        val[pos] = _order_mixture(closed_form, b, scale)
+    return np.clip(val, 0.0, 1.0)[()]
 
 
-def _marcum_args(a: float, imp: ImpairmentParams) -> tuple[float, float]:
+def _marcum_args(a, imp):
     """(varpi, vartheta) = alpha_w * (alpha, sqrt(a)): the Q1 arguments at unit CQI."""
-    return imp.alpha_w * imp.delay_corr, imp.alpha_w * math.sqrt(a)
+    return imp.alpha_w * imp.delay_corr, imp.alpha_w * np.sqrt(a)
 
 
-def _threshold_q1(a: float, imp: ImpairmentParams):
-    """x -> Q1(varpi*sqrt(x), alpha_w*sqrt(a)), the fixed-rate success given estimate x."""
-    varpi, vth = _marcum_args(a, imp)
-    return lambda x: marcum_q1(varpi * np.sqrt(x), vth)
+def _threshold_q1(varpi, vartheta):
+    """x -> Q1(varpi*sqrt(x), vartheta), the fixed-rate success given estimate x."""
+    return lambda x: marcum_q1(varpi * np.sqrt(x), vartheta)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +161,7 @@ def i4(a: float, b: int, imp: ImpairmentParams) -> float:
     return min(max(val, 0.0), 1.0)
 
 
-def _backoff_q1(a: float, imp: ImpairmentParams):
+def _backoff_q1(a, imp):
     """x -> Q1(varpi*sqrt(x), alpha_w*sqrt(a x)), the backoff success given estimate x."""
     varpi = imp.alpha_w * imp.delay_corr
     aw = imp.alpha_w
@@ -193,20 +226,24 @@ def _i3_ub_bracket(w2, t2, z, phi, f1, f2, f3, f4):
     )
 
 
-def jensen_mean(b: int, imp: ImpairmentParams) -> float:
-    """Mean of the largest of b estimated CQIs: (1-sigma_w^2) * H_b."""
+def jensen_mean(b: int, imp):
+    """Mean of the largest of b estimated CQIs: (1-sigma_w^2) * H_b, per cell of a grid."""
     b = int(b)
     if b < 1:
         raise ValueError("b must be a positive integer")
     return imp.estimate_var * math.fsum(1.0 / j for j in range(1, b + 1))
 
 
-def i3_jensen(a: float, b: int, imp: ImpairmentParams, snr: float) -> float:
-    """Mean-value approximation of the variable-rate goodput integral."""
-    if not 0.0 <= a <= 1.0:
+def i3_jensen(a, b: int, imp, snr: float):
+    """Mean-value approximation of the variable-rate goodput integral.
+
+    ``a`` and ``imp`` broadcast as in ``i2``.
+    """
+    a = np.asarray(a, dtype=float)
+    if not np.all((0.0 <= a) & (a <= 1.0)):
         raise ValueError("backoff must lie in [0, 1]")
     mean = jensen_mean(b, imp)
-    return _backoff_q1(a, imp)(mean) * math.log2(1.0 + snr * a * mean)
+    return (_backoff_q1(a, imp)(mean) * np.log2(1.0 + snr * a * mean))[()]
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +270,7 @@ def fixed_rate_metrics(
         success = i2(beta0, sys.num_users, imp)
         return rate * success, 1.0 - success
     mix = ScheduledCqiMixture(sys, scale=imp.estimate_var)
-    success = mix.expect(_threshold_q1(beta0, imp))
+    success = mix.expect(_threshold_q1(*_marcum_args(beta0, imp)))
     return rate * success, coverage_prob(sys) - success
 
 
@@ -261,64 +298,146 @@ def variable_rate_metrics(
 # ---------------------------------------------------------------------------
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+@dataclass(frozen=True)
+class _ImpairmentGrid:
+    """The impairment attributes the optimizer objectives read, as column arrays.
+
+    Row i holds cell i of a list of ``ImpairmentParams``, so the columns
+    broadcast against a (cells, points) array of rate parameters.
+    """
+
+    alpha_w: np.ndarray
+    delay_corr: np.ndarray
+    estimate_var: np.ndarray
+
+    @classmethod
+    def of(cls, imps: Sequence[ImpairmentParams]) -> "_ImpairmentGrid":
+        return cls(*(
+            np.array([getattr(imp, name) for imp in imps], dtype=float)[:, None]
+            for name in ("alpha_w", "delay_corr", "estimate_var")
+        ))
+
+    def __getitem__(self, rows) -> "_ImpairmentGrid":
+        return _ImpairmentGrid(self.alpha_w[rows], self.delay_corr[rows], self.estimate_var[rows])
+
+
+# Rows of cells per objective call: the mixture sums of ``i2`` hold several
+# (cells, points, order <= _B_FLOAT_MAX) arrays of terms at once, each kept
+# within this size so that a grid search adds little to the peak memory.
+_BLOCK_BYTES = 64 * 1024
+
+
+def _blockwise(f, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """f(x, rows) for the (cells, points) array ``x``, evaluated in blocks of cells.
+
+    An empty ``x`` makes one empty call, so an empty grid gives empty results.
+    """
+    step = max(1, _BLOCK_BYTES // (8 * _B_FLOAT_MAX * x.shape[1]))
+    blocks = range(0, max(len(x), 1), step)
+    return np.concatenate([f(x[i : i + step], rows[i : i + step]) for i in blocks])
+
+
+def _golden_max(f, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray):
+    """Golden-section maxima of f on each cell's [lo, hi], in lockstep.
+
+    Each cell makes its own comparisons and stops once its bracket is
+    ``tol`` wide; every step evaluates f once, at the cells still active.
+    Returns the midpoints of the final brackets and f there.
+    """
+    lo, hi = lo.copy(), hi.copy()
     c = hi - _INV_GOLDEN * (hi - lo)
     d = lo + _INV_GOLDEN * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > tol:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_GOLDEN * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_GOLDEN * (hi - lo)
-            fd = f(d)
+    cells = np.arange(lo.size)
+    fc, fd = _blockwise(f, np.stack([c, d], axis=1), cells).T.copy()
+    rows = cells[hi - lo > tol]
+    while rows.size:
+        left = fc[rows] >= fd[rows]
+        l, r = rows[left], rows[~left]
+        hi[l], d[l], fd[l] = d[l], c[l], fc[l]
+        c[l] = hi[l] - _INV_GOLDEN * (hi[l] - lo[l])
+        lo[r], c[r], fc[r] = c[r], d[r], fd[r]
+        d[r] = lo[r] + _INV_GOLDEN * (hi[r] - lo[r])
+        fx = _blockwise(f, np.where(left, c[rows], d[rows])[:, None], rows)[:, 0]
+        fc[l], fd[r] = fx[left], fx[~left]
+        rows = rows[hi[rows] - lo[rows] > tol[rows]]
     x = 0.5 * (lo + hi)
-    return x, f(x)
+    return x, _blockwise(f, x[:, None], cells)[:, 0]
 
 
-def _grid_bracket(f, hi: float, n: int) -> tuple[float, float]:
-    """The grid neighbours of the best of ``n`` points on [0, hi], clipped to the grid."""
-    xs = np.linspace(0.0, hi, n)
-    idx = int(np.argmax([f(x) for x in xs]))
-    return xs[max(idx - 1, 0)], xs[min(idx + 1, n - 1)]
+def _bracket(xs: np.ndarray, fx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the neighbours of the first maximum of fx among the points xs, clipped."""
+    n = xs.shape[1]
+    idx = np.argmax(fx, axis=1)
+    rows = np.arange(len(xs))
+    return xs[rows, np.maximum(idx - 1, 0)], xs[rows, np.minimum(idx + 1, n - 1)]
 
 
-def optimize_beta1(sys: SystemConfig, imp: ImpairmentParams) -> tuple[float, float]:
-    """Backoff maximizing the full-feedback mean-value goodput at ``sys.snr``.
+def optimize_beta1_grid(sys: SystemConfig, imps: Sequence[ImpairmentParams]):
+    """Backoffs maximizing the full-feedback mean-value goodput at each impairment cell.
 
-    Optimizes over [0, 1] by a coarse grid bracket, then golden-section
-    search.  Returns (beta1*, goodput approximation at the optimum).  The
+    Optimizes over [0, 1] by a 41-point grid bracket, then golden-section
+    search to 1e-6, all cells in lockstep.  Returns arrays (beta1*,
+    goodput approximation at the optimum), one entry per cell.  The
     matched feedback amount M* does not depend on the impairments: callers
     take it once per system from ``minimum_best_m(sys, gamma).exact``.
     """
     k, snr = sys.num_users, sys.snr
+    grid = _ImpairmentGrid.of(imps)
 
-    def f(b1: float) -> float:
-        return i3_jensen(b1, k, imp, snr)
+    def f(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return i3_jensen(x, k, grid[rows], snr)
 
-    lo, hi = _grid_bracket(f, 1.0, 41)
-    return _golden_max(f, lo, hi, 1e-6)
+    xs = np.tile(np.linspace(0.0, 1.0, 41), (len(imps), 1))
+    lo, hi = _bracket(xs, _blockwise(f, xs, np.arange(len(imps))))
+    return _golden_max(f, lo, hi, np.full(len(imps), 1e-6))
+
+
+def optimize_beta0_grid(sys: SystemConfig, imps: Sequence[ImpairmentParams]):
+    """Thresholds maximizing the full-feedback fixed-rate goodput at each impairment cell.
+
+    Each cell's domain starts at (1-sigma_w^2)*(ln K + 6), where the max
+    of K estimates concentrates, and a 65-point grid brackets the optimum
+    because unimodality is not guaranteed.  While a cell's best point seen
+    has the domain's end as its right neighbour, the domain grows by 1.6x
+    and only the new interval is gridded, with 24 points that fall on the
+    65-point grid of the grown domain; the bracket is the best point's
+    neighbours among all points evaluated.  Golden-section search then runs
+    to 1e-6 * max(hi, 1), hi the cell's final domain, all cells in lockstep.
+    Returns arrays (beta0*, goodput at the optimum), one entry per cell.
+    """
+    k, snr = sys.num_users, sys.snr
+    grid = _ImpairmentGrid.of(imps)
+
+    def f(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return np.log2(1.0 + snr * x) * i2(x, k, grid[rows])
+
+    hi = grid.estimate_var[:, 0] * (math.log(k) + 6.0)
+    rows = np.arange(len(imps))
+    lo_b, hi_b = np.empty_like(hi), np.empty_like(hi)
+    xs = np.linspace(0.0, hi, 65, axis=1)
+    fx = _blockwise(f, xs, rows)
+    for grids in range(1, 41):
+        lo_b[rows], hi_b[rows] = _bracket(xs, fx)
+        grow = hi_b[rows] == hi[rows]
+        if grids == 40 or not grow.any():
+            break
+        # the best point is one of the last two, so the last three points
+        # hold its bracket on the grown domain
+        rows, xs, fx = rows[grow], xs[grow, -3:], fx[grow, -3:]
+        new = np.linspace(hi[rows], 1.6 * hi[rows], 25, axis=1)[:, 1:]
+        hi[rows] = new[:, -1]
+        xs = np.concatenate([xs, new], axis=1)
+        fx = np.concatenate([fx, _blockwise(f, new, rows)], axis=1)
+    return _golden_max(f, lo_b, hi_b, 1e-6 * np.maximum(hi, 1.0))
+
+
+def optimize_beta1(sys: SystemConfig, imp: ImpairmentParams) -> tuple[float, float]:
+    """``optimize_beta1_grid`` at one impairment cell: (beta1*, goodput approximation)."""
+    b1, r1 = optimize_beta1_grid(sys, [imp])
+    return float(b1[0]), float(r1[0])
 
 
 def optimize_beta0(sys: SystemConfig, imp: ImpairmentParams) -> tuple[float, float]:
-    """Threshold maximizing the full-feedback fixed-rate goodput at ``sys.snr``.
-
-    The search domain starts at (1-sigma_w^2)*(ln K + 6), where the max
-    of K estimates concentrates, and extends geometrically while the
-    maximizer sits at the boundary; a coarse grid brackets the optimum
-    before golden-section search because unimodality is not guaranteed.
-    """
-    k, snr = sys.num_users, sys.snr
-
-    def f(b0: float) -> float:
-        return math.log2(1.0 + snr * b0) * i2(b0, k, imp)
-
-    hi = imp.estimate_var * (math.log(k) + 6.0)
-    for _ in range(40):
-        lo, hi_b = _grid_bracket(f, hi, 65)
-        if hi_b < hi:  # the bracket lies inside the domain
-            break
-        hi *= 1.6
-    return _golden_max(f, lo, hi_b, 1e-6 * max(hi, 1.0))
+    """``optimize_beta0_grid`` at one impairment cell: (beta0*, goodput)."""
+    b0, r0 = optimize_beta0_grid(sys, [imp])
+    return float(b0[0]), float(r0[0])

@@ -14,6 +14,10 @@
   for the library's mixture-CDF route.
 * The reported-CQI law as the average of the top order statistics, the
   reference for the library's two-term incomplete-beta form.
+* The scalar beta0 / beta1 searches, one impairment cell and one
+  objective call at a time, with the beta0 domain extension that grids
+  the whole grown domain again: the reference for the lockstep grid
+  optimizers.
 * Closed forms only the tests evaluate: the float expansion coefficients
   and the CDF of the reported CQI, the subcarrier correlation of the
   correlated model, the conditional density of the actual CQI given its
@@ -30,6 +34,7 @@ import mpmath as mp
 import numpy as np
 from scipy.special import betainc, exp1, gammaln, i0
 
+from hetfb import goodput
 from hetfb._quad import quad_checked
 from hetfb.analytic import ReportedCqiLaw, _xi_exact, feedback_set_pmf, selection_coefficients
 from hetfb.channel import ImpairmentParams, SystemConfig, cluster_feedback_quota
@@ -260,3 +265,62 @@ def bessel_i0(x):
     if np.any(x < 0):
         raise ValueError(f"bessel_i0 requires x >= 0, got {x!r}")
     return i0(x)[()]
+
+
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Golden-section maximum of the scalar ``f`` on [lo, hi], to a bracket ``tol`` wide."""
+    c = hi - _INV_GOLDEN * (hi - lo)
+    d = lo + _INV_GOLDEN * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > tol:
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INV_GOLDEN * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INV_GOLDEN * (hi - lo)
+            fd = f(d)
+    x = 0.5 * (lo + hi)
+    return x, f(x)
+
+
+def grid_bracket(f, hi: float, n: int) -> tuple[float, float]:
+    """The grid neighbours of the best of ``n`` points on [0, hi], clipped to the grid."""
+    xs = np.linspace(0.0, hi, n)
+    idx = int(np.argmax([f(x) for x in xs]))
+    return xs[max(idx - 1, 0)], xs[min(idx + 1, n - 1)]
+
+
+def optimize_beta1_scalar(sys: SystemConfig, imp: ImpairmentParams) -> tuple[float, float]:
+    """beta1* and the mean-value goodput there, one ``i3_jensen`` call per point."""
+    k, snr = sys.num_users, sys.snr
+
+    def f(b1: float) -> float:
+        return goodput.i3_jensen(b1, k, imp, snr)
+
+    lo, hi = grid_bracket(f, 1.0, 41)
+    return golden_max(f, lo, hi, 1e-6)
+
+
+def optimize_beta0_scalar(sys: SystemConfig, imp: ImpairmentParams) -> tuple[float, float]:
+    """beta0* and the goodput there; each domain extension grids [0, hi] again.
+
+    The rate factor uses numpy's log2, as the library does, so that both
+    searches compare the same objective values.
+    """
+    k, snr = sys.num_users, sys.snr
+
+    def f(b0: float) -> float:
+        return np.log2(1.0 + snr * b0) * goodput.i2(b0, k, imp)
+
+    hi = imp.estimate_var * (math.log(k) + 6.0)
+    for _ in range(40):
+        lo, hi_b = grid_bracket(f, hi, 65)
+        if hi_b < hi:  # the bracket lies inside the domain
+            break
+        hi *= 1.6
+    return golden_max(f, lo, hi_b, 1e-6 * max(hi, 1.0))

@@ -10,6 +10,7 @@ import pytest
 
 import hetfb.montecarlo as mc
 from hetfb import analytic, cli
+from hetfb.channel import ImpairmentParams
 from hetfb.cli import emit, load_config, parse_grid, run, split_users
 from hetfb.montecarlo import CHUNK_TRIALS, CrossValidationEntry, CrossValidationReport
 from hetfb.specfun import ConvergenceError
@@ -221,6 +222,35 @@ class TestValidationFailures:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"]["type"] == "validation"
         assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["min-m", "--users-grid", "5.5"],
+            ["analytic", "--users-grid", "5.5,7.9"],
+            ["analytic", "--users-grid", "5,inf"],
+            ["min-m", "--users-grid", "nan"],
+        ],
+    )
+    def test_non_integral_users_grid_exits_2(self, tmp_path, argv, capsys):
+        assert run(argv + ["--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "validation"
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_degenerate_impairment_cell_exits_2(self, tmp_path, capsys):
+        # (0, 1) is perfect feedback, which the impairment model rejects
+        argv = ["optimize", "--est-err-grid", "0,0.01", "--alpha-grid", "0.9,1"]
+        assert run(argv + ["--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "validation"
+        assert "degenerate impairments" in err["error"]["message"]
+        assert not list(tmp_path.rglob("*.csv"))
+        with pytest.raises(ValueError) as grid_err:
+            cli._optimize_rows(cli.system_from_config(cli.DEFAULT_CONFIG), [0.0, 0.01], [0.9, 1.0])
+        with pytest.raises(ValueError) as cell_err:
+            ImpairmentParams(est_error_var=0.0, delay_corr=1.0)
+        assert str(grid_err.value) == str(cell_err.value)
 
     def test_integral_float_counts(self, tmp_path):
         cfg = write_config(tmp_path, BASE)

@@ -17,11 +17,21 @@ from hetfb.goodput import (
     i4,
     jensen_mean,
     optimize_beta0,
+    optimize_beta0_grid,
     optimize_beta1,
+    optimize_beta1_grid,
     variable_rate_metrics,
 )
 from tests.conftest import two_cluster_system
-from tests.oracles import i2_mp, i3_quadrature_u, i3_ub_mp, i4_mp, metric_over_sets
+from tests.oracles import (
+    i2_mp,
+    i3_quadrature_u,
+    i3_ub_mp,
+    i4_mp,
+    metric_over_sets,
+    optimize_beta0_scalar,
+    optimize_beta1_scalar,
+)
 
 JENSEN_B10_SW001 = 2.8996785714285713  # 0.99 * H_10
 
@@ -335,19 +345,59 @@ class TestOptimizers:
 
     @pytest.mark.parametrize(
         "optimizer, objective",
-        [(optimize_beta0, "i2"), (optimize_beta1, "i3_jensen")],
+        [(optimize_beta0_grid, "i2"), (optimize_beta1_grid, "i3_jensen")],
         ids=["beta0", "beta1"],
     )
-    def test_no_repeated_evaluations(self, monkeypatch, imp_default, optimizer, objective):
-        inner, args = getattr(goodput, objective), []
+    def test_no_repeated_evaluations(self, monkeypatch, optimizer, objective):
+        # (0.99, 0.1) extends the beta0 domain, which must not grid any point again
+        cells = [ImpairmentParams(sw2, alpha) for sw2, alpha in
+                 [(0.01, 0.98), (0.05, 0.9), (0.3, 1.0), (0.99, 0.1)]]
+        inner, args = getattr(goodput, objective), {}
 
-        def record(a, *rest):
-            args.append(a)
-            return inner(a, *rest)
+        def record(a, b, imp, *rest):
+            # each row of an array call belongs to the cell its impairment columns name
+            for row, cell in zip(np.asarray(a), zip(imp.estimate_var[:, 0], imp.delay_corr[:, 0])):
+                args.setdefault(cell, []).extend(row.tolist())
+            return inner(a, b, imp, *rest)
 
         monkeypatch.setattr(goodput, objective, record)
-        optimizer(two_cluster_system(20, 4), imp_default)
-        assert args and len(set(args)) == len(args)
+        optimizer(two_cluster_system(20, 4), cells)
+        assert len(args) == len(cells)
+        for points in args.values():
+            assert len(set(points)) == len(points)
+
+    @pytest.mark.parametrize("users", [20, 40], ids=["mixture", "quadrature"])
+    def test_grid_matches_scalar_oracle(self, users):
+        # (1e-9, 1.0) puts the Marcum-Q arguments of beta1 near 1 in the
+        # Gauss-Hermite branch, and its beta1 bracket, clipped at 1, needs one
+        # golden step fewer; (0.9, 0.5) has a beta0 domain below 1, so the
+        # floor of its tolerance leaves it fewer steps too.  40 users take the
+        # quadrature route of i2.  No cell extends its beta0 domain, so both
+        # searches evaluate the same points and must agree exactly.
+        s = two_cluster_system(users, 16)
+        cells = [ImpairmentParams(sw2, alpha) for sw2 in (1e-9, 0.01, 0.3)
+                 for alpha in (0.9, 0.98, 1.0)] + [ImpairmentParams(0.9, 0.5)]
+        b0, r0 = optimize_beta0_grid(s, cells)
+        b1, r1 = optimize_beta1_grid(s, cells)
+        for i, imp in enumerate(cells):
+            assert (b0[i], r0[i]) == optimize_beta0_scalar(s, imp)
+            assert (b1[i], r1[i]) == optimize_beta1_scalar(s, imp)
+        assert optimize_beta0(s, cells[4]) == (b0[4], r0[4])
+        assert optimize_beta1(s, cells[4]) == (b1[4], r1[4])
+
+    @pytest.mark.parametrize("users", [20, 40])
+    def test_extension_matches_scalar_oracle(self, users):
+        # these cells grow their beta0 domain: the grid form grids only the
+        # new intervals, the oracle the whole domain again, so the brackets
+        # may differ by a grid step and the optima by the golden tolerance
+        s = two_cluster_system(users, 16)
+        cells = [ImpairmentParams(0.95, 0.5), ImpairmentParams(0.99, 0.1)]
+        b0, r0 = optimize_beta0_grid(s, cells)
+        for i, imp in enumerate(cells):
+            ref_b0, ref_r0 = optimize_beta0_scalar(s, imp)
+            assert b0[i] > imp.estimate_var * (math.log(users) + 6.0)
+            assert abs(b0[i] - ref_b0) <= 2e-6 * max(ref_b0, 1.0)
+            assert r0[i] == pytest.approx(ref_r0, rel=1e-10)
 
     def test_beta0_grows_with_users(self):
         imp = ImpairmentParams(1e-4, 0.999)
