@@ -21,10 +21,10 @@ The order-statistic moment integrals (I1 here, I2, I4 and the I3 bound in
 ``goodput``) are expectations over the maximum of b i.i.d. exponentials, a
 signed mixture of b exponentials.  Each passes one helper,
 ``_order_moment``, its integrand and that integrand's closed-form
-expectation over one exponential; the helper sums the mixture up to order
-20 (``_order_mixture``) and integrates the integrand by quadrature
-(``_order_expect``) beyond.  I2, which the optimizers evaluate over whole
-grids, calls those two routes itself: the mixture sum takes arrays.
+expectation over one exponential, with their parameters as arrays that
+broadcast: the helper sums the mixture up to order 20, one block of
+elements at a time, and integrates the integrand by quadrature
+(``_order_expect``) at each element beyond.
 """
 
 from __future__ import annotations
@@ -62,6 +62,10 @@ _LN2 = math.log(2.0)
 # ``_order_moment`` sums its signed mixture in floats up to this order;
 # beyond it the binomial scale ~2^b eats the double-precision digits.
 _B_FLOAT_MAX = 20
+# Bytes of one (elements, order) array of mixture terms: ``_order_moment``
+# sums a block of elements at a time, so a whole grid adds little to the
+# peak memory.
+_BLOCK_BYTES = 64 * 1024
 
 
 @functools.lru_cache(maxsize=None)
@@ -371,41 +375,53 @@ def _order_expect(func: Callable[[np.ndarray], np.ndarray], b: int, scale: float
     )
 
 
+def _order(b) -> int:
+    """The order b as an int; an integral float or numpy integer passes."""
+    if not (b >= 1 and float(b).is_integer()):
+        raise ValueError("b must be a positive integer")
+    return int(b)
+
+
 def _order_moment(
-    closed_form: Callable[[np.ndarray], np.ndarray],
-    func: Callable[[np.ndarray], np.ndarray],
+    closed_form: Callable[..., np.ndarray],
+    func: Callable[..., np.ndarray],
     b: int,
-    scale: float,
-) -> float:
-    """E[func(X)] for X the maximum of b i.i.d. exponentials with mean ``scale``.
+    scale,
+    *params,
+):
+    """E[func(X, *params)] for X the maximum of b i.i.d. exponentials with mean ``scale``.
 
     X has the signed mixture density sum_l b (-1)^l C(b-1, l)/(l+1) times
     the exponential density of mean scale/(l+1), l < b.  ``closed_form``
-    maps an array of means to E[func(Y)] for Y exponential with each mean;
-    the mixture of those is summed up to order 20, and ``func`` integrated
-    by ``_order_expect`` beyond.
+    maps an array of means, with the order l along a trailing axis, and the
+    parameters, each with a trailing axis of one, to E[func(Y, *params)]
+    for Y exponential with each mean.  The result is taken elementwise over
+    the broadcast of ``scale`` and ``params``, a float for scalars: up to
+    order 20 the mixture of closed forms is summed, beyond it ``func`` is
+    integrated by ``_order_expect`` at each element.
     """
-    b = int(b)
-    if b < 1:
-        raise ValueError("b must be a positive integer")
+    b = _order(b)
+    args = np.broadcast_arrays(scale, *params)
+    shape = args[0].shape
+    args = [arg.ravel() for arg in args]
+    out = np.empty(args[0].size)
     if b > _B_FLOAT_MAX:
-        return _order_expect(func, b, scale)
-    return float(_order_mixture(closed_form, b, scale))
-
-
-def _order_mixture(closed_form: Callable[[np.ndarray], np.ndarray], b: int, scale) -> np.ndarray:
-    """The signed mixture sum of ``_order_moment`` at each element of ``scale``.
-
-    ``closed_form`` gets the means with the order l along a trailing axis,
-    ``scale[..., None] / (l + 1)``, and broadcasts its own parameters
-    against them; the result has the broadcast shape without that axis.
-    """
-    order = np.arange(1, b + 1)
-    terms = _signed_binomials(b) / order * closed_form(np.asarray(scale)[..., None] / order)
-    # the alternating sum amplifies any rounding of the closed form by the
-    # binomial-to-result ratio, so each element is summed exactly rounded
-    sums = [math.fsum(row.tolist()) for row in terms.reshape(-1, b)]
-    return b * np.array(sums).reshape(terms.shape[:-1])
+        for i, (s, *p) in enumerate(zip(*(arg.tolist() for arg in args))):
+            out[i] = _order_expect(lambda x: func(x, *p), b, s)
+    else:
+        order = np.arange(1, b + 1)
+        weights = _signed_binomials(b) / order
+        step = _BLOCK_BYTES // (8 * b)
+        for i in range(0, out.size, step):
+            s, *p = (arg[i : i + step, None] for arg in args)
+            terms = weights * closed_form(s / order, *p)
+            # the alternating sum amplifies any rounding of the closed form by
+            # the binomial-to-result ratio, so each element is summed exactly
+            # rounded
+            out[i : i + step] = [math.fsum(row) for row in terms.tolist()]
+        out *= b
+    out = out.reshape(shape)
+    return out if out.ndim else float(out)
 
 
 def i1(a: float, b: int) -> float:

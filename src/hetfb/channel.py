@@ -118,10 +118,6 @@ class SystemConfig:
     def num_subbands(self, g: int) -> int:
         return self.num_rbs // self.clusters[g].subband_size
 
-    def user_offset(self, g: int) -> int:
-        """Global id of the first user in cluster ``g``."""
-        return sum(c.num_users for c in self.clusters[:g])
-
 
 @dataclass(frozen=True)
 class CorrelatedChannelConfig:

@@ -5,13 +5,12 @@ variable-rate strategies, the mean-value (Jensen) and low-SNR bounds for
 the variable-rate integral, and the optimization of the rate-adaptation
 parameters beta0 / beta1.
 
-The moment integrals I4 and the I3 bound over the scheduled estimated CQI
-go through ``analytic._order_moment``, as I1 does: each gives its integrand
-and the integrand's closed-form expectation over one exponential, and the
-helper picks the mixture sum or quadrature by order.  I2 takes the same two
-routes over arrays: its threshold and the impairments broadcast, the
-mixture sum (``analytic._order_mixture``) covers every element in one call,
-and beyond order 20 each element gets its own quadrature.  Near perfect
+The moment integrals I2, I4 and the I3 bound over the scheduled estimated
+CQI go through ``analytic._order_moment``, as I1 does: each gives its
+integrand and the integrand's closed-form expectation over one exponential,
+and the helper picks the mixture sum or quadrature by order.  I2 passes its
+threshold and the impairments as arrays, so one call covers a whole grid;
+the helper bounds the memory of its mixture terms.  Near perfect
 feedback the Marcum-Q arguments grow like 1/sqrt(est_error_var);
 ``marcum_q1`` switches to Gauss-Hermite quadrature there, so both stay
 cheap and finite.  Full feedback uses these order-statistic integrals directly;
@@ -22,8 +21,8 @@ factor is evaluated on all nodes of a refinement level at once.
 
 The optimizers search a whole list of impairment cells in lockstep
 (``optimize_beta0_grid``, ``optimize_beta1_grid``): one array call of
-``i2`` or ``i3_jensen`` evaluates the bracketing grid of a block of cells,
-then each golden-section step evaluates one point for every cell still
+``i2`` or ``i3_jensen`` evaluates the bracketing grid of every cell, then
+each golden-section step evaluates one point for every cell still
 searching, each cell making its own comparisons and stopping at its own
 tolerance.  ``optimize_beta0`` and ``optimize_beta1`` run the same search
 on a single cell.
@@ -39,14 +38,7 @@ import numpy as np
 
 # quad_checked stays bound here: perfbench/selftest.py checks its tracing in this module
 from ._quad import QuadratureError, quad_checked  # noqa: F401
-from .analytic import (
-    _B_FLOAT_MAX,
-    ScheduledCqiMixture,
-    _order_expect,
-    _order_mixture,
-    _order_moment,
-    coverage_prob,
-)
+from .analytic import ScheduledCqiMixture, _order, _order_expect, _order_moment, coverage_prob
 from .channel import ImpairmentParams, SystemConfig
 from .specfun import gauss_2f1, marcum_q1
 
@@ -103,28 +95,19 @@ def i2(a, b: int, imp):
     a scalar threshold and one ``ImpairmentParams`` give a scalar.
     """
     a = np.asarray(a, dtype=float)
-    if np.any(a < 0):
-        raise ValueError("threshold must be nonnegative")
-    b = int(b)
-    if b < 1:
-        raise ValueError("b must be a positive integer")
+    if not np.all((0.0 <= a) & (a < math.inf)):
+        raise ValueError("threshold must be finite and nonnegative")
     varpi, vartheta, scale = np.broadcast_arrays(*_marcum_args(a, imp), imp.estimate_var)
     val = np.ones(varpi.shape)
     pos = vartheta > 0  # a > 0, as alpha_w >= sqrt(2)
-    varpi, vartheta, scale = varpi[pos], vartheta[pos], scale[pos]
-    if b > _B_FLOAT_MAX:
-        val[pos] = [
-            _order_expect(_threshold_q1(w, t), b, v) for w, t, v in zip(varpi, vartheta, scale)
-        ]
-    else:
-        w2, t2 = (varpi**2)[:, None], (vartheta**2)[:, None]
 
-        def closed_form(mean: np.ndarray) -> np.ndarray:
-            z = 2.0 / mean
-            c = w2 + z
-            return np.exp(-0.5 * t2) + np.exp(-0.5 * z * t2 / c) * -np.expm1(-0.5 * w2 * t2 / c)
+    def closed_form(mean: np.ndarray, varpi: np.ndarray, vartheta: np.ndarray) -> np.ndarray:
+        z = 2.0 / mean
+        w2, t2 = varpi**2, vartheta**2
+        c = w2 + z
+        return np.exp(-0.5 * t2) + np.exp(-0.5 * z * t2 / c) * -np.expm1(-0.5 * w2 * t2 / c)
 
-        val[pos] = _order_mixture(closed_form, b, scale)
+    val[pos] = _order_moment(closed_form, _threshold_q1, b, scale[pos], varpi[pos], vartheta[pos])
     return np.clip(val, 0.0, 1.0)[()]
 
 
@@ -133,9 +116,9 @@ def _marcum_args(a, imp):
     return imp.alpha_w * imp.delay_corr, imp.alpha_w * np.sqrt(a)
 
 
-def _threshold_q1(varpi, vartheta):
-    """x -> Q1(varpi*sqrt(x), vartheta), the fixed-rate success given estimate x."""
-    return lambda x: marcum_q1(varpi * np.sqrt(x), vartheta)
+def _threshold_q1(x, varpi, vartheta):
+    """Q1(varpi*sqrt(x), vartheta), the fixed-rate success given estimate x."""
+    return marcum_q1(varpi * np.sqrt(x), vartheta)
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +128,9 @@ def _threshold_q1(varpi, vartheta):
 
 def i4(a: float, b: int, imp: ImpairmentParams) -> float:
     """E[Q1(varpi*sqrt(X), alpha_w*sqrt(a X))]; backoff success probability."""
-    if a < 0:
-        raise ValueError("backoff must be nonnegative")
+    b = _order(b)
+    if not 0.0 <= a < math.inf:
+        raise ValueError("backoff must be finite and nonnegative")
     if a == 0:
         return 1.0
     varpi, vartheta = _marcum_args(a, imp)
@@ -179,9 +163,7 @@ def i3_quadrature(a: float, b: int, imp: ImpairmentParams, snr: float) -> float:
     Reference evaluation of the variable-rate goodput integral; no closed
     form exists.
     """
-    b = int(b)
-    if b < 1:
-        raise ValueError("b must be a positive integer")
+    b = _order(b)
     if not 0.0 <= a <= 1.0:
         raise ValueError("backoff must lie in [0, 1]")
     if a == 0.0:
@@ -199,6 +181,7 @@ def i3_upper_bound(a: float, b: int, imp: ImpairmentParams, snr: float) -> float
 
     Linearizes the log inside the goodput integral; tight as snr -> 0.
     """
+    b = _order(b)
     if not 0.0 <= a <= 1.0:
         raise ValueError("backoff must lie in [0, 1]")
     if a == 0.0:
@@ -228,10 +211,7 @@ def _i3_ub_bracket(w2, t2, z, phi, f1, f2, f3, f4):
 
 def jensen_mean(b: int, imp):
     """Mean of the largest of b estimated CQIs: (1-sigma_w^2) * H_b, per cell of a grid."""
-    b = int(b)
-    if b < 1:
-        raise ValueError("b must be a positive integer")
-    return imp.estimate_var * math.fsum(1.0 / j for j in range(1, b + 1))
+    return imp.estimate_var * math.fsum(1.0 / j for j in range(1, _order(b) + 1))
 
 
 def i3_jensen(a, b: int, imp, snr: float):
@@ -270,7 +250,8 @@ def fixed_rate_metrics(
         success = i2(beta0, sys.num_users, imp)
         return rate * success, 1.0 - success
     mix = ScheduledCqiMixture(sys, scale=imp.estimate_var)
-    success = mix.expect(_threshold_q1(*_marcum_args(beta0, imp)))
+    varpi, vartheta = _marcum_args(beta0, imp)
+    success = mix.expect(lambda x: _threshold_q1(x, varpi, vartheta))
     return rate * success, coverage_prob(sys) - success
 
 
@@ -321,22 +302,6 @@ class _ImpairmentGrid:
         return _ImpairmentGrid(self.alpha_w[rows], self.delay_corr[rows], self.estimate_var[rows])
 
 
-# Rows of cells per objective call: the mixture sums of ``i2`` hold several
-# (cells, points, order <= _B_FLOAT_MAX) arrays of terms at once, each kept
-# within this size so that a grid search adds little to the peak memory.
-_BLOCK_BYTES = 64 * 1024
-
-
-def _blockwise(f, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """f(x, rows) for the (cells, points) array ``x``, evaluated in blocks of cells.
-
-    An empty ``x`` makes one empty call, so an empty grid gives empty results.
-    """
-    step = max(1, _BLOCK_BYTES // (8 * _B_FLOAT_MAX * x.shape[1]))
-    blocks = range(0, max(len(x), 1), step)
-    return np.concatenate([f(x[i : i + step], rows[i : i + step]) for i in blocks])
-
-
 def _golden_max(f, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray):
     """Golden-section maxima of f on each cell's [lo, hi], in lockstep.
 
@@ -348,7 +313,7 @@ def _golden_max(f, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray):
     c = hi - _INV_GOLDEN * (hi - lo)
     d = lo + _INV_GOLDEN * (hi - lo)
     cells = np.arange(lo.size)
-    fc, fd = _blockwise(f, np.stack([c, d], axis=1), cells).T.copy()
+    fc, fd = f(np.stack([c, d], axis=1), cells).T.copy()
     rows = cells[hi - lo > tol]
     while rows.size:
         left = fc[rows] >= fd[rows]
@@ -357,11 +322,11 @@ def _golden_max(f, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray):
         c[l] = hi[l] - _INV_GOLDEN * (hi[l] - lo[l])
         lo[r], c[r], fc[r] = c[r], d[r], fd[r]
         d[r] = lo[r] + _INV_GOLDEN * (hi[r] - lo[r])
-        fx = _blockwise(f, np.where(left, c[rows], d[rows])[:, None], rows)[:, 0]
+        fx = f(np.where(left, c[rows], d[rows])[:, None], rows)[:, 0]
         fc[l], fd[r] = fx[left], fx[~left]
         rows = rows[hi[rows] - lo[rows] > tol[rows]]
     x = 0.5 * (lo + hi)
-    return x, _blockwise(f, x[:, None], cells)[:, 0]
+    return x, f(x[:, None], cells)[:, 0]
 
 
 def _bracket(xs: np.ndarray, fx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -388,7 +353,7 @@ def optimize_beta1_grid(sys: SystemConfig, imps: Sequence[ImpairmentParams]):
         return i3_jensen(x, k, grid[rows], snr)
 
     xs = np.tile(np.linspace(0.0, 1.0, 41), (len(imps), 1))
-    lo, hi = _bracket(xs, _blockwise(f, xs, np.arange(len(imps))))
+    lo, hi = _bracket(xs, f(xs, np.arange(len(imps))))
     return _golden_max(f, lo, hi, np.full(len(imps), 1e-6))
 
 
@@ -415,7 +380,7 @@ def optimize_beta0_grid(sys: SystemConfig, imps: Sequence[ImpairmentParams]):
     rows = np.arange(len(imps))
     lo_b, hi_b = np.empty_like(hi), np.empty_like(hi)
     xs = np.linspace(0.0, hi, 65, axis=1)
-    fx = _blockwise(f, xs, rows)
+    fx = f(xs, rows)
     for grids in range(1, 41):
         lo_b[rows], hi_b[rows] = _bracket(xs, fx)
         grow = hi_b[rows] == hi[rows]
@@ -427,7 +392,7 @@ def optimize_beta0_grid(sys: SystemConfig, imps: Sequence[ImpairmentParams]):
         new = np.linspace(hi[rows], 1.6 * hi[rows], 25, axis=1)[:, 1:]
         hi[rows] = new[:, -1]
         xs = np.concatenate([xs, new], axis=1)
-        fx = np.concatenate([fx, _blockwise(f, new, rows)], axis=1)
+        fx = np.concatenate([fx, f(new, rows)], axis=1)
     return _golden_max(f, lo_b, hi_b, 1e-6 * np.maximum(hi, 1.0))
 
 

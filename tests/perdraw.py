@@ -8,7 +8,7 @@ with, as a test oracle:
   (``ChannelRealization``, ``gen_correlated_channel``,
   ``gen_subband_fading``, ``apply_impairments``);
 * CQI computation and best-M selection (``cqi_subband_avg_rate``,
-  ``best_m_select``, ``subband_reports``);
+  ``best_m_select``, ``user_offset``, ``subband_reports``);
 * per-block argmax scheduling and fixed-/variable-rate realization
   (``schedule``, ``realize_fixed_rate``, ``realize_variable_rate``).
 """
@@ -156,6 +156,11 @@ def best_m_select(cqis, m: int) -> list[tuple[int, float]]:
     return [(i, float(cqis[i])) for i in order[:m]]
 
 
+def user_offset(sys: SystemConfig, g: int) -> int:
+    """Global id of the first user in cluster ``g``."""
+    return sum(c.num_users for c in sys.clusters[:g])
+
+
 def subband_reports(realization: ChannelRealization, sys: SystemConfig) -> list[FeedbackReport]:
     """Best-M feedback from a subband fading draw (CQI = squared gain)."""
     if realization.granularity != "subband":
@@ -167,7 +172,7 @@ def subband_reports(realization: ChannelRealization, sys: SystemConfig) -> list[
             cqis = np.abs(gains[k]) ** 2
             reports.append(
                 FeedbackReport(
-                    user=sys.user_offset(g) + k,
+                    user=user_offset(sys, g) + k,
                     cluster=g,
                     entries=tuple(best_m_select(cqis, quota)),
                 )

@@ -37,7 +37,6 @@ class TestConfigs:
         assert s.eta_max == 4 and s.m_full == 16
         assert s.report_prob == pytest.approx(0.25)
         assert s.num_subbands(0) == 64 and s.num_subbands(1) == 16
-        assert s.user_offset(1) == 5
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -13,6 +13,7 @@ from tests.perdraw import (
     cqi_subband_avg_rate,
     gen_subband_fading,
     subband_reports,
+    user_offset,
 )
 
 LOG2_11 = 3.4594316186372973
@@ -98,6 +99,10 @@ class TestQuota:
 
 
 class TestSubbandReports:
+    def test_user_offset(self):
+        s = SystemConfig(64, (Cluster(1, 5), Cluster(4, 7)), 4, 10.0)
+        assert [user_offset(s, g) for g in range(3)] == [0, 5, 12]
+
     def test_structure_and_quota(self):
         s = SystemConfig(8, (Cluster(1, 2), Cluster(4, 1)), 1, 10.0)
         reports = subband_reports(gen_subband_fading(s, seed=0), s)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,8 +112,36 @@ class TestMomentDomain:
             for b in (5, 30):
                 with pytest.raises(ValueError):
                     moment(-1.0, b)
+
+    @staticmethod
+    def ordered(imp):
+        """Every function of an order b: the four moments, I3 by quadrature, Jensen."""
+        return TestMomentDomain.moments(imp) + (
+            lambda a, b: i3_quadrature(a, b, imp, 10.0),
+            lambda a, b: i3_jensen(a, b, imp, 10.0),
+        )
+
+    @pytest.mark.parametrize("b", [0, -3, 0.5, 2.5, 20.5, 30.5, math.nan, math.inf])
+    def test_rejects_invalid_order(self, imp_default, b):
+        # a zero argument has a known value, which must not skip the order check
+        for f in self.ordered(imp_default):
+            for a in (0.0, 0.5):
+                with pytest.raises(ValueError):
+                    f(a, b)
+
+    @pytest.mark.parametrize("b", [1, 5, 20, 30])
+    def test_accepts_integral_order_types(self, imp_default, b):
+        for f in self.ordered(imp_default):
+            assert f(0.5, float(b)) == f(0.5, np.int64(b)) == f(0.5, b)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("b", [5, 30])
+    def test_rejects_non_finite_argument(self, imp_default, a, b):
+        for f in (i2, i4):
             with pytest.raises(ValueError):
-                moment(0.5, 0)
+                f(a, b, imp_default)
+        with pytest.raises(ValueError):
+            i2(np.array([1.0, a]), b, imp_default)
 
     def test_finite_across_arguments(self, imp_default):
         # the 2F1 argument 4 varpi^2 vartheta^2 / phi^2 of the I3 bound stays
@@ -143,6 +172,14 @@ class TestI2:
         for a in (0.1, 1.0, 5.0):
             for b in (1, 10, 50):
                 assert 0.0 <= i2(a, b, imp_default) <= 1.0
+
+    @pytest.mark.parametrize("n, b", [(1000, 20), (7, 21)], ids=["mixture", "quadrature"])
+    def test_array_matches_scalar_calls(self, imp_default, n, b):
+        # a block of order-20 mixture terms holds 409 elements, so the 900
+        # positive thresholds of the mixture case span three blocks
+        a = np.linspace(0.0, 5.0, n)
+        a[::10] = 0.0
+        assert i2(a, b, imp_default).tolist() == [i2(x, b, imp_default) for x in a.tolist()]
 
 
 class TestI4:
@@ -398,6 +435,25 @@ class TestOptimizers:
             assert b0[i] > imp.estimate_var * (math.log(users) + 6.0)
             assert abs(b0[i] - ref_b0) <= 2e-6 * max(ref_b0, 1.0)
             assert r0[i] == pytest.approx(ref_r0, rel=1e-10)
+
+    @pytest.mark.parametrize("optimizer", [optimize_beta0_grid, optimize_beta1_grid],
+                             ids=["beta0", "beta1"])
+    def test_empty_grid(self, optimizer):
+        x, f = optimizer(two_cluster_system(20, 16), [])
+        assert x.shape == f.shape == (0,)
+
+    def test_grid_memory(self):
+        # figure 7's 399 cells at order 20: all mixture terms of one grid call
+        # would take tens of MiB, a block of them at most 64 KiB
+        cells = [ImpairmentParams(round(0.005 * i, 3), round(0.9 + 0.005 * j, 3))
+                 for i in range(21) for j in range(19)]
+        tracemalloc.start()
+        try:
+            optimize_beta0_grid(two_cluster_system(20, 16), cells)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_beta0_grows_with_users(self):
         imp = ImpairmentParams(1e-4, 0.999)
