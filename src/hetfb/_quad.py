@@ -1,13 +1,20 @@
 """Vectorized adaptive quadrature shared by the analytic and goodput engines.
 
-``quad_checked`` applies the 21-point Gauss-Kronrod rule (10-point Gauss
-embedded) to a pool of panels.  The integrand is array-valued: each
+``quad_checked`` integrates a stack of integrals in one refinement loop; a
+single integral is the stack of one.  Each integral has its own interval,
+breakpoints and pool of panels, to which the 21-point Gauss-Kronrod rule
+(10-point Gauss embedded) is applied.  The integrand is array-valued: each
 refinement level evaluates it once, on every node of every panel being
-refined.  Panel errors use the QUADPACK estimate, so they mean what
-``scipy.integrate.quad``'s ``abserr`` means.  Each level bisects the panels
-with the largest errors, as many as it takes for the remaining error to fit
-within half the tolerance, until the total error estimate meets
-``max(1e-11, 1e-10 * |value|)`` or the pool holds ``limit`` panels.
+refined in any integral, and is told which integral each node belongs to.
+Panel errors use the QUADPACK estimate, so they mean what
+``scipy.integrate.quad``'s ``abserr`` means.  Each level bisects, in each
+integral still refining, the panels with the largest errors, as many as it
+takes for that integral's remaining error to fit within half its
+tolerance, until its total error estimate meets
+``max(1e-11, 1e-10 * |value|)`` or its pool holds ``limit`` panels.  An
+integral that has stopped is not evaluated again, and no integral's
+arithmetic depends on the others in the stack, so each result equals the
+one a call on that integral alone returns.
 """
 
 from __future__ import annotations
@@ -71,18 +78,32 @@ _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
 
-def _gauss_kronrod(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-panel Kronrod estimates and QUADPACK error estimates, one call of f."""
+def _kronrod_sums(fx: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted sum of each row of fx.
+
+    ``einsum`` sums each row alike; a BLAS gemv may round trailing rows
+    differently, which would tie a panel's sums to its place in the batch.
+    """
+    return np.einsum("ij,j->i", fx, weights)
+
+
+def _gauss_kronrod(f, lo: np.ndarray, hi: np.ndarray, which: np.ndarray):
+    """Per-panel Kronrod estimates and QUADPACK error estimates, one call of f.
+
+    Panel i belongs to integral ``which[i]``; f gets that index at each node.
+    """
     half = 0.5 * (hi - lo)
     x = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
-    fx = np.broadcast_to(np.asarray(f(x.ravel()), dtype=float), (x.size,)).reshape(x.shape)
+    owner = np.repeat(which, _NODES.size)
+    fx = np.asarray(f(x.ravel(), owner), dtype=float)
+    fx = np.broadcast_to(fx, (x.size,)).reshape(x.shape)
     if not np.all(np.isfinite(fx)):
         bad = x[~np.isfinite(fx)][0]
         raise QuadratureError(f"integrand is not finite at x={bad!r}")
-    kronrod = fx @ _KRONROD_WEIGHTS
-    err = np.abs((kronrod - fx @ _GAUSS_WEIGHTS) * half)
-    resasc = np.abs(fx - 0.5 * kronrod[:, None]) @ _KRONROD_WEIGHTS * half
-    resabs = np.abs(fx) @ _KRONROD_WEIGHTS * half
+    kronrod = _kronrod_sums(fx, _KRONROD_WEIGHTS)
+    err = np.abs((kronrod - _kronrod_sums(fx, _GAUSS_WEIGHTS)) * half)
+    resasc = _kronrod_sums(np.abs(fx - 0.5 * kronrod[:, None]), _KRONROD_WEIGHTS) * half
+    resabs = _kronrod_sums(np.abs(fx), _KRONROD_WEIGHTS) * half
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
     err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
@@ -90,54 +111,130 @@ def _gauss_kronrod(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.nd
     return kronrod * half, err
 
 
+def _initial_pool(a: np.ndarray, b: np.ndarray, points) -> tuple[np.ndarray, np.ndarray]:
+    """Each integral's first panels, split at its breakpoints inside (a, b).
+
+    Returns (pool, panel counts): ``pool[0]`` and ``pool[1]`` hold the
+    panels' ends, one row per integral with its panels first and NaN after.
+    """
+    inner = np.asarray(points, dtype=float)
+    edges = np.empty((a.size, 2 + inner.shape[-1]))
+    edges[:, 0], edges[:, 1], edges[:, 2:] = a, b, inner
+    edges[:, 2:][~((a[:, None] < edges[:, 2:]) & (edges[:, 2:] < b[:, None]))] = np.nan
+    edges.sort(axis=1)  # NaN last
+    repeated = edges[:, 1:] == edges[:, :-1]
+    if repeated.any():
+        edges[:, 1:][repeated] = np.nan
+        edges.sort(axis=1)
+    pool = np.zeros((4, a.size, edges.shape[1] - 1))
+    pool[0], pool[1] = edges[:, :-1], edges[:, 1:]
+    return pool, (edges == edges).sum(axis=1) - 1
+
+
 def quad_checked(
     f,
-    a: float,
-    b: float,
+    a,
+    b,
     *,
     points=None,
     limit: int = 300,
     abs_fail: float = 1e-7,
-) -> float:
-    """Integral of the array-valued ``f`` over [a, b] with a failure contract.
+):
+    """Integrals of the array-valued ``f`` over [a, b] with a failure contract.
 
-    ``f`` maps a 1-d array of abscissae to an array of the same shape.
-    ``points`` are interior breakpoints that start the panel pool.  Raises
-    QuadratureError when the integrand is not finite at a node, when the
-    rule stops short of the tolerance with an error estimate above
-    ``abs_fail``, or when the error estimate exceeds
+    With scalar limits, ``f`` maps a 1-d array of abscissae to an array of
+    the same shape, ``points`` lists interior breakpoints that start the
+    panel pool, and the result is a float.  With ``a`` and ``b`` arrays of
+    n limits, the result is an array of n integrals: ``f(x, which)`` gets
+    the abscissae and, per abscissa, the index of its integral, and
+    ``points`` holds each integral's breakpoints along a trailing axis that
+    broadcasts against (n, p).  ``limit`` and ``abs_fail`` apply to each
+    integral.  Raises QuadratureError when the integrand is not finite at a
+    node, when an integral's rule stops short of its tolerance with an
+    error estimate above ``abs_fail``, or when its error estimate exceeds
     ``max(abs_fail, 1e-6 * |value|)``.
     """
-    if not a < b:
+    batch = np.ndim(a) > 0 or np.ndim(b) > 0
+    a, b = np.broadcast_arrays(np.atleast_1d(np.asarray(a, dtype=float)),
+                               np.atleast_1d(np.asarray(b, dtype=float)))
+    if not np.all(a < b):
         raise ValueError(f"quad_checked needs a < b, got [{a!r}, {b!r}]")
-    edges = np.unique([a, b, *(p for p in (points or ()) if a < p < b)])
-    lo, hi = edges[:-1], edges[1:]
-    val, err = _gauss_kronrod(f, lo, hi)
+    if not batch:
+        scalar_f = f
+        f = lambda x, which: scalar_f(x)  # noqa: E731
+    out = np.empty(a.size)
+    if not out.size:
+        return out
+    # The pool holds (lo, hi, value, error) of each panel, one row per
+    # integral still refining: its panels first, then padding of zero value
+    # and error.  Every row operation below ignores the padding, so a row's
+    # arithmetic does not depend on the width that the other rows set.
+    pool, size = _initial_pool(a, b, () if points is None else points)
+    ids = np.arange(a.size)
+    rows = ids[:, None]
+    fresh = np.nonzero(np.arange(pool.shape[2]) < size[:, None])
     while True:
-        value, error = math.fsum(val), float(err.sum())
-        tol = max(1e-11, 1e-10 * abs(value))
+        ends = pool[:2, fresh[0], fresh[1]]
+        pool[2:, fresh[0], fresh[1]] = _gauss_kronrod(f, *ends, ids[fresh[0]])
+        # panels by falling error; the padding's zero errors sort after the
+        # panels', as it sits after them
+        pool = pool[:, rows, np.argsort(-pool[3], axis=1, kind="stable")]
+        lo, hi, val, err = pool
+        cum = np.cumsum(err, axis=1)
+        error = cum[:, -1]
+        value = np.array([math.fsum(row) for row in val.tolist()])
+        tol = np.maximum(1e-11, 1e-10 * np.abs(value))
+        # split as many panels as it takes for the rest to fit in half the
+        # tolerance (at most all of them: nothing remains after the last)
+        count = (error[:, None] - cum > 0.5 * tol[:, None]).sum(axis=1)
+        split = np.minimum(count + 1, limit - size)
+        mid = 0.5 * (lo + hi)
         converged = error <= tol
-        if converged or lo.size >= limit:
-            break
-        order = np.argsort(-err, kind="stable")
-        remaining = error - np.cumsum(err[order])
-        count = int(np.searchsorted(-remaining, -0.5 * tol)) + 1
-        split = order[: min(count, limit - lo.size)]
-        keep = order[split.size :]
-        mid = 0.5 * (lo[split] + hi[split])
-        if np.any(mid <= lo[split]) or np.any(mid >= hi[split]):
-            break  # panels at the resolution of the floating-point grid
-        new_lo = np.concatenate((lo[split], mid))
-        new_hi = np.concatenate((mid, hi[split]))
-        new_val, new_err = _gauss_kronrod(f, new_lo, new_hi)
-        lo = np.concatenate((lo[keep], new_lo))
-        hi = np.concatenate((hi[keep], new_hi))
-        val = np.concatenate((val[keep], new_val))
-        err = np.concatenate((err[keep], new_err))
-    if not math.isfinite(value) or (not converged and error > abs_fail):
+        done = converged | (size >= limit)
+        # panels at the resolution of the floating-point grid stop their integral
+        narrow = (mid <= lo) | (mid >= hi)
+        if narrow.any():
+            done |= (narrow & (np.arange(narrow.shape[1]) < split[:, None])).any(axis=1)
+        if done.any():
+            _check(ids[done], value[done], error[done], converged[done], size[done],
+                   abs_fail, batch)
+            out[ids[done]] = value[done]
+            go = ~done
+            ids, size, split, pool, mid = ids[go], size[go], split[go], pool[:, go], mid[go]
+            if not ids.size:
+                break
+            rows = rows[: ids.size]
+        # the next row: the kept panels by falling error, then the split
+        # panels' left halves, then their right halves
+        kept, grown = size - split, size + split
+        j = np.arange(grown.max())
+        is_kept = j < kept[:, None]
+        is_right = j >= size[:, None]
+        shift = np.where(is_right, size[:, None], kept[:, None])
+        src = np.minimum(j + np.where(is_kept, split[:, None], -shift), pool.shape[2] - 1)
+        pool, mid = pool[:, rows, src], mid[rows, src]
+        is_fresh = ~is_kept & (j < grown[:, None])
+        np.copyto(pool[0], mid, where=is_right)
+        np.copyto(pool[1], mid, where=is_fresh & ~is_right)
+        pool[2:, ~is_kept] = 0.0
+        size = grown
+        fresh = np.nonzero(is_fresh)
+    return out if batch else float(out[0])
+
+
+def _check(ids, value, error, converged, panels, abs_fail, batch) -> None:
+    """Raise QuadratureError for the first stopped integral that fails its contract."""
+    failed = ~(np.isfinite(value) & (converged | (error <= abs_fail)))
+    large = error > np.maximum(abs_fail, 1e-6 * np.abs(value))
+    if not (failed | large).any():
+        return
+    i = np.flatnonzero(failed | large)[0]
+    error, value = float(error[i]), float(value[i])
+    where = f"integral {ids[i]}: " if batch else ""
+    if failed[i]:
         raise QuadratureError(
-            f"quadrature did not converge: error estimate {error!r} on {lo.size} panels"
+            f"{where}quadrature did not converge: error estimate {error!r} on {panels[i]} panels"
         )
-    if error > max(abs_fail, 1e-6 * abs(value)):
-        raise QuadratureError(f"quadrature error estimate {error!r} too large for value {value!r}")
-    return value
+    raise QuadratureError(
+        f"{where}quadrature error estimate {error!r} too large for value {value!r}"
+    )

@@ -28,6 +28,7 @@ import argparse
 import csv
 import dataclasses
 import datetime
+import functools
 import json
 import math
 import os
@@ -279,10 +280,11 @@ def _goodput_pair(system, imp, beta0, beta1, lead: dict, detail=lambda beta: {})
 
 def _min_m_rows(systems, gammas) -> list[dict]:
     """Minimum best-M per (users, gamma), for ``systems`` listing (users, system)."""
+    results = analytic.minimum_best_m([sys_k for _, sys_k in systems], gammas)
     return [
         {"users": k, "gamma": gamma, "m_exact": res.exact, "m_approx": res.approx}
-        for k, sys_k in systems
-        for gamma, res in zip(gammas, analytic.minimum_best_m(sys_k, gammas))
+        for (k, _), per_gamma in zip(systems, results)
+        for gamma, res in zip(gammas, per_gamma)
     ]
 
 
@@ -341,9 +343,11 @@ def _cmd_analytic(args, cfg) -> list[dict]:
     if args.full_feedback:
         system = dataclasses.replace(system, best_m=system.m_full)
     if imp is None:
+        systems = _user_grid_systems(system, args.users_grid)
+        rates = analytic.average_sum_rate([sys_k for _, sys_k in systems]).tolist()
         return [
-            {"users": k, "best_m": sys_k.best_m, "sum_rate": analytic.average_sum_rate(sys_k)}
-            for k, sys_k in _user_grid_systems(system, args.users_grid)
+            {"users": k, "best_m": sys_k.best_m, "sum_rate": rate}
+            for (k, sys_k), rate in zip(systems, rates)
         ]
     return [
         row
@@ -414,14 +418,17 @@ def _figure_4a():
 
 
 def _figure_4b():
-    rows = []
-    for k in (10, 20, 30, 40, 50):
-        for frac in [round(0.1 * i, 1) for i in range(1, 10)]:
-            k1 = round(frac * k)
-            sys_k = SystemConfig(64, (Cluster(1, k1), Cluster(4, k - k1)), best_m=1, snr=10.0)
-            res = analytic.minimum_best_m(sys_k, 0.99)
-            rows.append({"users": k, "k1_fraction": frac, "m_exact": res.exact})
-    return rows
+    cases = [(k, frac) for k in (10, 20, 30, 40, 50)
+             for frac in [round(0.1 * i, 1) for i in range(1, 10)]]
+    systems = []
+    for k, frac in cases:
+        k1 = round(frac * k)
+        clusters = (Cluster(1, k1), Cluster(4, k - k1))
+        systems.append(SystemConfig(64, clusters, best_m=1, snr=10.0))
+    return [
+        {"users": k, "k1_fraction": frac, "m_exact": res.exact}
+        for (k, frac), res in zip(cases, analytic.minimum_best_m(systems, 0.99))
+    ]
 
 
 def _fig5_system(k: int, m: int) -> SystemConfig:
@@ -472,15 +479,15 @@ def _figure_7():
 
 
 def _figure_8():
+    systems = [_fig5_system(k, 1) for k in (8, 12, 16, 20, 24, 28, 32, 36, 40)]
     rows = []
-    for k in (8, 12, 16, 20, 24, 28, 32, 36, 40):
-        system = _fig5_system(k, 1)
+    for system, res in zip(systems, analytic.minimum_best_m(systems, 0.99)):
         b0, _ = goodput.optimize_beta0(system, _FIG_IMPAIRMENTS)
         b1, _ = goodput.optimize_beta1(system, _FIG_IMPAIRMENTS)
-        m_star = min(analytic.minimum_best_m(system, 0.99).exact, system.m_full)
+        m_star = min(res.exact, system.m_full)
         sys_star = dataclasses.replace(system, best_m=m_star)
         rows += _goodput_pair(
-            sys_star, _FIG_IMPAIRMENTS, b0, b1, {"users": k},
+            sys_star, _FIG_IMPAIRMENTS, b0, b1, {"users": system.num_users},
             lambda beta: {"beta_opt": beta, "m_star": m_star},
         )
     return rows
@@ -512,7 +519,9 @@ def _cmd_figure(args, figure_run) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every ``run`` call."""
     parser = argparse.ArgumentParser(
         prog="hetfb",
         description="Heterogeneous best-M partial-feedback downlink: simulation and analysis",

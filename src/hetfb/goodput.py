@@ -9,9 +9,11 @@ The moment integrals I2, I4 and the I3 bound over the scheduled estimated
 CQI go through ``analytic._order_moment``, as I1 does: each gives its
 integrand and the integrand's closed-form expectation over one exponential,
 and the helper picks the mixture sum or quadrature by order.  I2 passes its
-threshold and the impairments as arrays, so one call covers a whole grid;
-the helper bounds the memory of its mixture terms.  Near perfect
-feedback the Marcum-Q arguments grow like 1/sqrt(est_error_var);
+threshold and the impairments as arrays, so one call covers a whole grid:
+beyond order 20 a block of its integrals goes through one batched
+quadrature, and the helper bounds the memory of each block.  The I3
+integrals take a positive, finite SNR and raise ``ValueError`` otherwise.
+Near perfect feedback the Marcum-Q arguments grow like 1/sqrt(est_error_var);
 ``marcum_q1`` switches to Gauss-Hermite quadrature there, so both stay
 cheap and finite.  Full feedback uses these order-statistic integrals directly;
 partial-feedback metrics integrate the same conditional success and rate
@@ -97,9 +99,7 @@ def i2(a, b: int, imp):
     a = np.asarray(a, dtype=float)
     if not np.all((0.0 <= a) & (a < math.inf)):
         raise ValueError("threshold must be finite and nonnegative")
-    varpi, vartheta, scale = np.broadcast_arrays(*_marcum_args(a, imp), imp.estimate_var)
-    val = np.ones(varpi.shape)
-    pos = vartheta > 0  # a > 0, as alpha_w >= sqrt(2)
+    varpi, vartheta = _marcum_args(a, imp)
 
     def closed_form(mean: np.ndarray, varpi: np.ndarray, vartheta: np.ndarray) -> np.ndarray:
         z = 2.0 / mean
@@ -107,8 +107,11 @@ def i2(a, b: int, imp):
         c = w2 + z
         return np.exp(-0.5 * t2) + np.exp(-0.5 * z * t2 / c) * -np.expm1(-0.5 * w2 * t2 / c)
 
-    val[pos] = _order_moment(closed_form, _threshold_q1, b, scale[pos], varpi[pos], vartheta[pos])
-    return np.clip(val, 0.0, 1.0)[()]
+    val = np.asarray(_order_moment(
+        closed_form, _threshold_q1, b, imp.estimate_var, varpi, vartheta
+    ))
+    val[np.broadcast_to(vartheta == 0, val.shape)] = 1.0  # a = 0, as alpha_w >= sqrt(2)
+    return np.clip(val, 0.0, 1.0, out=val)[()]
 
 
 def _marcum_args(a, imp):
@@ -164,12 +167,21 @@ def i3_quadrature(a: float, b: int, imp: ImpairmentParams, snr: float) -> float:
     form exists.
     """
     b = _order(b)
+    _check_snr(snr)
     if not 0.0 <= a <= 1.0:
         raise ValueError("backoff must lie in [0, 1]")
     if a == 0.0:
         return 0.0
     q1_at = _backoff_q1(a, imp)
-    return _order_expect(lambda x: q1_at(x) * np.log2(1.0 + snr * a * x), b, imp.estimate_var)
+    (value,) = _order_expect(
+        lambda x, _: q1_at(x) * np.log2(1.0 + snr * a * x), b, imp.estimate_var
+    )
+    return float(value)
+
+
+def _check_snr(snr) -> None:
+    if not 0.0 < snr < math.inf:
+        raise ValueError("snr must be positive and finite (linear scale)")
 
 
 # (a, b, c) of the four 2F1 factors of the I3 bound, in ``_i3_ub_bracket`` order
@@ -182,6 +194,7 @@ def i3_upper_bound(a: float, b: int, imp: ImpairmentParams, snr: float) -> float
     Linearizes the log inside the goodput integral; tight as snr -> 0.
     """
     b = _order(b)
+    _check_snr(snr)
     if not 0.0 <= a <= 1.0:
         raise ValueError("backoff must lie in [0, 1]")
     if a == 0.0:
@@ -219,6 +232,7 @@ def i3_jensen(a, b: int, imp, snr: float):
 
     ``a`` and ``imp`` broadcast as in ``i2``.
     """
+    _check_snr(snr)
     a = np.asarray(a, dtype=float)
     if not np.all((0.0 <= a) & (a <= 1.0)):
         raise ValueError("backoff must lie in [0, 1]")

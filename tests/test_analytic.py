@@ -23,6 +23,7 @@ from hetfb.analytic import (
     minimum_best_m,
     selection_coefficients,
 )
+from hetfb import _quad
 from hetfb.channel import Cluster, SystemConfig
 from tests.conftest import two_cluster_system
 from tests.oracles import (
@@ -428,6 +429,76 @@ class TestMinimumBestM:
         results = minimum_best_m(s, gammas)
         assert [r.exact for r in results] == expected
         assert [r.approx for r in results] == [minimum_best_m(s, g).approx for g in gammas]
+
+
+def figure_4b_system(k: int, frac: float) -> SystemConfig:
+    k1 = round(frac * k)
+    return SystemConfig(64, (Cluster(1, k1), Cluster(4, k - k1)), best_m=1, snr=10.0)
+
+
+class TestBatchedSystems:
+    """A sequence of systems through one batched call equals the per-system calls."""
+
+    # partial and full feedback (16 = m_full), orders up to 20 and beyond
+    SYSTEMS = [two_cluster_system(k, m) for k, m in
+               ((4, 1), (10, 2), (25, 16), (30, 4), (21, 16), (7, 3), (12, 16), (45, 1))]
+
+    def test_average_sum_rate(self):
+        rates = average_sum_rate(self.SYSTEMS)
+        assert rates.tolist() == [average_sum_rate(s) for s in self.SYSTEMS]
+
+    @pytest.mark.parametrize(
+        "systems,gamma",
+        [
+            ([two_cluster_system(k, 1) for k in range(5, 51)], (0.9, 0.99)),  # figure 4a
+            ([figure_4b_system(k, round(0.1 * i, 1)) for k in (10, 20, 30, 40, 50)
+              for i in range(1, 10)], 0.99),  # figure 4b
+        ],
+        ids=["figure_4a", "figure_4b"],
+    )
+    def test_minimum_best_m(self, systems, gamma):
+        assert minimum_best_m(systems, gamma) == [minimum_best_m(s, gamma) for s in systems]
+
+    def test_minimum_best_m_integrates_each_round_once(self, monkeypatch):
+        # scanning the 81 systems one by one runs 1282 Gauss-Kronrod levels;
+        # one batched call per round of best-M runs 48
+        levels = []
+        kronrod = _quad._gauss_kronrod
+        monkeypatch.setattr(_quad, "_gauss_kronrod", lambda *a: levels.append(1) or kronrod(*a))
+        minimum_best_m([two_cluster_system(k, 1) for k in range(5, 86)], (0.9, 0.99))
+        assert len(levels) <= 60
+
+    def test_i1_broadcasts_over_orders(self):
+        a, b = [0.5, 10.0, 3.0, 10.0, 1.0], [5, 21, 40, 20, 21]
+        assert i1(a, b).tolist() == [i1(x, k) for x, k in zip(a, b)]
+
+    def test_mixture_laws_broadcast_against_abscissae(self):
+        systems = self.SYSTEMS[:2] + self.SYSTEMS[3:4]
+        mix = ScheduledCqiMixture(systems, scale=0.9)
+        x = np.array([[0.5], [2.0], [4.0], [9.0]])  # rows: abscissae, columns: systems
+        for j, s in enumerate(systems):
+            one = ScheduledCqiMixture(s, scale=0.9)
+            for law in ("cdf", "sf", "pdf"):
+                assert getattr(mix, law)(x)[:, j].tolist() == getattr(one, law)(x[:, 0]).tolist()
+        assert mix.expect_log_rate([s.snr for s in systems]).tolist() == [
+            ScheduledCqiMixture(s, scale=0.9).expect_log_rate(s.snr) for s in systems
+        ]
+
+    def test_reported_law_takes_an_array_of_quotas(self):
+        quotas = [1, 3, 8]  # 8 = num_subbands: the base exponential
+        law = ReportedCqiLaw(8, np.array(quotas), scale=0.7)
+        x = np.array([[0.0], [0.3], [1.0], [2.5]])
+        for j, q in enumerate(quotas):
+            one = ReportedCqiLaw(8, q, scale=0.7)
+            assert law.sf(x)[:, j].tolist() == one.sf(x[:, 0]).tolist()
+            assert law.pdf(x)[:, j].tolist() == one.pdf(x[:, 0]).tolist()
+
+    def test_systems_must_share_blocks_and_subband_sizes(self):
+        other = SystemConfig(32, (Cluster(1, 3), Cluster(4, 3)), best_m=1, snr=10.0)
+        with pytest.raises(ValueError):
+            average_sum_rate([two_cluster_system(6, 1), other])
+        with pytest.raises(ValueError):
+            minimum_best_m([two_cluster_system(6, 1), other], 0.9)
 
 
 class TestCrossModelConsistency:

@@ -548,3 +548,17 @@ def test_python_m_runs_the_command(tmp_path):
         [sys.executable, "-m", "hetfb.cli", "--help"], env=env, capture_output=True, text=True
     )
     assert usage.returncode == 0 and usage.stdout.startswith("usage: hetfb")
+
+
+def test_successive_runs_do_not_share_overrides(tmp_path):
+    # the parser is built once per process; its "--set" list must still start
+    # empty on every run
+    assert cli._build_parser() is cli._build_parser()
+    configs = []
+    for i, override in enumerate(["snr_db=20", "best_m=2"]):
+        out = tmp_path / str(i)
+        argv = ["min-m", "--users-grid", "4", "--set", override, "--out", str(out)]
+        assert run(argv + SMALL) == 0
+        configs.append(json.loads((out / "min_m.manifest.json").read_text())["config"])
+    assert (configs[0]["snr_db"], configs[0]["best_m"]) == (20, 4)
+    assert (configs[1]["snr_db"], configs[1]["best_m"]) == (10.0, 2)

@@ -143,6 +143,13 @@ class TestMomentDomain:
         with pytest.raises(ValueError):
             i2(np.array([1.0, a]), b, imp_default)
 
+    @pytest.mark.parametrize("snr", [math.nan, -1.0, 0.0, math.inf])
+    @pytest.mark.parametrize("integral", [i3_upper_bound, i3_jensen, i3_quadrature])
+    def test_rejects_non_positive_or_non_finite_snr(self, imp_default, integral, snr):
+        for b in (5, 30):
+            with pytest.raises(ValueError):
+                integral(0.5, b, imp_default, snr)
+
     def test_finite_across_arguments(self, imp_default):
         # the 2F1 argument 4 varpi^2 vartheta^2 / phi^2 of the I3 bound stays
         # below one and the I4 root stays real at every threshold and order
@@ -454,6 +461,20 @@ class TestOptimizers:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    def test_grid_memory_above_order_20(self):
+        # at 40 users every i2 element is a quadrature: 48 cells of a 65-point
+        # bracketing grid would take about 27 MiB as one batch of integrals,
+        # one block of them well under 2 MiB
+        cells = [ImpairmentParams(0.002 + 0.004 * i, 0.9 + 0.015 * j)
+                 for i in range(8) for j in range(6)]
+        tracemalloc.start()
+        try:
+            optimize_beta0_grid(two_cluster_system(40, 16), cells)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
     def test_beta0_grows_with_users(self):
         imp = ImpairmentParams(1e-4, 0.999)

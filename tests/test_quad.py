@@ -64,3 +64,100 @@ def test_unresolved_singularity_raises():
     # 1/x on (0, 1] diverges: the error estimate never meets the tolerance
     with pytest.raises(QuadratureError):
         quad_checked(lambda x: 1.0 / x, 0.0, 1.0, limit=50)
+
+
+# Integrals of different intervals, breakpoints and refinement depths, as
+# (f, a, b, points): a smooth one, a kink split at its breakpoint, a steep
+# step, and an oscillating one over a long interval that takes many levels.
+STACK = [
+    (lambda x: np.exp(-x) * np.log2(1.0 + x), 0.0, 10.0, [2.0, 5.0]),
+    (lambda x: np.abs(x - 1.0 / 3.0), 0.0, 1.0, [1.0 / 3.0, 5.0]),
+    (lambda x: 0.5 * (1.0 + np.tanh((x - 1.0) / 2e-5)), 0.0, 4.0, [math.nan, 7.0]),
+    (lambda x: np.sin(3.0 * x) ** 2 / (1.0 + x * x), -3.0, 40.0, [1.0, 1.0]),
+]
+
+
+def stacked(funcs):
+    """One integrand over a stack: integral i is ``funcs[i]``."""
+
+    def f(x, which):
+        out = np.empty_like(x)
+        for i, g in enumerate(funcs):
+            at = which == i
+            out[at] = g(x[at])
+        return out
+
+    return f
+
+
+def stack_args(cases):
+    funcs, a, b, points = zip(*cases)
+    return stacked(funcs), np.array(a), np.array(b), np.array(points)
+
+
+class TestBatch:
+    def test_equals_single_integral_calls(self):
+        got = quad_checked(*stack_args(STACK)[:3], points=stack_args(STACK)[3])
+        single = [quad_checked(f, a, b, points=list(p)) for f, a, b, p in STACK]
+        assert got.tolist() == single
+
+    def test_result_does_not_depend_on_place_in_the_batch(self):
+        # many copies of each integral, interleaved: every copy is the same
+        cases = STACK * 40
+        f, a, b, points = stack_args(cases)
+        got = quad_checked(f, a, b, points=points)
+        single = [quad_checked(g, lo, hi, points=list(p)) for g, lo, hi, p in STACK]
+        assert got.tolist() == single * 40
+
+    def test_converged_integral_is_not_evaluated_again(self):
+        nodes = np.zeros(len(STACK), dtype=int)
+        f, a, b, points = stack_args(STACK)
+
+        def counting(x, which):
+            nodes[:] += np.bincount(which, minlength=len(STACK))
+            return f(x, which)
+
+        quad_checked(counting, a, b, points=points)
+        for i, (g, lo, hi, p) in enumerate(STACK):
+            seen = []
+            quad_checked(lambda x: seen.append(x.size) or g(x), lo, hi, points=list(p))
+            assert nodes[i] == sum(seen)
+        # the oscillating integral refines longest; the others stop well before it
+        assert nodes[3] > 5 * max(nodes[:3])
+
+    def test_integrand_is_told_each_nodes_integral(self):
+        seen = []
+
+        def f(x, which):
+            seen.append((x.copy(), which.copy()))
+            return np.ones_like(x)
+
+        quad_checked(f, np.array([0.0, 10.0]), np.array([1.0, 12.0]))
+        x, which = map(np.concatenate, zip(*seen))
+        assert np.all((x[which == 0] > 0.0) & (x[which == 0] < 1.0))
+        assert np.all((x[which == 1] > 10.0) & (x[which == 1] < 12.0))
+
+    def test_shared_breakpoints_broadcast(self):
+        got = quad_checked(lambda x, which: np.abs(x - 0.5), np.zeros(3), np.ones(3),
+                           points=[0.5])
+        assert got.tolist() == [quad_checked(lambda x: np.abs(x - 0.5), 0.0, 1.0,
+                                             points=[0.5])] * 3
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_value_in_one_integral_raises(self, bad):
+        f = stacked([np.exp, lambda x: np.where(x > 0.5, bad, 1.0), np.sin])
+        with pytest.raises(QuadratureError):
+            quad_checked(f, np.zeros(3), np.ones(3))
+
+    def test_each_integral_keeps_its_failure_contract(self):
+        # 1/x on (0, 1] diverges; the integral beside it converges
+        f = stacked([lambda x: 1.0 / x, np.exp])
+        with pytest.raises(QuadratureError, match="integral 0"):
+            quad_checked(f, np.zeros(2), np.ones(2), limit=50)
+
+    def test_limits_checked_per_integral(self):
+        with pytest.raises(ValueError):
+            quad_checked(lambda x, which: x, np.array([0.0, 2.0]), np.array([1.0, 1.0]))
+
+    def test_empty_stack(self):
+        assert quad_checked(lambda x, which: x, np.zeros(0), np.ones(0)).shape == (0,)
