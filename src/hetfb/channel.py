@@ -203,8 +203,10 @@ def cluster_feedback_quota(sys: SystemConfig, g: int) -> int:
 
 
 def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """CN(0, 1) draws: pairs of standard normals, scaled and viewed as complex."""
     z = rng.standard_normal(shape + (2,))
-    return math.sqrt(0.5) * (z[..., 0] + 1j * z[..., 1])
+    z *= math.sqrt(0.5)
+    return z.view(complex)[..., 0]
 
 
 def _dft_phases(cfg: CorrelatedChannelConfig) -> np.ndarray:
@@ -222,20 +224,20 @@ _BLAS_THREADED_MACS = 2**16
 def _correlated_gain_map(cfg: CorrelatedChannelConfig):
     """The map of i.i.d. unit taps (..., users, L) to subcarrier gains (..., users, Nc).
 
-    Its tap scaling and DFT phases are built once, for every call of the
-    map.  Users are multiplied in groups small enough that BLAS runs each
+    The gain of subcarrier n is sum_l sqrt(pdp_l) h_l exp(-2 pi i l n / Nc).
+    The tap amplitudes are folded into the DFT phase matrix once, when the
+    map is built, so each call is one product of the unit taps with that
+    matrix.  Users are multiplied in groups small enough that BLAS runs each
     product on the calling thread; every gain is one dot product over the
     taps either way, so the grouping does not change a bit.
     """
-    sigma = np.sqrt(np.asarray(cfg.pdp))
-    phases = _dft_phases(cfg)
-    group = max(1, (_BLAS_THREADED_MACS - 1) // phases.size)
+    weights = np.sqrt(np.asarray(cfg.pdp))[:, None] * _dft_phases(cfg)
+    group = max(1, (_BLAS_THREADED_MACS - 1) // weights.size)
 
     def gains(taps: np.ndarray) -> np.ndarray:
-        scaled = taps * sigma
-        out = np.empty(scaled.shape[:-1] + phases.shape[1:], dtype=complex)
-        for lo in range(0, scaled.shape[-2], group):
-            np.matmul(scaled[..., lo : lo + group, :], phases, out=out[..., lo : lo + group, :])
+        out = np.empty(taps.shape[:-1] + weights.shape[1:], dtype=complex)
+        for lo in range(0, taps.shape[-2], group):
+            np.matmul(taps[..., lo : lo + group, :], weights, out=out[..., lo : lo + group, :])
         return out
 
     return gains

@@ -140,6 +140,8 @@ def impairments_from_config(cfg: dict) -> ImpairmentParams | None:
 def correlated_from_config(cfg: dict) -> CorrelatedChannelConfig:
     n_sc = _config_value(cfg, "num_subcarriers", int)
     n_rbs = _config_value(cfg, "n_rbs", int)
+    if n_rbs < 1 or n_sc % n_rbs:
+        raise ValueError(f"config key 'n_rbs' must divide num_subcarriers={n_sc}, got {n_rbs}")
     pdp = pdp_exponential(_config_value(cfg, "num_taps", int), _config_value(cfg, "pdp_decay", float))
     return CorrelatedChannelConfig(
         num_subcarriers=n_sc,

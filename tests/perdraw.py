@@ -5,8 +5,10 @@ This module keeps the readable per-draw chain that the kernel must agree
 with, as a test oracle:
 
 * channel realizations of both models and the imperfection model
-  (``ChannelRealization``, ``gen_correlated_channel``,
-  ``gen_subband_fading``, ``apply_impairments``);
+  (``ChannelRealization``, ``complex_normal``, ``correlated_gains``,
+  ``gen_correlated_channel``, ``gen_subband_fading``,
+  ``apply_impairments``), built from raw ``standard_normal`` draws without
+  the library's channel helpers;
 * CQI computation and best-M selection (``cqi_subband_avg_rate``,
   ``best_m_select``, ``user_offset``, ``subband_reports``);
 * per-block argmax scheduling and fixed-/variable-rate realization
@@ -24,8 +26,6 @@ from hetfb.channel import (
     CorrelatedChannelConfig,
     ImpairmentParams,
     SystemConfig,
-    _complex_normal,
-    _correlated_gain_map,
     cluster_feedback_quota,
 )
 
@@ -61,6 +61,26 @@ class ChannelRealization:
         return np.concatenate(parts, axis=0)
 
 
+def complex_normal(z: np.ndarray) -> np.ndarray:
+    """CN(0, 1) values from pairs (..., 2) of standard normal draws."""
+    return math.sqrt(0.5) * (z[..., 0] + 1j * z[..., 1])
+
+
+def correlated_gains(cfg: CorrelatedChannelConfig, z: np.ndarray) -> np.ndarray:
+    """Subcarrier gains (..., Nc) of unit taps drawn as normal pairs ``z`` (..., L, 2).
+
+    The gain of subcarrier n is the explicit tap sum
+    sum_l sqrt(pdp_l) h_l exp(-2 pi i l n / Nc).
+    """
+    taps = complex_normal(z)
+    n = np.arange(cfg.num_subcarriers)
+    gains = np.zeros(taps.shape[:-1] + (cfg.num_subcarriers,), dtype=complex)
+    for l, power in enumerate(cfg.pdp):
+        phase = np.exp(-2j * math.pi * l * n / cfg.num_subcarriers)
+        gains += math.sqrt(power) * taps[..., l, None] * phase
+    return gains
+
+
 def gen_correlated_channel(
     cfg: CorrelatedChannelConfig, num_users: int, seed
 ) -> ChannelRealization:
@@ -71,8 +91,7 @@ def gen_correlated_channel(
     if num_users < 1:
         raise ValueError("num_users must be >= 1")
     rng = np.random.default_rng(seed)
-    taps = _complex_normal(rng, (num_users, cfg.num_taps))
-    gains = _correlated_gain_map(cfg)(taps)
+    gains = correlated_gains(cfg, rng.standard_normal((num_users, cfg.num_taps, 2)))
     return ChannelRealization("subcarrier", (gains,))
 
 
@@ -82,7 +101,7 @@ def gen_subband_fading(sys: SystemConfig, seed) -> ChannelRealization:
     gains = []
     for g in range(sys.num_clusters):
         shape = (sys.clusters[g].num_users, sys.num_subbands(g))
-        gains.append(_complex_normal(rng, shape))
+        gains.append(complex_normal(rng.standard_normal(shape + (2,))))
     return ChannelRealization("subband", tuple(gains))
 
 
@@ -106,8 +125,8 @@ def apply_impairments(
     est, actual = [], []
     for gains in realization.gains:
         h_hat = sd_est * gains
-        w = sd_err * _complex_normal(rng, gains.shape)
-        eps = _complex_normal(rng, gains.shape)
+        w = sd_err * complex_normal(rng.standard_normal(gains.shape + (2,)))
+        eps = complex_normal(rng.standard_normal(gains.shape + (2,)))
         est.append(h_hat)
         actual.append(a * (h_hat + w) + sd_innov * eps)
     return (

@@ -11,6 +11,7 @@ from hetfb.channel import (
     CorrelatedChannelConfig,
     ImpairmentParams,
     SystemConfig,
+    _complex_normal,
     pdp_exponential,
 )
 from hetfb.specfun import marcum_q1
@@ -18,6 +19,7 @@ from tests.oracles import conditional_pdf_actual, subcarrier_correlation
 from tests.perdraw import (
     ChannelRealization,
     apply_impairments,
+    complex_normal,
     gen_correlated_channel,
     gen_subband_fading,
 )
@@ -126,6 +128,12 @@ class TestCorrelatedChannel:
         real = gen_correlated_channel(cfg, 3, seed=1)
         mags = np.abs(real.gains[0])
         assert np.allclose(mags, mags[:, :1])
+
+    def test_complex_normal_is_the_scaled_pair(self):
+        # the library views its draws as complex; the oracle adds re + 1j * im
+        got = _complex_normal(np.random.default_rng(4), (7, 3, 16))
+        want = complex_normal(np.random.default_rng(4).standard_normal((7, 3, 16, 2)))
+        assert np.array_equal(got.view(float), want.view(float))
 
     def test_seed_determinism(self):
         cfg = corr_cfg()

@@ -223,6 +223,18 @@ class TestValidationFailures:
         assert err["error"]["type"] == "validation"
         assert not list(tmp_path.rglob("*.csv"))
 
+    @pytest.mark.parametrize("n_rbs", [48, 96, 100, 200, 512])
+    def test_correlated_n_rbs_not_dividing_subcarriers_exits_2(self, tmp_path, n_rbs, capsys):
+        argv = ["simulate", "--config", write_config(tmp_path, BASE), "--out", str(tmp_path)]
+        for item in ["model=correlated", "num_subcarriers=256", "num_taps=16", "pdp_decay=4.0",
+                     f"n_rbs={n_rbs}", 'clusters=[{"eta": 4, "users": 3}]']:
+            argv += ["--set", item]
+        assert run(argv) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "validation"
+        assert "n_rbs" in err["error"]["message"]
+        assert not list(tmp_path.rglob("*.csv"))
+
     @pytest.mark.parametrize(
         "argv",
         [

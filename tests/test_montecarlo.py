@@ -13,8 +13,6 @@ from hetfb.channel import (
     CorrelatedChannelConfig,
     ImpairmentParams,
     SystemConfig,
-    _complex_normal,
-    _correlated_gain_map,
     pdp_exponential,
 )
 from hetfb.goodput import StrategyParams, fixed_rate_metrics
@@ -38,6 +36,7 @@ from tests.perdraw import (
     ChannelRealization,
     FeedbackReport,
     best_m_select,
+    correlated_gains,
     cqi_subband_avg_rate,
     realize_fixed_rate,
     realize_variable_rate,
@@ -598,15 +597,16 @@ class TestCorrelatedGrid:
             assert est.trials == 1200 and est.std_error > 0
 
     def test_matches_per_draw_oracle(self):
-        # two subband sizes x two quotas on one row block of shared taps;
-        # at M = 1 on 16 subbands of 4 users some blocks go idle
+        # three subband sizes, so two are averaged from the finest, on one
+        # row block of shared taps; at M = 1 on 16 subbands of 4 users some
+        # blocks go idle
         cfg, snr, users, t = corr_cfg(), 10.0, 4, 40
-        combos = [(1, 1), (1, 3), (4, 1), (4, 3)]
+        combos = [(1, 1), (1, 3), (2, 2), (4, 1), (4, 3)]
         grid = correlated_rate_grid(cfg, snr, users, combos, t, 13)
 
         ((seq, _),) = mc._chunk_plan(t, 13)
-        taps = _complex_normal(np.random.default_rng(seq), (t, users, cfg.num_taps))
-        gains = _correlated_gain_map(cfg)(taps)
+        z = np.random.default_rng(seq).standard_normal((t, users, cfg.num_taps, 2))
+        gains = correlated_gains(cfg, z)
         for eta, m in combos:
             s = SystemConfig(cfg.num_rbs, (Cluster(eta, users),), m, snr)
             width = eta * cfg.subcarriers_per_rb
@@ -625,6 +625,27 @@ class TestCorrelatedGrid:
             assert abs(np.mean(rates) - grid[eta, m].value) < 1e-12
             se = np.std(rates, ddof=1) / math.sqrt(t)
             assert abs(se - grid[eta, m].std_error) < 1e-12
+
+    @pytest.mark.parametrize("snr_db", [10.0, 120.0])
+    def test_flat_fading_ties_every_subband(self, snr_db):
+        # one tap: every subcarrier of a user has the same gain, so all its
+        # subband CQIs tie and each user reports its M lowest subbands; the
+        # best user then serves those M of the S subbands
+        cfg, users, t = CorrelatedChannelConfig(64, 4, (1.0,)), 5, 300
+        snr = 10.0 ** (snr_db / 10.0)
+        combos = [(1, 3), (2, 2), (4, 1)]
+        grid = correlated_rate_grid(cfg, snr, users, combos, t, 21)
+
+        ((seq, _),) = mc._chunk_plan(t, 21)
+        z = np.random.default_rng(seq).standard_normal((t, users, 1, 2))
+        power = 0.5 * (z[..., 0, 0] ** 2 + z[..., 0, 1] ** 2)
+        best = np.log2(1.0 + snr * np.log2(1.0 + snr * power).max(axis=1))
+        for eta, m in combos:
+            rates = m / (cfg.num_rbs // eta) * best
+            est = grid[eta, m]
+            assert math.isfinite(est.value) and math.isfinite(est.std_error)
+            assert abs(est.value - rates.mean()) < 1e-12
+            assert abs(est.std_error - np.std(rates, ddof=1) / math.sqrt(t)) < 1e-12
 
     def test_chunking_boundary(self):
         # trials not a multiple of the chunk width

@@ -3,15 +3,21 @@
 ``perfbench`` traces library names (such as ``analytic.selection_coefficients``
 and ``goodput.quad_checked``) by binding site, so a library refactor that
 drops one breaks the benchmark; running its self-test here catches that.
+Each workload's default-seed jobs also run here through ``hetfb.cli.run``
+and the benchmark's correctness gate.
 """
 
+import csv
 import importlib.util
 import subprocess
 import sys
 import threading
 from pathlib import Path
 
+import pytest
+
 import hetfb.montecarlo as mc
+from hetfb import cli
 from hetfb.channel import (
     Cluster,
     CorrelatedChannelConfig,
@@ -23,6 +29,13 @@ from hetfb.goodput import StrategyParams
 from hetfb.montecarlo import ExperimentSpec
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_perfbench_selftest():
@@ -40,9 +53,7 @@ def test_perfbench_selftest():
 def test_traced_names_stay_on_the_calling_thread(monkeypatch):
     # the tracer keeps one call stack, so no name it wraps may run in a
     # Monte Carlo chunk thread
-    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load("tracer")
     targets = set()
     for target in tracer.TARGETS:
         module, qualname = target.split(".", 1)
@@ -78,3 +89,20 @@ def test_traced_names_stay_on_the_calling_thread(monkeypatch):
         threading.setprofile(None)
     assert ("hetfb.montecarlo", "run_perfect.<locals>.chunk") in in_workers
     assert not in_workers & targets
+
+
+@pytest.mark.parametrize("workload", ["mc_simulate", "analytic"])
+def test_benchmark_jobs_pass_the_correctness_gate(tmp_path, workload):
+    # every job of a default-seed round, checked against the recorded
+    # reference as the benchmark checks it (simulate rows within |z| <= 5)
+    workloads = _load("workloads")
+    reference = workloads.load_reference()
+    failed = {}
+    for i, job in enumerate(workloads.make_jobs(workload, workloads.DEFAULT_SEED)):
+        out = tmp_path / f"job{i}"
+        assert cli.run(job["argv"] + ["--out", str(out)]) == 0, job["name"]
+        (path,) = out.glob("*.csv")
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        failed[job["name"]] = workloads.check_job(job, rows, reference)
+    assert not any(failed.values()), failed
