@@ -392,12 +392,20 @@ class ScheduledCqiMixture:
         return self._per_system(lambda k: [self.scale * math.log1p(max(k, 2)),
                                            self.scale * (math.log1p(max(k, 2)) + 4.0)])
 
-    def _integrate(self, integrand):
+    def _integrate(self, integrand, rows: int | None = None):
         """Integral of ``integrand(mix, x, at)`` over the continuous part, per system.
 
         ``mix`` is the mixture at each abscissa's system, and ``at(v)`` takes
-        a per-system array ``v`` there (``v`` itself for one system).
+        a per-system array ``v`` there (``v`` itself for one system).  With
+        ``rows``, one system integrates a stack of that many integrands in
+        one batched quadrature: ``at(v)`` then takes a per-row array ``v``
+        at each abscissa's row, and the result is an array.
         """
+        if rows is not None:
+            return quad_checked(
+                lambda x, which: integrand(self, x, lambda v: v[which]),
+                np.zeros(rows), self.x_max, points=self._points(),
+            )
         if self.num_users.ndim == 0:
             return quad_checked(lambda x: integrand(self, x, lambda v: v),
                                 0.0, self.x_max, points=self._points())

@@ -267,17 +267,21 @@ def _estimate_rows(estimates: dict) -> list[dict]:
     ]
 
 
-def _goodput_pair(system, imp, beta0, beta1, lead: dict, detail=lambda beta: {}) -> list[dict]:
-    """Fixed-rate goodput at ``beta0``, then variable-rate goodput at ``beta1``.
+def _goodput_rows(system, imp, beta0, beta1, leads, detail=lambda beta: {}) -> list[dict]:
+    """Per entry of ``leads``, a fixed-rate row at its ``beta0``, then a variable-rate row.
 
-    Each row holds ``lead``, the strategy, ``detail(beta)``, goodput and outage.
+    The variable-rate row is at the entry's ``beta1``.  One goodput table
+    call evaluates every row.  Each row holds its lead, the strategy,
+    ``detail(beta)``, goodput and outage.
     """
-    r0, p0 = goodput.fixed_rate_metrics(system, imp, beta0)
-    r1, p1 = goodput.variable_rate_metrics(system, imp, beta1)
-    return [
-        {**lead, "strategy": "fixed", **detail(beta0), "goodput": r0, "outage": p0},
-        {**lead, "strategy": "variable", **detail(beta1), "goodput": r1, "outage": p1},
-    ]
+    r0, p0, r1, p1 = (v.tolist() for v in goodput._metrics_table(system, imp, beta0, beta1))
+    rows = []
+    for i, lead in enumerate(leads):
+        rows.append({**lead, "strategy": "fixed", **detail(beta0[i]), "goodput": r0[i],
+                     "outage": p0[i]})
+        rows.append({**lead, "strategy": "variable", **detail(beta1[i]), "goodput": r1[i],
+                     "outage": p1[i]})
+    return rows
 
 
 def _min_m_rows(systems, gammas) -> list[dict]:
@@ -351,11 +355,9 @@ def _cmd_analytic(args, cfg) -> list[dict]:
             {"users": k, "best_m": sys_k.best_m, "sum_rate": rate}
             for (k, sys_k), rate in zip(systems, rates)
         ]
-    return [
-        row
-        for beta in parse_grid(args.beta_grid)
-        for row in _goodput_pair(system, imp, args.beta0_scale * beta, beta, {"beta": beta})
-    ]
+    betas = parse_grid(args.beta_grid)
+    return _goodput_rows(system, imp, [args.beta0_scale * beta for beta in betas], betas,
+                         [{"beta": beta} for beta in betas])
 
 
 def _cmd_min_m(args, cfg) -> list[dict]:
@@ -402,11 +404,11 @@ def _figure_3():
         snr = 10.0 ** (snr_db / 10.0)
         for m in (2, 4, 16):
             system = dataclasses.replace(_fig3_system(k, m), snr=snr)
-            for beta in betas:
-                r1, _ = goodput.variable_rate_metrics(system, _FIG_IMPAIRMENTS, beta)
-                rows.append(
-                    {"snr_db": snr_db, "beta1": beta, "best_m": m, "method": "exact", "goodput": r1}
-                )
+            _, _, r1, _ = goodput._metrics_table(system, _FIG_IMPAIRMENTS, [], betas)
+            rows += [
+                {"snr_db": snr_db, "beta1": beta, "best_m": m, "method": "exact", "goodput": r}
+                for beta, r in zip(betas, r1.tolist())
+            ]
         for beta in betas:
             r1 = goodput.i3_jensen(beta, k, _FIG_IMPAIRMENTS, snr)
             rows.append(
@@ -464,10 +466,9 @@ def _figure_5(trials, seed):
 def _figure_6():
     rows = []
     for k in (10, 20):
-        system = _fig3_system(k, 16)
-        for beta in [round(0.05 * i, 2) for i in range(1, 21)]:
-            lead = {"users": k, "beta": beta}
-            rows += _goodput_pair(system, _FIG_IMPAIRMENTS, 10.0 * beta, beta, lead)
+        betas = [round(0.05 * i, 2) for i in range(1, 21)]
+        rows += _goodput_rows(_fig3_system(k, 16), _FIG_IMPAIRMENTS, [10.0 * b for b in betas],
+                              betas, [{"users": k, "beta": b} for b in betas])
     return rows
 
 
@@ -488,8 +489,8 @@ def _figure_8():
         b1, _ = goodput.optimize_beta1(system, _FIG_IMPAIRMENTS)
         m_star = min(res.exact, system.m_full)
         sys_star = dataclasses.replace(system, best_m=m_star)
-        rows += _goodput_pair(
-            sys_star, _FIG_IMPAIRMENTS, b0, b1, {"users": system.num_users},
+        rows += _goodput_rows(
+            sys_star, _FIG_IMPAIRMENTS, [b0], [b1], [{"users": system.num_users}],
             lambda beta: {"beta_opt": beta, "m_star": m_star},
         )
     return rows

@@ -15,10 +15,22 @@ quadrature, and the helper bounds the memory of each block.  The I3
 integrals take a positive, finite SNR and raise ``ValueError`` otherwise.
 Near perfect feedback the Marcum-Q arguments grow like 1/sqrt(est_error_var);
 ``marcum_q1`` switches to Gauss-Hermite quadrature there, so both stay
-cheap and finite.  Full feedback uses these order-statistic integrals directly;
-partial-feedback metrics integrate the same conditional success and rate
-against the scheduled estimated-CQI mixture, the one route of
-``analytic``.  Every quadrature integrand is array-valued: the Marcum-Q
+cheap and finite.
+
+The goodput and outage metrics of a whole table (arrays of beta0 and beta1
+on one system) come from one batched quadrature.  Each outage is an
+integral of its own, of the failure probability 1 - Q1 that ``marcum_q1c``
+gives at full relative precision, never coverage or 1 minus a success: its
+integrand is nonnegative, so is the outage, and a small outage keeps its
+relative precision.  A beta's success and failure integrals share most
+quadrature nodes, so each distinct Marcum-Q argument pair of a level is
+evaluated once, by ``marcum_q1_pair``.  Under partial feedback the stack
+integrates the fixed-rate success and outage and the variable-rate goodput
+and outage of every beta against the scheduled estimated-CQI mixture, the
+one route of ``analytic``.  At full feedback the fixed-rate success is one
+array ``i2`` call and one ``_order_expect`` stack integrates the rest at
+every order.  ``fixed_rate_metrics`` and ``variable_rate_metrics`` are the
+one-beta tables.  Every quadrature integrand is array-valued: the Marcum-Q
 factor is evaluated on all nodes of a refinement level at once.
 
 The optimizers search a whole list of impairment cells in lockstep
@@ -40,9 +52,9 @@ import numpy as np
 
 # quad_checked stays bound here: perfbench/selftest.py checks its tracing in this module
 from ._quad import QuadratureError, quad_checked  # noqa: F401
-from .analytic import ScheduledCqiMixture, _order, _order_expect, _order_moment, coverage_prob
+from .analytic import ScheduledCqiMixture, _order, _order_expect, _order_moment
 from .channel import ImpairmentParams, SystemConfig
-from .specfun import gauss_2f1, marcum_q1
+from .specfun import gauss_2f1, marcum_q1, marcum_q1_pair
 
 __all__ = [
     "StrategyParams",
@@ -241,7 +253,7 @@ def i3_jensen(a, b: int, imp, snr: float):
 
 
 # ---------------------------------------------------------------------------
-# Goodput / outage metrics under partial feedback
+# Goodput / outage metrics
 # ---------------------------------------------------------------------------
 
 
@@ -254,38 +266,81 @@ def fixed_rate_metrics(
     is scheduled and its transmission fails (blocks nobody reported are
     excluded from the outage event, not renormalized).
     """
-    if not 0.0 <= beta0 < math.inf:
-        raise ValueError("beta0 must be finite and nonnegative")
-    rho = sys.snr
-    rate = math.log2(1.0 + rho * beta0)
-    if beta0 == 0.0:
-        return 0.0, 0.0
-    if sys.best_m == sys.m_full:
-        success = i2(beta0, sys.num_users, imp)
-        return rate * success, 1.0 - success
-    mix = ScheduledCqiMixture(sys, scale=imp.estimate_var)
-    varpi, vartheta = _marcum_args(beta0, imp)
-    success = mix.expect(lambda x: _threshold_q1(x, varpi, vartheta))
-    return rate * success, coverage_prob(sys) - success
+    r0, p0, _, _ = _metrics_table(sys, imp, [beta0], [])
+    return float(r0[0]), float(p0[0])
 
 
 def variable_rate_metrics(
     sys: SystemConfig, imp: ImpairmentParams, beta1: float
 ) -> tuple[float, float]:
     """Average goodput and outage probability of the variable-rate strategy."""
-    if not 0.0 <= beta1 <= 1.0:
+    _, _, r1, p1 = _metrics_table(sys, imp, [], [beta1])
+    return float(r1[0]), float(p1[0])
+
+
+def _metrics_table(sys: SystemConfig, imp: ImpairmentParams, beta0, beta1):
+    """Goodput and outage of both strategies over arrays of beta0 and beta1.
+
+    Returns arrays (fixed goodput, fixed outage) over ``beta0`` and
+    (variable goodput, variable outage) over ``beta1``, from one batched
+    quadrature as the module docstring describes.  A zero beta has zero
+    goodput and outage.
+    """
+    b0 = np.atleast_1d(np.asarray(beta0, dtype=float))
+    b1 = np.atleast_1d(np.asarray(beta1, dtype=float))
+    if not np.all((0.0 <= b0) & (b0 < math.inf)):
+        raise ValueError("beta0 must be finite and nonnegative")
+    if not np.all((0.0 <= b1) & (b1 <= 1.0)):
         raise ValueError("beta1 must lie in [0, 1]")
-    rho = sys.snr
-    if beta1 == 0.0:
-        return 0.0, 0.0
-    if sys.best_m == sys.m_full:
-        k = sys.num_users
-        return i3_quadrature(beta1, k, imp, rho), 1.0 - i4(beta1, k, imp)
-    mix = ScheduledCqiMixture(sys, scale=imp.estimate_var)
-    q1_at = _backoff_q1(beta1, imp)
-    goodput = mix.expect(lambda x: q1_at(x) * np.log2(1.0 + rho * beta1 * x))
-    success = mix.expect(q1_at)
-    return goodput, coverage_prob(sys) - success
+    rho, k = sys.snr, sys.num_users
+    full = sys.best_m == sys.m_full
+    on0, on1 = np.flatnonzero(b0 > 0.0), np.flatnonzero(b1 > 0.0)
+    n0, n1 = on0.size, on1.size
+    # the rows of the stack: (betas, at a backoff of the estimate, failure, times the rate)
+    rows = [
+        (b0[on0], False, False, False),  # fixed-rate success
+        (b0[on0], False, True, False),  # fixed-rate outage
+        (b1[on1], True, False, True),  # variable-rate goodput
+        (b1[on1], True, True, False),  # variable-rate outage
+    ]
+    if full:  # the fixed-rate success is i2 there
+        rows = rows[1:]
+    beta = np.concatenate([r[0] for r in rows])
+    backoff, failure, rated = (
+        np.concatenate([np.full(r[0].size, r[i]) for r in rows]) for i in (1, 2, 3)
+    )
+    varpi = imp.alpha_w * imp.delay_corr
+
+    def conditional(x, at):
+        """Each node's integrand given the estimate x: its row's Marcum-Q factor, or rate."""
+        row_beta, rate = at(beta), at(rated)
+        args = np.empty(x.shape, dtype=complex)
+        args.real = varpi * np.sqrt(x)
+        args.imag = imp.alpha_w * np.sqrt(row_beta * np.where(at(backoff), x, 1.0))
+        # a beta's success and failure rows share most nodes: each distinct
+        # argument pair is evaluated once
+        args, inverse = np.unique(args, return_inverse=True)
+        q, qc = marcum_q1_pair(args.real, args.imag)
+        out = np.where(at(failure), qc[inverse], q[inverse])
+        out[rate] *= np.log2(1.0 + rho * row_beta[rate] * x[rate])
+        return out
+
+    if full:
+        success = i2(b0[on0], k, imp)
+        values = _order_expect(
+            lambda x, which: conditional(x, lambda v: v[which]), np.full(beta.size, k),
+            imp.estimate_var,
+        )
+    else:
+        mix = ScheduledCqiMixture(sys, scale=imp.estimate_var)
+        success, values = np.split(mix._integrate(
+            lambda mix, x, at: conditional(x, at) * mix.pdf(x), rows=beta.size
+        ), [n0])
+    r0, p0, r1, p1 = np.zeros(b0.size), np.zeros(b0.size), np.zeros(b1.size), np.zeros(b1.size)
+    r0[on0] = np.array([math.log2(1.0 + rho * b) for b in b0[on0].tolist()]) * success
+    p0[on0], r1[on1], p1[on1] = np.split(values, [n0, n0 + n1])
+    # probabilities: the quadrature's rounding may not carry an outage past 1
+    return r0, np.minimum(p0, 1.0), r1, np.minimum(p1, 1.0)
 
 
 # ---------------------------------------------------------------------------

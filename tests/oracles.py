@@ -1,14 +1,16 @@
 """Reference evaluations that the library no longer carries, kept as test oracles.
 
 * The arbitrary-precision closed forms of the moment integrals I1, I2, I4
-  and the low-SNR I3 bound.  The library sums these alternating binomial
-  series in floats up to order 20 and integrates the defining integrals
-  beyond; these sums, in mpmath with enough guard digits for the
-  cancellation, check the quadrature route at any order.
+  and the low-SNR I3 bound, and the outages 1 - I2 and 1 - I4 subtracted
+  in mpmath.  The library sums these alternating binomial series in
+  floats up to order 20 and integrates the defining integrals beyond;
+  these sums, in mpmath with enough guard digits for the cancellation,
+  check the quadrature route at any order.
 * The probability-domain parametrization of the variable-rate goodput
   integral, an independent quadrature of what ``i3_quadrature`` computes.
-* The Craig/Simon single-integral form of the Marcum Q-function, which
-  stays accurate at arguments far beyond the noncentral chi-square routines.
+* The Craig/Simon single-integral form of the Marcum Q-function and its
+  complement, which stay accurate at arguments far beyond the noncentral
+  chi-square routines.
 * The paper's per-feedback-set expansion of a partial-feedback metric,
   summed exactly over the rational selection coefficients, the reference
   for the library's mixture-CDF route.
@@ -59,38 +61,62 @@ def i1_mp(a: float, b: int) -> float:
         return float(b * total / mp.ln(2))
 
 
+def _i2_sum_mp(a: float, b: int, imp: ImpairmentParams) -> mp.mpf:
+    """I2 by its closed form, at the working precision."""
+    v = mp.mpf(imp.estimate_var)
+    w2 = (mp.mpf(imp.alpha_w) * imp.delay_corr) ** 2
+    t2 = mp.mpf(imp.alpha_w) ** 2 * a
+    total = mp.mpf(0)
+    for l in range(b):
+        z = 2 * (l + 1) / v
+        c = w2 + z
+        bracket = mp.exp(-t2 / 2) + mp.exp(-z * t2 / (2 * c)) * (-mp.expm1(-w2 * t2 / (2 * c)))
+        term = mp.binomial(b - 1, l) * bracket / z
+        total += term if l % 2 == 0 else -term
+    return 2 * b / v * total
+
+
+def _i4_sum_mp(a: float, b: int, imp: ImpairmentParams) -> mp.mpf:
+    """I4 by its closed form, at the working precision."""
+    v = mp.mpf(imp.estimate_var)
+    w = mp.mpf(imp.alpha_w) * imp.delay_corr
+    t = mp.mpf(imp.alpha_w) * mp.sqrt(mp.mpf(a))
+    total = mp.mpf(0)
+    for l in range(b):
+        z = 2 * (l + 1) / v
+        psi = w**2 - t**2 + z
+        sig = mp.sqrt(((w - t) ** 2 + z) * ((w + t) ** 2 + z))
+        term = mp.binomial(b - 1, l) / z * (1 + psi / sig)
+        total += term if l % 2 == 0 else -term
+    return b / v * total
+
+
 def i2_mp(a: float, b: int, imp: ImpairmentParams) -> float:
     """Fixed-rate success probability I2 by its closed form."""
     with mp.workdps(mp_dps(b)):
-        v = mp.mpf(imp.estimate_var)
-        w2 = (mp.mpf(imp.alpha_w) * imp.delay_corr) ** 2
-        t2 = mp.mpf(imp.alpha_w) ** 2 * a
-        total = mp.mpf(0)
-        for l in range(b):
-            z = 2 * (l + 1) / v
-            c = w2 + z
-            bracket = mp.exp(-t2 / 2) + mp.exp(-z * t2 / (2 * c)) * (
-                -mp.expm1(-w2 * t2 / (2 * c))
-            )
-            term = mp.binomial(b - 1, l) * bracket / z
-            total += term if l % 2 == 0 else -term
-        return float(min(max(2 * b / v * total, mp.mpf(0)), mp.mpf(1)))
+        return float(min(max(_i2_sum_mp(a, b, imp), mp.mpf(0)), mp.mpf(1)))
 
 
 def i4_mp(a: float, b: int, imp: ImpairmentParams) -> float:
     """Variable-rate success probability I4 by its closed form."""
     with mp.workdps(mp_dps(b)):
-        v = mp.mpf(imp.estimate_var)
-        w = mp.mpf(imp.alpha_w) * imp.delay_corr
-        t = mp.mpf(imp.alpha_w) * mp.sqrt(mp.mpf(a))
-        total = mp.mpf(0)
-        for l in range(b):
-            z = 2 * (l + 1) / v
-            psi = w**2 - t**2 + z
-            sig = mp.sqrt(((w - t) ** 2 + z) * ((w + t) ** 2 + z))
-            term = mp.binomial(b - 1, l) / z * (1 + psi / sig)
-            total += term if l % 2 == 0 else -term
-        return float(min(max(b / v * total, mp.mpf(0)), mp.mpf(1)))
+        return float(min(max(_i4_sum_mp(a, b, imp), mp.mpf(0)), mp.mpf(1)))
+
+
+def i2_outage_mp(a: float, b: int, imp: ImpairmentParams, extra_dps: int) -> float:
+    """Fixed-rate outage 1 - I2, subtracted in mpmath at ``extra_dps`` digits over ``mp_dps``.
+
+    A small outage is the difference of two numbers near 1, so it needs
+    digits beyond those the binomial cancellation takes.
+    """
+    with mp.workdps(mp_dps(b) + extra_dps):
+        return float(1 - _i2_sum_mp(a, b, imp))
+
+
+def i4_outage_mp(a: float, b: int, imp: ImpairmentParams, extra_dps: int) -> float:
+    """Variable-rate outage 1 - I4, subtracted in mpmath as in ``i2_outage_mp``."""
+    with mp.workdps(mp_dps(b) + extra_dps):
+        return float(1 - _i4_sum_mp(a, b, imp))
 
 
 def i3_ub_mp(a: float, b: int, imp: ImpairmentParams, snr: float) -> float:
@@ -142,7 +168,7 @@ def i3_quadrature_u(a: float, b: int, imp: ImpairmentParams, snr: float) -> floa
     return quad_checked(integrand, 0.0, 1.0, limit=400, abs_fail=1e-6)
 
 
-def marcum_q1_craig(a: float, b: float, dps: int = 40) -> float:
+def marcum_q1_craig(a: float, b: float, dps: int = 40, complement: bool = False) -> float:
     """Q1(a, b) for a != b by the Craig/Simon integral over one period.
 
     With zeta the ratio of the smaller to the larger argument r and
@@ -150,7 +176,8 @@ def marcum_q1_craig(a: float, b: float, dps: int = 40) -> float:
     Q1 = (1/2pi) int (1 - zeta cos phi) / D exp(-r^2 D / 2) dphi for b > a, and
     Q1 = 1 + (1/2pi) int zeta (zeta - cos phi) / D exp(-r^2 D / 2) dphi for
     b < a.  The mass sits within a few 1/r of phi = 0, so the range is split
-    there.
+    there.  With ``complement`` it returns 1 - Q1, subtracted at ``dps``
+    digits before rounding to a float.
     """
     if a == b:
         raise ValueError("the Craig form is singular on the diagonal")
@@ -167,7 +194,8 @@ def marcum_q1_craig(a: float, b: float, dps: int = 40) -> float:
         scales = sorted({min(mp.pi, k * s) for s in (1 / r, 1 - zeta) for k in (1, 10, 100)})
         total = mp.quad(integrand, [0] + scales + ([mp.pi] if scales[-1] < mp.pi else []))
         value = total / mp.pi  # the integrand is even in phi
-        return float(value if b > a else 1 + value)
+        q = value if b > a else 1 + value
+        return float(1 - q if complement else q)
 
 
 def metric_over_sets(sys: SystemConfig, term: Callable[[int], float]) -> float:

@@ -351,6 +351,19 @@ class TestAnalyticCommand:
         assert len(rows) == 4
 
 
+    def test_near_perfect_outages_are_nonnegative(self, tmp_path):
+        # near-perfect feedback on a large partial-feedback system, where an
+        # outage taken as coverage minus success came out at -1.6e-12
+        argv = ["analytic", "--out", str(tmp_path), "--beta-grid", "0.1,0.16,0.3",
+                "--set", "n_rbs=1024", "--set", 'clusters=[{"eta":2,"users":27}]',
+                "--set", "best_m=312", "--set", "snr_db=15.997",
+                "--set", "est_err_var=1e-9", "--set", "alpha=1.0"]
+        assert run(argv) == 0
+        rows = read_csv(tmp_path / "analytic.csv")
+        assert len(rows) == 6
+        assert all(0.0 <= float(row["outage"]) <= 1.0 for row in rows)
+
+
 class TestMinMCommand:
     def test_columns_and_bound(self, tmp_path):
         cfg = write_config(tmp_path, dict(BASE, n_rbs=64, best_m=1))

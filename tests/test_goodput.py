@@ -26,9 +26,11 @@ from hetfb.goodput import (
 from tests.conftest import two_cluster_system
 from tests.oracles import (
     i2_mp,
+    i2_outage_mp,
     i3_quadrature_u,
     i3_ub_mp,
     i4_mp,
+    i4_outage_mp,
     metric_over_sets,
     optimize_beta0_scalar,
     optimize_beta1_scalar,
@@ -350,6 +352,53 @@ class TestMetrics:
             fixed_rate_metrics(s, imp_default, -1.0)
         with pytest.raises(ValueError):
             variable_rate_metrics(s, imp_default, 1.5)
+
+
+class TestOutage:
+    """Outage as an integral of its own, against the mpmath outage forms."""
+
+    IMPAIRMENTS = [ImpairmentParams(0.01, 0.98), ImpairmentParams(3e-4, 0.9997)]
+
+    # the strategies' metric, oracle and two parameters each; (fixed, K = 20,
+    # beta0 = 0.1, (0.01, 0.98)) and (variable, K = 20, beta1 in {0.05, 0.8})
+    # are the cells whose outage subtraction was off by 0.28% to 7.5%
+    @pytest.mark.parametrize("metrics, oracle, beta", [
+        (fixed_rate_metrics, i2_outage_mp, 0.1),
+        (fixed_rate_metrics, i2_outage_mp, 2.0),
+        (variable_rate_metrics, i4_outage_mp, 0.05),
+        (variable_rate_metrics, i4_outage_mp, 0.8),
+    ], ids=["fixed-0.1", "fixed-2", "variable-0.05", "variable-0.8"])
+    @pytest.mark.parametrize("users", [5, 10, 15, 20, 40])
+    @pytest.mark.parametrize("imp", IMPAIRMENTS, ids=["sw2=0.01", "sw2=3e-4"])
+    def test_full_feedback_matches_mpmath(self, metrics, oracle, beta, users, imp):
+        s = two_cluster_system(users, 16)
+        assert s.best_m == s.m_full
+        _, outage = metrics(s, imp, beta)
+        ref = oracle(beta, users, imp, extra_dps=30)
+        tol = 1e-9 * ref if ref >= 1e-10 else 1e-11
+        # the oracle itself is settled far below the tolerance
+        assert abs(ref - oracle(beta, users, imp, extra_dps=60)) <= 0.01 * tol
+        assert outage >= 0.0
+        assert abs(outage - ref) <= tol
+
+    @pytest.mark.parametrize("m", [2, 4, 16])
+    def test_table_equals_scalar_calls(self, imp_default, m):
+        s = two_cluster_system(20, m)
+        beta0, beta1 = [0.0, 0.5, 1.5, 4.0], [0.35, 0.0, 0.7, 1.0]
+        r0, p0, r1, p1 = goodput._metrics_table(s, imp_default, beta0, beta1)
+        fixed = [fixed_rate_metrics(s, imp_default, b) for b in beta0]
+        variable = [variable_rate_metrics(s, imp_default, b) for b in beta1]
+        assert list(zip(r0.tolist(), p0.tolist())) == fixed
+        assert list(zip(r1.tolist(), p1.tolist())) == variable
+
+    @pytest.mark.parametrize("m", [4, 16], ids=["partial", "full"])
+    @pytest.mark.parametrize("beta", [0.0, 0.6])
+    def test_metrics_are_plain_floats(self, imp_default, m, beta):
+        s = two_cluster_system(10, m)
+        for value in fixed_rate_metrics(s, imp_default, 5 * beta) + variable_rate_metrics(
+            s, imp_default, beta
+        ):
+            assert type(value) is float
 
 
 class TestOptimizers:

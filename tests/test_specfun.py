@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.special import i0e as scipy_i0e
 
-from hetfb.specfun import bessel_i0e, exp_integral_e1_scaled, gauss_2f1, marcum_q1
+from hetfb.specfun import bessel_i0e, exp_integral_e1_scaled, gauss_2f1, marcum_q1, marcum_q1c
 from tests.oracles import bessel_i0, exp_integral_e1, marcum_q1_craig
 
 # Frozen oracle values, recomputed below by the independent oracles.
@@ -188,6 +188,60 @@ class TestMarcumQ1:
         assert vals[-2] == 0.0 and vals[-1] == 1.0  # |a - b| >= 40 rounds to 0 or 1
         assert np.array_equal(vals, [marcum_q1(x, y) for x, y in zip(a, b)])
         assert np.array_equal(marcum_q1(a[:, None], b).diagonal(), vals)
+
+
+class TestMarcumQ1Complement:
+    """1 - Q1 at full relative precision, branch by branch."""
+
+    @pytest.mark.parametrize("a,b", [
+        # b <= a, through chndtr
+        (10.0, 5.0), (6.0, 3.0), (4.0, 1.0), (39.0, 30.0),
+        # b > a near the origin and just above the diagonal, through chndtr
+        (0.0, 1e-3), (0.0, 0.02), (1e-3, 0.02), (0.01, 0.0100001), (0.02, 0.04),
+        # both arguments at least 40: Gauss-Hermite
+        (60.0, 55.0), (300.0, 290.0), (300.0, 296.0), (4472.0, 4466.0), (2.5e5, 2.5e5 - 8.0),
+    ])
+    def test_matches_craig_integral(self, a, b):
+        ref = marcum_q1_craig(a, b, dps=60, complement=True)
+        assert ref < 1e-3
+        assert abs(marcum_q1c(a, b) - ref) <= 1e-13 * ref
+
+    def test_saturated(self):
+        # |a - b| >= 40: the complement rounds to exactly 0 (b < a) or 1 (b > a)
+        a = np.array([45.0, 100.0, 0.0, 20.0, 1e6])
+        b = np.array([5.0, 60.0, 40.0, 100.0, 1e6 - 40.0])
+        assert marcum_q1c(a, b).tolist() == [0.0, 0.0, 1.0, 1.0, 0.0]
+
+    def test_complements_marcum_q1(self):
+        # a grid across b = a, |a - b| = 40 and min(a, b) = 40, near the
+        # origin and out to the Gauss-Hermite branch's large arguments
+        offsets = np.array([-41.0, -40.0, -39.99, -5.0, -1.0, -0.1, -1e-3, -1e-9, 0.0, 1e-9,
+                            1e-3, 0.01, 0.1, 0.5, 1.0, 5.0, 39.99, 40.0, 41.0])
+        for a in np.concatenate([np.linspace(0.0, 90.0, 181), [39.999, 40.001, 4472.0, 1e6]]):
+            b = np.concatenate([a + offsets, np.linspace(0.0, 90.0, 91)])
+            b = b[b >= 0.0]
+            assert np.all(np.abs(marcum_q1(a, b) + marcum_q1c(a, b) - 1.0) <= 4e-16)
+
+    def test_array_call_matches_scalar_calls(self):
+        a = np.array([0.0, 0.5, 3.0, 5.0, 12.0, 8.0, 60.0, 4472.0, 0.0, 100.0])
+        b = np.array([1.0, 0.2, 1.0, 5.0, 10.0, 15.0, 58.0, 4470.0, 45.0, 50.0])
+        vals = marcum_q1c(a, b)
+        assert type(marcum_q1c(3.0, 1.0)) is np.float64
+        assert np.array_equal(vals, [marcum_q1c(x, y) for x, y in zip(a, b)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(min_value=0.0, max_value=50.0),
+        st.floats(min_value=0.0, max_value=50.0),
+    )
+    def test_range(self, a, b):
+        assert 0.0 <= marcum_q1c(a, b) <= 1.0
+
+    def test_domain(self):
+        with pytest.raises(ValueError, match="Marcum Q1"):
+            marcum_q1c(-1.0, 1.0)
+        with pytest.raises(ValueError, match="Marcum Q1"):
+            marcum_q1c(1.0, -1.0)
 
 
 class TestGauss2F1:
