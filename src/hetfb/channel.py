@@ -12,7 +12,9 @@ Two channel models are supported:
 Imperfections (estimation error plus feedback delay) follow a first-order
 Gauss-Markov evolution: the scheduler sees an outdated estimate ``h_hat``
 while transmission happens over ``h_tilde = alpha*(h_hat + w) +
-sqrt(1-alpha^2)*eps``.  The draws themselves live in ``montecarlo``.
+sqrt(1-alpha^2)*eps``.  The correlated model's tap draws and gain map
+(``_complex_normal``, ``_correlated_gain_map``) live here; ``montecarlo``
+draws the subband model's CQIs and the feedback-imperfection noise.
 """
 
 from __future__ import annotations

@@ -409,11 +409,11 @@ def _figure_3():
                 {"snr_db": snr_db, "beta1": beta, "best_m": m, "method": "exact", "goodput": r}
                 for beta, r in zip(betas, r1.tolist())
             ]
-        for beta in betas:
-            r1 = goodput.i3_jensen(beta, k, _FIG_IMPAIRMENTS, snr)
-            rows.append(
-                {"snr_db": snr_db, "beta1": beta, "best_m": 16, "method": "jensen", "goodput": r1}
-            )
+        r1 = goodput.i3_jensen(betas, k, _FIG_IMPAIRMENTS, snr)
+        rows += [
+            {"snr_db": snr_db, "beta1": beta, "best_m": 16, "method": "jensen", "goodput": r}
+            for beta, r in zip(betas, r1.tolist())
+        ]
     return rows
 
 

@@ -24,14 +24,15 @@ gives at full relative precision, never coverage or 1 minus a success: its
 integrand is nonnegative, so is the outage, and a small outage keeps its
 relative precision.  A beta's success and failure integrals share most
 quadrature nodes, so each distinct Marcum-Q argument pair of a level is
-evaluated once, by ``marcum_q1_pair``.  Under partial feedback the stack
-integrates the fixed-rate success and outage and the variable-rate goodput
-and outage of every beta against the scheduled estimated-CQI mixture, the
-one route of ``analytic``.  At full feedback the fixed-rate success is one
-array ``i2`` call and one ``_order_expect`` stack integrates the rest at
-every order.  ``fixed_rate_metrics`` and ``variable_rate_metrics`` are the
-one-beta tables.  Every quadrature integrand is array-valued: the Marcum-Q
-factor is evaluated on all nodes of a refinement level at once.
+evaluated once, by ``marcum_q1_pair``.  The stack holds the fixed-rate
+success and outage and the variable-rate goodput and outage of every beta.
+Under partial feedback it is integrated against the scheduled
+estimated-CQI mixture, the one route of ``analytic``; at full feedback it
+is one ``_order_expect`` stack at every order, so even a small order skips
+the cancelling mixture sum of ``i2``.  ``fixed_rate_metrics`` and
+``variable_rate_metrics`` are the one-beta tables.  Every quadrature
+integrand is array-valued: the Marcum-Q factor is evaluated on all nodes
+of a refinement level at once.
 
 The optimizers search a whole list of impairment cells in lockstep
 (``optimize_beta0_grid``, ``optimize_beta1_grid``): one array call of
@@ -293,7 +294,6 @@ def _metrics_table(sys: SystemConfig, imp: ImpairmentParams, beta0, beta1):
     if not np.all((0.0 <= b1) & (b1 <= 1.0)):
         raise ValueError("beta1 must lie in [0, 1]")
     rho, k = sys.snr, sys.num_users
-    full = sys.best_m == sys.m_full
     on0, on1 = np.flatnonzero(b0 > 0.0), np.flatnonzero(b1 > 0.0)
     n0, n1 = on0.size, on1.size
     # the rows of the stack: (betas, at a backoff of the estimate, failure, times the rate)
@@ -303,8 +303,6 @@ def _metrics_table(sys: SystemConfig, imp: ImpairmentParams, beta0, beta1):
         (b1[on1], True, False, True),  # variable-rate goodput
         (b1[on1], True, True, False),  # variable-rate outage
     ]
-    if full:  # the fixed-rate success is i2 there
-        rows = rows[1:]
     beta = np.concatenate([r[0] for r in rows])
     backoff, failure, rated = (
         np.concatenate([np.full(r[0].size, r[i]) for r in rows]) for i in (1, 2, 3)
@@ -325,20 +323,19 @@ def _metrics_table(sys: SystemConfig, imp: ImpairmentParams, beta0, beta1):
         out[rate] *= np.log2(1.0 + rho * row_beta[rate] * x[rate])
         return out
 
-    if full:
-        success = i2(b0[on0], k, imp)
+    if sys.best_m == sys.m_full:
         values = _order_expect(
             lambda x, which: conditional(x, lambda v: v[which]), np.full(beta.size, k),
             imp.estimate_var,
         )
     else:
         mix = ScheduledCqiMixture(sys, scale=imp.estimate_var)
-        success, values = np.split(mix._integrate(
+        values = mix._integrate(
             lambda mix, x, at: conditional(x, at) * mix.pdf(x), rows=beta.size
-        ), [n0])
+        )
     r0, p0, r1, p1 = np.zeros(b0.size), np.zeros(b0.size), np.zeros(b1.size), np.zeros(b1.size)
+    success, p0[on0], r1[on1], p1[on1] = np.split(values, [n0, 2 * n0, 2 * n0 + n1])
     r0[on0] = np.array([math.log2(1.0 + rho * b) for b in b0[on0].tolist()]) * success
-    p0[on0], r1[on1], p1[on1] = np.split(values, [n0, n0 + n1])
     # probabilities: the quadrature's rounding may not carry an outage past 1
     return r0, np.minimum(p0, 1.0), r1, np.minimum(p1, 1.0)
 

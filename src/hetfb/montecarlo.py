@@ -13,13 +13,14 @@ estimate is bit-identical at any worker count.  Each worker holds one row
 block at a time, so peak block memory is workers x ``_BLOCK_BYTES``.
 
 The subband model runs one kernel (``_subband_blocks``): draw exponential
-CQIs, keep each user's best M by a partition threshold, take the maximum
-over users per cluster subband and then over clusters per block, and, under
-imperfect feedback, realize the actual CQI from one noise draw per winning
-(cluster, subband).  Each cluster of a chunk has its own draw and noise
-substreams, and a chunk is processed in row blocks under a fixed byte
-budget, so peak memory does not grow with users x subbands and the results
-do not depend on the blocking.
+CQIs, take each cluster subband's best-M winner (``_winner_cqi``, the step
+all schedulers here share) and the maximum over clusters per block, and,
+under imperfect feedback, realize the actual CQI from one noise draw per
+winning (cluster, subband).  A block is scheduled where its winning CQI is
+positive, so a drawn CQI of exactly 0.0 (numpy's exponential sampler gives
+one with probability about 2^-53 per draw) counts as unreported.  Each
+cluster of a chunk has its own draw and noise substreams, and row blocks
+under a fixed byte budget bound peak memory; no result depends on the blocking.
 
 Estimators mirror the analytic conventions: the per-block rate and goodput
 averages keep idle (never-reported) blocks in the denominator at zero
@@ -222,7 +223,7 @@ def _keep_best(values: np.ndarray, quota: int) -> np.ndarray:
 
     Works in place on ``values`` and returns the mask of kept entries.  CQIs
     are nonnegative, so a zeroed entry never beats a kept one in a maximum
-    over users, and the mask tells whether anybody reported a subband.  A
+    over users, and a maximum of 0 means nobody reported the subband.  A
     multiply, unlike a masked store, does not branch per element.
 
     Exactly ``quota`` entries are kept per row: ties at the threshold keep
@@ -281,9 +282,8 @@ def _subband_blocks(sys: SystemConfig, imp: ImpairmentParams | None, seq, t: int
     """Best-M scheduling of one subband-model chunk, one row block at a time.
 
     Yields ``(best, covered, actual)`` per block, each shaped (rows, num_rbs):
-    the scheduled CQI estimate (0 on idle blocks), whether any user
-    reported the block, and with impairments the scheduled user's actual
-    CQI (``None`` without).
+    the scheduled CQI estimate, ``best > 0`` (the scheduled blocks) and, with
+    impairments, the scheduled user's actual CQI (else ``None``); both CQIs are 0 when idle.
 
     * Draw: |CN(0, 1)|^2 ~ Exp(1), so CQIs are drawn as exponentials,
       scaled by the estimate variance with impairments.
@@ -301,7 +301,7 @@ def _subband_blocks(sys: SystemConfig, imp: ImpairmentParams | None, seq, t: int
     cells = max(c.num_users * sys.num_subbands(g) for g, c in enumerate(sys.clusters))
     # draws, partition copy and mask per cell; a dozen block-grid temporaries
     for r in _row_blocks(t, 8 * (3 * cells + 12 * sys.num_rbs)):
-        best = np.full((r, sys.num_rbs), -np.inf)
+        best = np.zeros((r, sys.num_rbs))
         actual = None if imp is None else np.zeros((r, sys.num_rbs))
         for g, cluster in enumerate(sys.clusters):
             if cluster.num_users == 0:
@@ -309,18 +309,16 @@ def _subband_blocks(sys: SystemConfig, imp: ImpairmentParams | None, seq, t: int
             z = draws[g].standard_exponential((r, cluster.num_users, sys.num_subbands(g)))
             if imp is not None:
                 z *= imp.estimate_var
-            kept = _keep_best(z, cluster_feedback_quota(sys, g))
-            top = np.where(kept.any(axis=1), z.max(axis=1), -np.inf)
+            top = _winner_cqi(z, cluster_feedback_quota(sys, g))
             top_blocks = np.repeat(top, cluster.subband_size, axis=1)
             wins = top_blocks > best
             best = np.where(wins, top_blocks, best)
             if imp is not None:
                 n = noise[g].standard_normal(top.shape + (2,)) / imp.alpha_w
-                amp = imp.delay_corr * np.sqrt(np.maximum(top, 0.0)) + n[..., 0]
+                amp = imp.delay_corr * np.sqrt(top) + n[..., 0]
                 til = amp * amp + n[..., 1] ** 2
                 actual = np.where(wins, np.repeat(til, cluster.subband_size, axis=1), actual)
-        covered = np.isfinite(best)
-        yield np.maximum(best, 0.0), covered, actual
+        yield best, best > 0.0, actual
 
 
 # ---------------------------------------------------------------------------
@@ -451,10 +449,10 @@ def run_imperfect_grid(
             for i, s in enumerate(strategies):
                 if s.beta0 is not None:
                     rate = math.log2(1.0 + rho * s.beta0)
-                    success = covered & (til > s.beta0)
+                    success = til > s.beta0
                 else:
                     rate = np.log2(1.0 + rho * s.beta1 * best)
-                    success = covered & (til > s.beta1 * best)
+                    success = til > s.beta1 * best
                 good[i].append(np.where(success, rate, 0.0).sum(axis=1) / n)
                 out_blocks[i].append((covered & ~success).sum(axis=1))
         return (
@@ -590,7 +588,7 @@ def _run_homogeneous(sys: SystemConfig, eta_fb: int, trials: int, seed) -> Estim
         rate = np.log2(z, out=z)
         if c.subband_size >= eta_fb:
             return np.repeat(rate, c.subband_size // eta_fb, axis=2)
-        return rate.reshape(r, c.num_users, subbands, eta_fb // c.subband_size).mean(axis=3)
+        return _group_mean(rate, eta_fb // c.subband_size)
 
     def chunk(seq, t):
         rates = []

@@ -90,7 +90,11 @@ def exp_integral_e1_scaled(x):
     if not np.all(x > 0):
         raise ValueError(f"exp_integral_e1_scaled requires x > 0, got {x!r}")
     small = np.minimum(x, _E1_SCALED_SPLIT)
-    return np.where(x <= _E1_SCALED_SPLIT, np.exp(small) * exp1(small), hyperu(1.0, 1.0, x))[()]
+    out = np.asarray(np.exp(small) * exp1(small))
+    large = x > _E1_SCALED_SPLIT
+    if large.any():
+        out[large] = hyperu(1.0, 1.0, x[large])
+    return out[()]
 
 
 def bessel_i0e(x):

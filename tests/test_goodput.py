@@ -316,6 +316,14 @@ class TestMetrics:
         assert r1 == pytest.approx(i3_quadrature(0.8, 10, imp_default, s.snr), rel=1e-10)
         assert p1 == pytest.approx(1.0 - i4(0.8, 10, imp_default), rel=1e-12)
 
+    @pytest.mark.parametrize("beta0", [0.5, 1.0])
+    def test_full_feedback_fixed_goodput_matches_mpmath(self, imp_default, beta0):
+        # the order-20 mixture sum of i2 cancels to ~1e-12; the stack's quadrature does not
+        s = two_cluster_system(20, 16)
+        r0, _ = fixed_rate_metrics(s, imp_default, beta0)
+        ref = math.log2(1.0 + s.snr * beta0) * i2_mp(beta0, 20, imp_default)
+        assert r0 == pytest.approx(ref, rel=1e-12, abs=0)
+
     def test_fixed_rate_identity(self, imp_default):
         # R0 = log2(1+rho*b0) * (coverage - P0) follows from the shared expansion
         for m in (2, 4):

@@ -172,6 +172,9 @@ class TestAgainstOpsPipeline:
         imp = ImpairmentParams(0.02, 0.95)
         t = 48
         ((best, covered, til),) = _subband_blocks(s, imp, np.random.SeedSequence(123), t)
+        # an idle block fails every success test: its estimate and actual CQI are 0
+        assert not covered.all()
+        assert np.all(best[~covered] == 0.0) and np.all(til[~covered] == 0.0)
 
         draws, noise = _cluster_streams(np.random.SeedSequence(123), s.num_clusters)
         h_hat, h_til = [], []

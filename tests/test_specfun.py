@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
+from scipy.special import hyperu as scipy_hyperu
 from scipy.special import i0e as scipy_i0e
 
+from hetfb import specfun
 from hetfb.specfun import bessel_i0e, exp_integral_e1_scaled, gauss_2f1, marcum_q1, marcum_q1c
 from tests.oracles import bessel_i0, exp_integral_e1, marcum_q1_craig
 
@@ -71,6 +73,17 @@ class TestExpIntegral:
             assert math.isfinite(scaled) and scaled > 0
             if x <= 600:
                 assert abs(scaled - math.exp(x) * exp_integral_e1(x)) <= 1e-12 * scaled
+
+    def test_scaled_calls_hyperu_beyond_split_only(self, monkeypatch):
+        seen = []
+
+        def recording_hyperu(a, b, x):
+            seen.extend(np.atleast_1d(x).tolist())
+            return scipy_hyperu(a, b, x)
+
+        monkeypatch.setattr(specfun, "hyperu", recording_hyperu)
+        exp_integral_e1_scaled(np.array([1.0, 10.0, 800.0, 1e4]))
+        assert seen == [800.0, 1e4]
 
     @pytest.mark.parametrize("x", [0.0, -1.0])
     def test_domain(self, x):
