@@ -347,10 +347,10 @@ class ScheduledCqiMixture:
     def _at(self, which: np.ndarray) -> "ScheduledCqiMixture":
         """The mixture with each per-system parameter taken at the systems ``which`` names."""
         out = copy.copy(self)
-        out.p = self.p[which]
-        out.laws = [ReportedCqiLaw(law.num_subbands, law.quota[which], law.scale)
+        out.p = np.take(self.p, which)
+        out.laws = [ReportedCqiLaw(law.num_subbands, np.take(law.quota, which), law.scale)
                     for law in self.laws]
-        out.counts = [k[which] for k in self.counts]
+        out.counts = [np.take(k, which) for k in self.counts]
         return out
 
     def cdf(self, x):
@@ -395,24 +395,19 @@ class ScheduledCqiMixture:
     def _integrate(self, integrand, rows: int | None = None):
         """Integral of ``integrand(mix, x, at)`` over the continuous part, per system.
 
-        ``mix`` is the mixture at each abscissa's system, and ``at(v)`` takes
-        a per-system array ``v`` there (``v`` itself for one system).  With
-        ``rows``, one system integrates a stack of that many integrands in
-        one batched quadrature: ``at(v)`` then takes a per-row array ``v``
-        at each abscissa's row, and the result is an array.
+        All of them in one batched quadrature: ``mix`` is the mixture at each
+        abscissa's system, and ``at(v)`` takes a per-system array (or scalar)
+        ``v`` there; one system gives a float.  With ``rows``, one system
+        integrates a stack of that many integrands: ``at(v)`` then takes a
+        per-row array ``v`` at each abscissa's row, and the result is an array.
         """
-        if rows is not None:
-            return quad_checked(
-                lambda x, which: integrand(self, x, lambda v: v[which]),
-                np.zeros(rows), self.x_max, points=self._points(),
-            )
-        if self.num_users.ndim == 0:
-            return quad_checked(lambda x: integrand(self, x, lambda v: v),
-                                0.0, self.x_max, points=self._points())
-        return quad_checked(
-            lambda x, which: integrand(self._at(which), x, lambda v: np.asarray(v)[which]),
-            0.0, self.x_max, points=self._points(),
+        values = quad_checked(
+            lambda x, which: integrand(self if rows is not None else self._at(which), x,
+                                       lambda v: np.take(v, which)),
+            np.zeros(self.num_users.size if rows is None else rows), self.x_max,
+            points=self._points(),
         )
+        return float(values[0]) if rows is None and isinstance(self.sys, SystemConfig) else values
 
     def expect(self, func: Callable[[np.ndarray], np.ndarray]):
         """Integral of the array-valued ``func`` against the continuous part of the law.

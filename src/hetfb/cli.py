@@ -14,9 +14,10 @@ Each handler returns its rows (``simulate`` also its exit code), built by
 row builders that the figure recipes share with the subcommands.  A row is
 a dict, and the keys of the first row are the table's columns.  Every run
 writes a CSV (12 significant digits) plus a JSON manifest recording the
-configuration that ran: the resolved config of a subcommand; the figure,
-seed and trial count of a Monte Carlo figure; ``null`` for a closed-form
-figure.  The manifest's top-level seed is that configuration's seed.
+configuration that ran: the resolved config of ``simulate``, or of a
+closed-form subcommand without its seed and trials; the figure, seed and
+trial count of a Monte Carlo figure; ``null`` for a closed-form figure.
+The manifest's top-level seed is that configuration's seed, if it has one.
 Exit codes: 0 ok, 2 validation error (a bad config, argument or
 output path), 3 numerical failure, 4 cross-validation flagged, 5 internal
 error.
@@ -504,8 +505,19 @@ _FIGURES = {
 _FIGURE_TRIALS = {"1": 20_000, "5": 20_000}
 
 
-def _figure_run(args, cfg) -> dict | None:
-    """The figure, seed and trials a Monte Carlo figure runs; None for a closed-form one."""
+def _run_config(args, cfg) -> dict | None:
+    """The configuration a command runs, which its manifest records.
+
+    ``analytic``, ``min-m`` and ``optimize`` compute the subband model's
+    closed forms: they refuse another ``model`` and use no seed or trials.
+    """
+    if args.command == "simulate":
+        return cfg
+    if args.command != "figure":
+        if cfg.get("model", "subband") != "subband":
+            raise ValueError(f"config key 'model': the closed forms cover the subband model "
+                             f"only, got {cfg['model']!r}")
+        return {key: value for key, value in cfg.items() if key not in ("seed", "trials")}
     if args.name not in _FIGURE_TRIALS:
         return None
     return {"figure": args.name, "seed": _config_value(cfg, "seed", int),
@@ -616,7 +628,7 @@ def run(argv=None) -> int:
     name = f"figure_{args.name}" if args.command == "figure" else args.command.replace("-", "_")
     # each handler gets the configuration it runs, and the manifest records it
     try:
-        config = _figure_run(args, cfg) if args.command == "figure" else cfg
+        config = _run_config(args, cfg)
         result = _HANDLERS[args.command](args, config)
     except Exception as exc:
         return _fail(exc)

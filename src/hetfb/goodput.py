@@ -284,8 +284,9 @@ def _metrics_table(sys: SystemConfig, imp: ImpairmentParams, beta0, beta1):
 
     Returns arrays (fixed goodput, fixed outage) over ``beta0`` and
     (variable goodput, variable outage) over ``beta1``, from one batched
-    quadrature as the module docstring describes.  A zero beta has zero
-    goodput and outage.
+    quadrature as the module docstring describes.  A zero beta is an
+    ordinary row, whose goodput and outage integrands are exactly 0
+    (Q1(a, 0) = 1 and log2(1) = 0), so both come out 0.0.
     """
     b0 = np.atleast_1d(np.asarray(beta0, dtype=float))
     b1 = np.atleast_1d(np.asarray(beta1, dtype=float))
@@ -294,14 +295,12 @@ def _metrics_table(sys: SystemConfig, imp: ImpairmentParams, beta0, beta1):
     if not np.all((0.0 <= b1) & (b1 <= 1.0)):
         raise ValueError("beta1 must lie in [0, 1]")
     rho, k = sys.snr, sys.num_users
-    on0, on1 = np.flatnonzero(b0 > 0.0), np.flatnonzero(b1 > 0.0)
-    n0, n1 = on0.size, on1.size
     # the rows of the stack: (betas, at a backoff of the estimate, failure, times the rate)
     rows = [
-        (b0[on0], False, False, False),  # fixed-rate success
-        (b0[on0], False, True, False),  # fixed-rate outage
-        (b1[on1], True, False, True),  # variable-rate goodput
-        (b1[on1], True, True, False),  # variable-rate outage
+        (b0, False, False, False),  # fixed-rate success
+        (b0, False, True, False),  # fixed-rate outage
+        (b1, True, False, True),  # variable-rate goodput
+        (b1, True, True, False),  # variable-rate outage
     ]
     beta = np.concatenate([r[0] for r in rows])
     backoff, failure, rated = (
@@ -333,9 +332,8 @@ def _metrics_table(sys: SystemConfig, imp: ImpairmentParams, beta0, beta1):
         values = mix._integrate(
             lambda mix, x, at: conditional(x, at) * mix.pdf(x), rows=beta.size
         )
-    r0, p0, r1, p1 = np.zeros(b0.size), np.zeros(b0.size), np.zeros(b1.size), np.zeros(b1.size)
-    success, p0[on0], r1[on1], p1[on1] = np.split(values, [n0, 2 * n0, 2 * n0 + n1])
-    r0[on0] = np.array([math.log2(1.0 + rho * b) for b in b0[on0].tolist()]) * success
+    success, p0, r1, p1 = np.split(values, np.cumsum([b0.size, b0.size, b1.size]))
+    r0 = np.array([math.log2(1.0 + rho * b) for b in b0.tolist()]) * success
     # probabilities: the quadrature's rounding may not carry an outage past 1
     return r0, np.minimum(p0, 1.0), r1, np.minimum(p1, 1.0)
 

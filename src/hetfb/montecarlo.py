@@ -204,7 +204,7 @@ def _map_chunks(fn, plan: list[tuple[np.random.SeedSequence, int]]) -> list:
         return [fn(seq, t) for seq, t in plan]
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
-        return list(pool.map(fn, *zip(*plan)))
+        return list(pool.map(lambda job: fn(*job), plan))
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -394,20 +394,18 @@ def correlated_rate_grid(
     finest = etas[0]
 
     def chunk(seq, t):
-        per_combo = [[] for _ in combos]
+        """Per-trial sum rates, one row per combination."""
+        blocks = []
         for rate in _subcarrier_rates(cfg, snr, num_users, np.random.default_rng(seq), t):
             fine = _group_mean(rate, finest * cfg.subcarriers_per_rb)
             cqi = {finest: fine}
             for e in etas[1:]:
                 cqi[e] = _group_mean(fine, e // finest)
-            for rates, (eta, m) in zip(per_combo, combos):
-                rates.append(_mean_rate(_winner_cqi(cqi[eta].copy(), m), snr))
-        return [np.concatenate(rates) for rates in per_combo]
+            blocks.append([_mean_rate(_winner_cqi(cqi[eta].copy(), m), snr) for eta, m in combos])
+        return np.concatenate(blocks, axis=1)
 
-    per_chunk = _map_chunks(chunk, _chunk_plan(trials, seed))
-    return {
-        c: _mean_estimate(np.concatenate(rates)) for c, rates in zip(combos, zip(*per_chunk))
-    }
+    rates = np.concatenate(_map_chunks(chunk, _chunk_plan(trials, seed)), axis=1)
+    return {c: _mean_estimate(r) for c, r in zip(combos, rates)}
 
 
 # ---------------------------------------------------------------------------
@@ -440,42 +438,31 @@ def run_imperfect_grid(
     rho = spec.system.snr
 
     def chunk(seq, t):
-        """Per-trial scheduled-block counts, then goodputs and outage counts per strategy."""
-        sched = []
-        good = [[] for _ in strategies]
-        out_blocks = [[] for _ in strategies]
+        """Per-trial statistics: scheduled blocks, then goodput and failed blocks per strategy."""
+        blocks = []
         for best, covered, til in _subband_blocks(spec.system, spec.impairments, seq, t):
-            sched.append(covered.sum(axis=1))
-            for i, s in enumerate(strategies):
+            stats = [covered.sum(axis=1)]
+            for s in strategies:
                 if s.beta0 is not None:
                     rate = math.log2(1.0 + rho * s.beta0)
                     success = til > s.beta0
                 else:
                     rate = np.log2(1.0 + rho * s.beta1 * best)
                     success = til > s.beta1 * best
-                good[i].append(np.where(success, rate, 0.0).sum(axis=1) / n)
-                out_blocks[i].append((covered & ~success).sum(axis=1))
-        return (
-            np.concatenate(sched),
-            [np.concatenate(g) for g in good],
-            [np.concatenate(o) for o in out_blocks],
-        )
+                stats += [np.where(success, rate, 0.0).sum(axis=1) / n,
+                          (covered & ~success).sum(axis=1)]
+            blocks.append(stats)
+        return np.concatenate(blocks, axis=1)
 
-    sched, good, out_blocks = zip(*_map_chunks(chunk, _chunk_plan(spec.trials, spec.seed)))
-    sched = np.concatenate(sched).astype(float)
-    results = []
-    for i, s in enumerate(strategies):
-        gp = np.concatenate([g[i] for g in good])
-        ob = np.concatenate([o[i] for o in out_blocks]).astype(float)
-        results.append(
-            ImperfectResult(
-                strategy=s,
-                goodput=_mean_estimate(gp),
-                outage=_ratio_estimate(ob, sched, spec.trials),
-                scheduling_outage=_mean_estimate((n - sched) / n),
-            )
-        )
-    return results
+    stats = np.concatenate(_map_chunks(chunk, _chunk_plan(spec.trials, spec.seed)), axis=1)
+    sched = stats[0]
+    scheduling_outage = _mean_estimate((n - sched) / n)
+    return [
+        ImperfectResult(strategy=s, goodput=_mean_estimate(good),
+                        outage=_ratio_estimate(failed, sched, spec.trials),
+                        scheduling_outage=scheduling_outage)
+        for s, good, failed in zip(strategies, stats[1::2], stats[2::2])
+    ]
 
 
 def run_imperfect(spec: ExperimentSpec) -> ImperfectResult:

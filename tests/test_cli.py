@@ -250,6 +250,16 @@ class TestValidationFailures:
         assert err["error"]["type"] == "validation"
         assert not list(tmp_path.rglob("*.csv"))
 
+    @pytest.mark.parametrize("command", ["analytic", "min-m", "optimize"])
+    def test_closed_form_commands_refuse_other_models(self, tmp_path, command, capsys):
+        # they compute the subband model's closed forms whatever the config says
+        argv = [command, "--config", write_config(tmp_path, BASE), "--out", str(tmp_path)]
+        assert run(argv + ["--set", "model=correlated"]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "validation"
+        assert "model" in err["error"]["message"]
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_degenerate_impairment_cell_exits_2(self, tmp_path, capsys):
         # (0, 1) is perfect feedback, which the impairment model rejects
         argv = ["optimize", "--est-err-grid", "0,0.01", "--alpha-grid", "0.9,1"]
@@ -349,6 +359,17 @@ class TestAnalyticCommand:
         rows = read_csv(tmp_path / "analytic.csv")
         assert {r["strategy"] for r in rows} == {"fixed", "variable"}
         assert len(rows) == 4
+
+    def test_manifest_records_no_seed(self, tmp_path):
+        # a closed form uses no random draws: neither the seed nor the trial
+        # count changes what it computes
+        cfg = write_config(tmp_path, BASE)
+        argv = ["analytic", "--config", cfg, "--out", str(tmp_path), "--users-grid", "4"]
+        assert run(argv + ["--seed", "9", "--trials", "50"]) == 0
+        manifest = json.loads((tmp_path / "analytic.manifest.json").read_text())
+        assert manifest["seed"] is None
+        expected = {k: v for k, v in BASE.items() if k not in ("seed", "trials")}
+        assert manifest["config"] == expected
 
 
     def test_near_perfect_outages_are_nonnegative(self, tmp_path):

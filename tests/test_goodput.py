@@ -302,8 +302,9 @@ class TestJensen:
 
 
 class TestMetrics:
-    def test_zero_parameters(self, imp_default):
-        s = two_cluster_system(10, 4)
+    @pytest.mark.parametrize("m", [4, 16], ids=["partial", "full"])
+    def test_zero_parameters(self, imp_default, m):
+        s = two_cluster_system(10, m)
         assert fixed_rate_metrics(s, imp_default, 0.0) == (0.0, 0.0)
         assert variable_rate_metrics(s, imp_default, 0.0) == (0.0, 0.0)
 
@@ -398,6 +399,17 @@ class TestOutage:
         variable = [variable_rate_metrics(s, imp_default, b) for b in beta1]
         assert list(zip(r0.tolist(), p0.tolist())) == fixed
         assert list(zip(r1.tolist(), p1.tolist())) == variable
+        # zeros interleaved in both arrays are exactly 0.0, and the other
+        # rows equal the table without them
+        beta0, beta1 = [0.0, 1.5, 0.0, 4.0], [0.35, 0.0, 0.7, 0.0, 1.0]
+        nonzero = goodput._metrics_table(
+            s, imp_default, [b for b in beta0 if b], [b for b in beta1 if b]
+        )
+        tables = goodput._metrics_table(s, imp_default, beta0, beta1)
+        for betas, table, reference in zip((beta0, beta0, beta1, beta1), tables, nonzero):
+            zero = np.array(betas) == 0.0
+            assert table[zero].tolist() == [0.0] * int(zero.sum())
+            assert table[~zero].tolist() == reference.tolist()
 
     @pytest.mark.parametrize("m", [4, 16], ids=["partial", "full"])
     @pytest.mark.parametrize("beta", [0.0, 0.6])

@@ -393,9 +393,10 @@ class TestImperfectEstimates:
     def test_grid_shares_draws_with_single_runs(self):
         s = two_cluster_system(6, 8)
         imp = ImpairmentParams(0.01, 0.98)
+        strategies = [StrategyParams(beta0=1.0), StrategyParams(beta1=0.9),
+                      StrategyParams(beta1=0.5)]
         grid = run_imperfect_grid(
-            ExperimentSpec("subband", s, impairments=imp, trials=2000, seed=5),
-            [StrategyParams(beta0=1.0), StrategyParams(beta1=0.9)],
+            ExperimentSpec("subband", s, impairments=imp, trials=2000, seed=5), strategies
         )
         single = run_imperfect(
             ExperimentSpec(
@@ -404,6 +405,12 @@ class TestImperfectEstimates:
         )
         assert grid[0].goodput.value == single.goodput.value
         assert grid[0].scheduling_outage.value == grid[1].scheduling_outage.value
+        # every field (goodput, outage, scheduling_outage) of every strategy
+        # equals its own single run on the same draws
+        for strategy, res in zip(strategies, grid):
+            assert res == run_imperfect(ExperimentSpec(
+                "subband", s, impairments=imp, strategy=strategy, trials=2000, seed=5
+            ))
 
 
 class TestCrossValidation:
