@@ -1,7 +1,7 @@
 """Vectorized adaptive quadrature shared by the analytic and goodput engines.
 
-``quad_checked`` integrates a stack of integrals in one refinement loop; a
-single integral is the stack of one.  Each integral has its own interval,
+``quad_checked`` integrates a stack of integrals in one refinement loop;
+scalar limits make a stack of one.  Each integral has its own interval,
 breakpoints and pool of panels, to which the 21-point Gauss-Kronrod rule
 (10-point Gauss embedded) is applied.  The integrand is array-valued: each
 refinement level evaluates it once, on every node of every panel being
@@ -11,7 +11,7 @@ Panel errors use the QUADPACK estimate, so they mean what
 integral still refining, the panels with the largest errors, as many as it
 takes for that integral's remaining error to fit within half its
 tolerance, until its total error estimate meets
-``max(1e-11, 1e-10 * |value|)`` or its pool holds ``limit`` panels.  An
+``max(1e-11, 1e-10 * |value|)`` or its pool holds ``_LIMIT`` panels.  An
 integral that has stopped is not evaluated again, and no integral's
 arithmetic depends on the others in the stack, so each result equals the
 one a call on that integral alone returns.
@@ -77,6 +77,11 @@ _GAUSS_WEIGHTS = np.array(_GAUSS_WEIGHT[:-1] + tuple(reversed(_GAUSS_WEIGHT)))
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
+# Panels an integral may hold, and the largest error estimate accepted from
+# an integral whose rule stops short of its tolerance.
+_LIMIT = 300
+_ABS_FAIL = 1e-7
+
 
 def _kronrod_sums(fx: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Weighted sum of each row of fx.
@@ -131,37 +136,23 @@ def _initial_pool(a: np.ndarray, b: np.ndarray, points) -> tuple[np.ndarray, np.
     return pool, (edges == edges).sum(axis=1) - 1
 
 
-def quad_checked(
-    f,
-    a,
-    b,
-    *,
-    points=None,
-    limit: int = 300,
-    abs_fail: float = 1e-7,
-):
+def quad_checked(f, a, b, *, points=None) -> np.ndarray:
     """Integrals of the array-valued ``f`` over [a, b] with a failure contract.
 
-    With scalar limits, ``f`` maps a 1-d array of abscissae to an array of
-    the same shape, ``points`` lists interior breakpoints that start the
-    panel pool, and the result is a float.  With ``a`` and ``b`` arrays of
-    n limits, the result is an array of n integrals: ``f(x, which)`` gets
-    the abscissae and, per abscissa, the index of its integral, and
-    ``points`` holds each integral's breakpoints along a trailing axis that
-    broadcasts against (n, p).  ``limit`` and ``abs_fail`` apply to each
-    integral.  Raises QuadratureError when the integrand is not finite at a
-    node, when an integral's rule stops short of its tolerance with an
-    error estimate above ``abs_fail``, or when its error estimate exceeds
-    ``max(abs_fail, 1e-6 * |value|)``.
+    ``a`` and ``b`` broadcast to n limits (scalars make n = 1), and the
+    result is an array of the n integrals.  ``f(x, which)`` gets the
+    abscissae and, per abscissa, the index of its integral; ``points``
+    holds each integral's interior breakpoints, which start its panel pool,
+    along a trailing axis that broadcasts against (n, p).  Raises
+    QuadratureError when the integrand is not finite at a node, when an
+    integral's rule stops short of its tolerance with an error estimate
+    above ``_ABS_FAIL``, or when its error estimate exceeds
+    ``max(_ABS_FAIL, 1e-6 * |value|)``.
     """
-    batch = np.ndim(a) > 0 or np.ndim(b) > 0
     a, b = np.broadcast_arrays(np.atleast_1d(np.asarray(a, dtype=float)),
                                np.atleast_1d(np.asarray(b, dtype=float)))
     if not np.all(a < b):
         raise ValueError(f"quad_checked needs a < b, got [{a!r}, {b!r}]")
-    if not batch:
-        scalar_f = f
-        f = lambda x, which: scalar_f(x)  # noqa: E731
     out = np.empty(a.size)
     if not out.size:
         return out
@@ -187,17 +178,16 @@ def quad_checked(
         # split as many panels as it takes for the rest to fit in half the
         # tolerance (at most all of them: nothing remains after the last)
         count = (error[:, None] - cum > 0.5 * tol[:, None]).sum(axis=1)
-        split = np.minimum(count + 1, limit - size)
+        split = np.minimum(count + 1, _LIMIT - size)
         mid = 0.5 * (lo + hi)
         converged = error <= tol
-        done = converged | (size >= limit)
+        done = converged | (size >= _LIMIT)
         # panels at the resolution of the floating-point grid stop their integral
         narrow = (mid <= lo) | (mid >= hi)
         if narrow.any():
             done |= (narrow & (np.arange(narrow.shape[1]) < split[:, None])).any(axis=1)
         if done.any():
-            _check(ids[done], value[done], error[done], converged[done], size[done],
-                   abs_fail, batch)
+            _check(ids[done], value[done], error[done], converged[done], size[done])
             out[ids[done]] = value[done]
             go = ~done
             ids, size, split, pool, mid = ids[go], size[go], split[go], pool[:, go], mid[go]
@@ -219,22 +209,22 @@ def quad_checked(
         pool[2:, ~is_kept] = 0.0
         size = grown
         fresh = np.nonzero(is_fresh)
-    return out if batch else float(out[0])
+    return out
 
 
-def _check(ids, value, error, converged, panels, abs_fail, batch) -> None:
+def _check(ids, value, error, converged, panels) -> None:
     """Raise QuadratureError for the first stopped integral that fails its contract."""
-    failed = ~(np.isfinite(value) & (converged | (error <= abs_fail)))
-    large = error > np.maximum(abs_fail, 1e-6 * np.abs(value))
+    failed = ~(np.isfinite(value) & (converged | (error <= _ABS_FAIL)))
+    large = error > np.maximum(_ABS_FAIL, 1e-6 * np.abs(value))
     if not (failed | large).any():
         return
     i = np.flatnonzero(failed | large)[0]
     error, value = float(error[i]), float(value[i])
-    where = f"integral {ids[i]}: " if batch else ""
     if failed[i]:
         raise QuadratureError(
-            f"{where}quadrature did not converge: error estimate {error!r} on {panels[i]} panels"
+            f"integral {ids[i]}: quadrature did not converge: "
+            f"error estimate {error!r} on {panels[i]} panels"
         )
     raise QuadratureError(
-        f"{where}quadrature error estimate {error!r} too large for value {value!r}"
+        f"integral {ids[i]}: quadrature error estimate {error!r} too large for value {value!r}"
     )

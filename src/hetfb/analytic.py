@@ -8,12 +8,12 @@ Partial-feedback metrics have one evaluation route: the metric is integrated
 by vectorized quadrature against the unconditioned scheduled-CQI law
 (``ScheduledCqiMixture``).  Its per-cluster reported-CQI law
 (``ReportedCqiLaw``) takes two regularized incomplete beta functions at any
-quota, on a whole array of abscissae at once, and is stable at any size.
-The paper's closed form instead sums, over feedback sets, selection
-coefficients that expand the conditional CDF of the scheduled CQI into
-powers of the base CDF.  Those coefficients alternate and grow
-combinatorially, so summed in floats they lose digits; they are built here
-in exact rational arithmetic (``selection_coefficients``,
+partial-feedback quota, on a whole array of abscissae at once, and is
+stable at any size.  The paper's closed form instead sums, over feedback
+sets, selection coefficients that expand the conditional CDF of the
+scheduled CQI into powers of the base CDF.  Those coefficients alternate
+and grow combinatorially, so summed in floats they lose digits; they are
+built here in exact rational arithmetic (``selection_coefficients``,
 ``feedback_set_pmf``) as tables, and the tests sum them exactly as the
 reference for the mixture route.
 
@@ -240,7 +240,7 @@ def coverage_prob(sys: SystemConfig) -> float:
 
 
 class ReportedCqiLaw:
-    """Reported-CQI law of one cluster, in closed form.
+    """Reported-CQI law of one partially reporting cluster, in closed form.
 
     A user reporting a subband shows one of its ``quota`` largest CQI
     values, uniformly, out of ``num_subbands`` i.i.d. exponential CQIs with
@@ -249,57 +249,48 @@ class ReportedCqiLaw:
     survival is E[min(q, N)] / q = (n/q) S I_F(n-q, q) + I_S(q+1, n-q),
     F = 1 - S and I the regularized incomplete beta function, and the
     density is (n/q) (S/scale) I_F(n-q, q).  Both are sums of nonnegative
-    terms, stable at any size; where a cluster reports every subband
-    (q = n) the law is the base exponential itself.  ``quota`` may be an
-    array that broadcasts against the abscissae, one law per element.
-    ``cdf``, ``sf`` and ``pdf`` take a scalar or an array.
+    terms, stable at any size.  The quota lies in [1, n): a cluster that
+    reports every subband is at full feedback, which the order-statistic
+    integrals cover.  ``quota`` may be an array that broadcasts against the
+    abscissae, one law per element.  ``cdf``, ``sf`` and ``pdf`` take a
+    scalar or an array.
     """
 
     def __init__(self, num_subbands: int, quota, scale: float = 1.0):
         n, q = num_subbands, np.asarray(quota)
-        if not np.all((1 <= q) & (q <= n)):
-            raise ValueError("quota must lie in [1, num_subbands]")
+        if np.any(q == n):
+            raise ValueError(
+                "a cluster that reports every subband is at full feedback, "
+                "which the order-statistic integrals cover"
+            )
+        if not np.all((1 <= q) & (q < n)):
+            raise ValueError("quota must lie in [1, num_subbands)")
         self.num_subbands = n
         self.quota = q
         self.scale = scale
-        # where q = n the law is the base exponential: the incomplete-beta
-        # terms get a harmless n - q of 1 there and are masked out (I_S(q+1, 0)
-        # would jump to 1 where S rounds to 1)
-        self._full = q == n
-        self._all_full, self._any_full = bool(self._full.all()), bool(self._full.any())
-        self._ratio = n / q
-        self._rest = np.where(self._full, 1, n - q)
 
-    def _within_quota(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(x as an array, S, E[N; N <= q] / q = (n/q) S I_F(n-q, q)) at max(x, 0)."""
+    def _laws(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x as an array, sf, E[N; N <= q] / q = (n/q) S I_F(n-q, q)) at max(x, 0)."""
         x = np.asarray(x, dtype=float)
         t = np.maximum(x, 0.0) / self.scale
         s = np.exp(-t)
-        if self._all_full:
-            return x, s, s
-        within = self._ratio * s * betainc(self._rest, self.quota, -np.expm1(-t))
-        return x, s, np.where(self._full, s, within) if self._any_full else within
+        n, q = self.num_subbands, self.quota
+        within = n / q * s * betainc(n - q, q, -np.expm1(-t))
+        return x, within + betainc(q + 1, n - q, s), within
 
     def cdf(self, x):
         return 1.0 - self.sf(x)
 
-    def _sf(self, s: np.ndarray, within: np.ndarray) -> np.ndarray:
-        if self._all_full:
-            return within
-        tail = within + betainc(self.quota + 1, self._rest, s)
-        return np.where(self._full, within, tail) if self._any_full else tail
-
     def sf(self, x):
-        _, s, within = self._within_quota(x)
-        return self._sf(s, within)[()]
+        return self._laws(x)[1][()]
 
     def pdf(self, x):
         return self.sf_pdf(x)[1]
 
     def sf_pdf(self, x):
         """(sf, pdf) at x, sharing one evaluation of the I_F(n-q, q) term."""
-        x, s, within = self._within_quota(x)
-        return self._sf(s, within)[()], np.where(x <= 0, 0.0, within / self.scale)[()]
+        x, sf, within = self._laws(x)
+        return sf[()], np.where(x <= 0, 0.0, within / self.scale)[()]
 
 
 class ScheduledCqiMixture:

@@ -82,10 +82,9 @@ class SystemConfig:
         sizes = [c.subband_size for c in self.clusters]
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ValueError("cluster subband sizes must be strictly increasing")
-        if sizes[-1] > self.num_rbs or self.num_rbs % sizes[-1] != 0:
+        # strictly increasing powers of two: the largest divides every other
+        if self.num_rbs % sizes[-1]:
             raise ValueError("the largest subband size must divide num_rbs")
-        if any(self.num_rbs % s != 0 for s in sizes):
-            raise ValueError("every subband size must divide num_rbs")
         if self.num_users < 1:
             raise ValueError("total number of users must be >= 1")
         if not 1 <= self.best_m <= self.m_full:
@@ -161,7 +160,7 @@ class ImpairmentParams:
             raise ValueError("est_error_var must lie in [0, 1)")
         if not 0.0 <= self.delay_corr <= 1.0:
             raise ValueError("delay_corr must lie in [0, 1]")
-        if self._denom <= 0.0:
+        if not (self._denom > 0.0 and math.isfinite(2.0 / self._denom)):
             raise ValueError(
                 "degenerate impairments (delay_corr=1 with est_error_var=0); "
                 "use the perfect-feedback path instead"
@@ -170,7 +169,7 @@ class ImpairmentParams:
     @property
     def _denom(self) -> float:
         a = self.delay_corr
-        return a * a * self.est_error_var + 1.0 - a * a
+        return a * a * self.est_error_var + (1.0 - a * a)
 
     @property
     def alpha_w(self) -> float:

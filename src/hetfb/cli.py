@@ -488,7 +488,7 @@ def _figure_8():
     for system, res in zip(systems, analytic.minimum_best_m(systems, 0.99)):
         b0, _ = goodput.optimize_beta0(system, _FIG_IMPAIRMENTS)
         b1, _ = goodput.optimize_beta1(system, _FIG_IMPAIRMENTS)
-        m_star = min(res.exact, system.m_full)
+        m_star = res.exact
         sys_star = dataclasses.replace(system, best_m=m_star)
         rows += _goodput_rows(
             sys_star, _FIG_IMPAIRMENTS, [b0], [b1], [{"users": system.num_users}],

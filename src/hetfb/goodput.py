@@ -118,7 +118,7 @@ def i2(a, b: int, imp):
         z = 2.0 / mean
         w2, t2 = varpi**2, vartheta**2
         c = w2 + z
-        return np.exp(-0.5 * t2) + np.exp(-0.5 * z * t2 / c) * -np.expm1(-0.5 * w2 * t2 / c)
+        return np.exp(-0.5 * t2) + np.exp(-0.5 * z * (t2 / c)) * -np.expm1(-0.5 * w2 * (t2 / c))
 
     val = np.asarray(_order_moment(
         closed_form, _threshold_q1, b, imp.estimate_var, varpi, vartheta
@@ -153,9 +153,9 @@ def i4(a: float, b: int, imp: ImpairmentParams) -> float:
 
     def closed_form(mean: np.ndarray) -> np.ndarray:
         z = 2.0 / mean
-        # sqrt(phi^2 - 4 varpi^2 vartheta^2) in product form (no cancellation)
-        varsigma = np.sqrt(((varpi - vartheta) ** 2 + z) * ((varpi + vartheta) ** 2 + z))
-        return 0.5 * (1.0 + (varpi**2 - vartheta**2 + z) / varsigma)
+        n = varpi**2 - vartheta**2 + z
+        # sqrt(phi^2 - 4 varpi^2 vartheta^2) as a hypot: no cancellation, no overflow
+        return 0.5 * (1.0 + n / np.hypot(n, 2.0 * np.sqrt(z) * vartheta))
 
     val = _order_moment(closed_form, _backoff_q1(a, imp), b, imp.estimate_var)
     return min(max(val, 0.0), 1.0)
@@ -219,7 +219,7 @@ def i3_upper_bound(a: float, b: int, imp: ImpairmentParams, snr: float) -> float
         z = 2.0 / mean
         phi = w2 + t2 + z
         # 4 varpi^2 vartheta^2 / phi^2 < 1: phi^2 - 4 varpi^2 vartheta^2 > 0 as z > 0
-        hyp = 4.0 * w2 * t2 / phi**2
+        hyp = 4.0 * (w2 / phi) * (t2 / phi)
         f = [gauss_2f1(p, q, r, hyp) for p, q, r in _I3_UB_2F1]
         return snr * a * mean / _LN2 * _i3_ub_bracket(w2, t2, z, phi, *f)
 

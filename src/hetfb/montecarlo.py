@@ -142,7 +142,11 @@ class CrossValidationEntry:
 
     @property
     def z_score(self) -> float:
-        return (self.empirical - self.analytic) / self.std_error
+        """Standardized difference; at zero standard error, 0 on agreement and NaN otherwise."""
+        diff = self.empirical - self.analytic
+        if self.std_error == 0.0:
+            return 0.0 if diff == 0.0 else math.nan
+        return diff / self.std_error
 
 
 @dataclass(frozen=True)

@@ -34,10 +34,10 @@ from typing import Callable
 
 import mpmath as mp
 import numpy as np
+from scipy import integrate
 from scipy.special import betainc, exp1, gammaln, i0
 
 from hetfb import goodput
-from hetfb._quad import quad_checked
 from hetfb.analytic import ReportedCqiLaw, _xi_exact, feedback_set_pmf, selection_coefficients
 from hetfb.channel import ImpairmentParams, SystemConfig, cluster_feedback_quota
 from hetfb.goodput import _i3_ub_bracket
@@ -150,22 +150,21 @@ def i3_quadrature_u(a: float, b: int, imp: ImpairmentParams, snr: float) -> floa
 
     Substitutes x(u) = F^{-1}(u^{1/b}), F the estimated-CQI CDF, so the
     order-statistic weight becomes du on [0, 1]; the integrand picks up a
-    mild log singularity at u = 1 that the adaptive rule resolves.
+    mild log singularity at u = 1 that ``scipy.integrate.quad`` resolves.
     """
     v = imp.estimate_var
     varpi = imp.alpha_w * imp.delay_corr
     aw = imp.alpha_w
 
-    def integrand(u: np.ndarray) -> np.ndarray:
-        inside = (u > 0.0) & (u < 1.0)
-        out = np.zeros(u.shape)
-        x = -v * np.log(-np.expm1(np.log(u[inside]) / b))
-        out[inside] = marcum_q1(varpi * np.sqrt(x), aw * np.sqrt(a * x)) * np.log2(
+    def integrand(u: float) -> float:
+        if not 0.0 < u < 1.0:
+            return 0.0
+        x = -v * math.log(-math.expm1(math.log(u) / b))
+        return float(marcum_q1(varpi * math.sqrt(x), aw * math.sqrt(a * x))) * math.log2(
             1.0 + snr * a * x
         )
-        return out
 
-    return quad_checked(integrand, 0.0, 1.0, limit=400, abs_fail=1e-6)
+    return integrate.quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=400)[0]
 
 
 def marcum_q1_craig(a: float, b: float, dps: int = 40, complement: bool = False) -> float:

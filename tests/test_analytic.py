@@ -151,7 +151,7 @@ def _reported_law_mp(n: int, q: int, scale: float, x: float) -> tuple[float, flo
 class TestReportedLawClosedForm:
     @pytest.mark.parametrize("scale", [1.0, 0.99, 3e-4])
     @pytest.mark.parametrize(
-        "n,q", [(4, 2), (8, 8), (16, 1), (16, 4), (64, 4), (64, 16), (64, 63), (128, 40), (1024, 256)]
+        "n,q", [(4, 2), (16, 1), (16, 4), (64, 4), (64, 16), (64, 63), (128, 40), (1024, 256)]
     )
     def test_matches_order_statistics_and_mpmath(self, n, q, scale):
         law = ReportedCqiLaw(n, q, scale)
@@ -168,11 +168,17 @@ class TestReportedLawClosedForm:
             np.testing.assert_allclose(pdf, exact[:, 1], rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("scale", [1.0, 3e-4])
-    def test_full_quota_is_the_base_exponential(self, scale):
-        law = ReportedCqiLaw(8, 8, scale)
-        for x in (1e-300, 1e-17, 0.5):
-            assert law.sf(x) == math.exp(-x / scale)
-            assert law.pdf(x) == math.exp(-x / scale) / scale
+    def test_full_quota_raises(self, scale):
+        # a cluster reporting every subband is at full feedback, which the
+        # order-statistic integrals cover
+        for quota in (8, np.array([3, 8])):
+            with pytest.raises(ValueError, match="full feedback"):
+                ReportedCqiLaw(8, quota, scale)
+        full = two_cluster_system(6, 1)
+        with pytest.raises(ValueError, match="full feedback"):
+            ScheduledCqiMixture(replace(full, best_m=full.m_full), scale)
+        with pytest.raises(ValueError, match=r"\[1, num_subbands\)"):
+            ReportedCqiLaw(8, 0, scale)
 
     def test_limits(self):
         law = ReportedCqiLaw(16, 4, 0.5)
@@ -485,7 +491,7 @@ class TestBatchedSystems:
         ]
 
     def test_reported_law_takes_an_array_of_quotas(self):
-        quotas = [1, 3, 8]  # 8 = num_subbands: the base exponential
+        quotas = [1, 3, 7]
         law = ReportedCqiLaw(8, np.array(quotas), scale=0.7)
         x = np.array([[0.0], [0.3], [1.0], [2.5]])
         for j, q in enumerate(quotas):

@@ -58,6 +58,12 @@ class TestConfigs:
         with pytest.raises(ValueError):
             SystemConfig(**kwargs)
 
+    @pytest.mark.parametrize("num_rbs,sizes", [(48, (1, 32)), (8, (16,))])
+    def test_largest_subband_size_must_divide_blocks(self, num_rbs, sizes):
+        # covers every smaller size, and a largest size above num_rbs
+        with pytest.raises(ValueError, match="the largest subband size must divide num_rbs"):
+            SystemConfig(num_rbs, tuple(Cluster(s, 1) for s in sizes), 1, 10.0)
+
     def test_cluster_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             Cluster(3, 1)
@@ -80,6 +86,14 @@ class TestConfigs:
     def test_impairments_reject(self, sw2, alpha):
         with pytest.raises(ValueError):
             ImpairmentParams(sw2, alpha)
+
+    def test_near_perfect_feedback_at_unit_correlation(self):
+        # alpha = 1 leaves alpha_w = sqrt(2 / sigma_w^2): accepted while it is
+        # finite, rejected once it overflows
+        for sw2 in (1e-300, 2.9e-115, 1e-20):
+            assert ImpairmentParams(sw2, 1.0).alpha_w == pytest.approx(math.sqrt(2.0 / sw2))
+        with pytest.raises(ValueError, match="degenerate impairments"):
+            ImpairmentParams(5e-324, 1.0)
 
 
 class TestPdp:

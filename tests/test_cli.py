@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -120,6 +121,15 @@ class TestSimulate:
         assert code == 0
         rows = read_csv(tmp_path / "simulate.csv")
         assert abs(float(rows[0]["z"])) <= 3.0
+
+    def test_cross_validate_without_observed_outage(self, tmp_path):
+        # near-perfect feedback: no outage in 4096 trials, so its standard error is 0
+        argv = ["simulate", "--trials", "4096", "--set", "est_err_var=1e-9", "--set", "alpha=1",
+                "--set", "beta0=0.1", "--cross-validate", "--out", str(tmp_path)]
+        assert run(argv) == 0
+        outage = read_csv(tmp_path / "simulate.csv")[1]
+        assert outage["metric"] == "fixed_rate_outage" and float(outage["std_error"]) == 0.0
+        assert math.isnan(float(outage["z"]))
 
     def test_cross_validate_flagged_exit_code(self, tmp_path, monkeypatch):
         from hetfb import cli

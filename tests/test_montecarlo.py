@@ -18,6 +18,8 @@ from hetfb.channel import (
 from hetfb.goodput import StrategyParams, fixed_rate_metrics
 from hetfb.montecarlo import (
     CHUNK_TRIALS,
+    CrossValidationEntry,
+    CrossValidationReport,
     EstimateWithError,
     ExperimentSpec,
     _cluster_streams,
@@ -414,6 +416,13 @@ class TestImperfectEstimates:
 
 
 class TestCrossValidation:
+    def test_zero_standard_error(self):
+        # nothing observed to vary: z is 0 on agreement and NaN otherwise, never flagged
+        agree = CrossValidationEntry("outage", 0.0, 0.0, 0.0)
+        differ = CrossValidationEntry("outage", 0.0, 0.0, 1e-17)
+        assert agree.z_score == 0.0 and math.isnan(differ.z_score)
+        assert not CrossValidationReport((agree, differ)).flagged
+
     def test_perfect_within_three_se(self):
         spec = ExperimentSpec("subband", two_cluster_system(10, 4), trials=20_000, seed=11)
         report = cross_validate(spec)
