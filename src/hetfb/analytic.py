@@ -8,8 +8,13 @@ Partial-feedback metrics have one evaluation route: the metric is integrated
 by vectorized quadrature against the unconditioned scheduled-CQI law
 (``ScheduledCqiMixture``).  Its per-cluster reported-CQI law
 (``ReportedCqiLaw``) takes two regularized incomplete beta functions at any
-partial-feedback quota, on a whole array of abscissae at once, and is
-stable at any size.  The paper's closed form instead sums, over feedback
+partial-feedback quota, on a whole array of abscissae at once, once per
+distinct (abscissa, quota) pair, and is stable at any size.  The sum rate
+is integrated by parts over the rate u = log2(1 + snr x), as the survival
+at x = (2^u - 1)/snr: its breakpoints are fixed multiples of the CQI scale
+mapped to u, so the nodes do not crowd toward the pole of 1/(1 + snr x)
+at high SNR, and systems that differ only in their user count share them.
+The paper's closed form instead sums, over feedback
 sets, selection coefficients that expand the conditional CDF of the
 scheduled CQI into powers of the base CDF.  Those coefficients alternate
 and grow combinatorially, so summed in floats they lose digits; they are
@@ -30,7 +35,8 @@ quadrature.
 The laws take per-system parameters as arrays, so one mixture covers a
 sequence of systems that share the block count and subband sizes:
 ``average_sum_rate`` integrates such a sequence in one batched quadrature,
-and ``minimum_best_m`` scans a sequence with one such call per best-M.
+and ``minimum_best_m`` scans a sequence with one such call per best-M, whose
+systems evaluate each reported-CQI law on their shared nodes once.
 """
 
 from __future__ import annotations
@@ -69,6 +75,10 @@ _LN2 = math.log(2.0)
 # ``_order_moment`` sums its signed mixture in floats up to this order;
 # beyond it the binomial scale ~2^b eats the double-precision digits.
 _B_FLOAT_MAX = 20
+# Interior breakpoints of ``expect_log_rate``, in multiples of the mixture
+# scale: they bracket where the scheduled CQI's mass sits, scale * ln K,
+# for any user count up to millions.
+_RATE_POINTS = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 # Bytes of one (elements, order) array of mixture terms: ``_order_moment``
 # sums a block of elements at a time, so a whole grid adds little to the
 # peak memory.
@@ -270,13 +280,23 @@ class ReportedCqiLaw:
         self.scale = scale
 
     def _laws(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(x as an array, sf, E[N; N <= q] / q = (n/q) S I_F(n-q, q)) at max(x, 0)."""
+        """(x as an array, sf, E[N; N <= q] / q = (n/q) S I_F(n-q, q)) at max(x, 0).
+
+        Each distinct (abscissa, quota) pair is evaluated once: the rows of a
+        stack of integrals, and the systems of one batch, share most nodes.
+        """
         x = np.asarray(x, dtype=float)
-        t = np.maximum(x, 0.0) / self.scale
+        shape = np.broadcast_shapes(x.shape, self.quota.shape)
+        pairs = np.empty(shape, dtype=complex)
+        pairs.real, pairs.imag = np.maximum(x, 0.0), self.quota
+        pairs, inverse = np.unique(pairs, return_inverse=True)
+        # the inverse's shape for an array of several dimensions varies by numpy version
+        inverse = inverse.reshape(shape)
+        t, q = pairs.real / self.scale, pairs.imag
         s = np.exp(-t)
-        n, q = self.num_subbands, self.quota
+        n = self.num_subbands
         within = n / q * s * betainc(n - q, q, -np.expm1(-t))
-        return x, within + betainc(q + 1, n - q, s), within
+        return x, (within + betainc(q + 1, n - q, s))[inverse], within[inverse]
 
     def cdf(self, x):
         return 1.0 - self.sf(x)
@@ -383,7 +403,7 @@ class ScheduledCqiMixture:
         return self._per_system(lambda k: [self.scale * math.log1p(max(k, 2)),
                                            self.scale * (math.log1p(max(k, 2)) + 4.0)])
 
-    def _integrate(self, integrand, rows: int | None = None):
+    def _integrate(self, integrand, rows: int | None = None, upper=None, points=None):
         """Integral of ``integrand(mix, x, at)`` over the continuous part, per system.
 
         All of them in one batched quadrature: ``mix`` is the mixture at each
@@ -391,12 +411,15 @@ class ScheduledCqiMixture:
         ``v`` there; one system gives a float.  With ``rows``, one system
         integrates a stack of that many integrands: ``at(v)`` then takes a
         per-row array ``v`` at each abscissa's row, and the result is an array.
+        The integral runs from 0 to ``upper`` (``x_max``) with the interior
+        breakpoints ``points`` (``_points()``), each per system.
         """
         values = quad_checked(
             lambda x, which: integrand(self if rows is not None else self._at(which), x,
                                        lambda v: np.take(v, which)),
-            np.zeros(self.num_users.size if rows is None else rows), self.x_max,
-            points=self._points(),
+            np.zeros(self.num_users.size if rows is None else rows),
+            self.x_max if upper is None else upper,
+            points=self._points() if points is None else points,
         )
         return float(values[0]) if rows is None and isinstance(self.sys, SystemConfig) else values
 
@@ -408,12 +431,21 @@ class ScheduledCqiMixture:
         return self._integrate(lambda mix, x, at: func(x) * mix.pdf(x))
 
     def expect_log_rate(self, snr):
-        """E[log2(1 + snr X)] over the continuous part, by parts (no pdf).
+        """E[log2(1 + snr X)] over the continuous part, by parts over the rate (no pdf).
 
-        ``snr`` is a scalar or, for a sequence of systems, one per system.
+        With the rate u = log2(1 + snr x), the expectation is the integral of
+        sf((2^u - 1) / snr) over [0, log2(1 + snr x_max)], broken at the
+        rates of ``_RATE_POINTS`` times the scale: the breakpoints do not
+        depend on the user count, so the systems of a batch at one snr share
+        every node below their last breakpoint.  ``snr`` is a scalar or, for
+        a sequence of systems, one per system.
         """
-        c = np.divide(snr, _LN2)
-        return self._integrate(lambda mix, x, at: at(c) / (1.0 + at(snr) * x) * mix.sf(x))
+        snr = np.asarray(snr, dtype=float)
+        return self._integrate(
+            lambda mix, u, at: mix.sf(np.expm1(u * _LN2) / at(snr)),
+            upper=np.log1p(snr * self.x_max) / _LN2,
+            points=np.log1p(snr[..., None] * np.multiply(self.scale, _RATE_POINTS)) / _LN2,
+        )
 
 
 # ---------------------------------------------------------------------------

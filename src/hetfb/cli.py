@@ -347,8 +347,6 @@ def _cmd_simulate(args, cfg) -> tuple[list[dict], int]:
 def _cmd_analytic(args, cfg) -> list[dict]:
     system = system_from_config(cfg)
     imp = impairments_from_config(cfg)
-    if args.full_feedback:
-        system = dataclasses.replace(system, best_m=system.m_full)
     if imp is None:
         systems = _user_grid_systems(system, args.users_grid)
         rates = analytic.average_sum_rate([sys_k for _, sys_k in systems]).tolist()
@@ -510,6 +508,7 @@ def _run_config(args, cfg) -> dict | None:
 
     ``analytic``, ``min-m`` and ``optimize`` compute the subband model's
     closed forms: they refuse another ``model`` and use no seed or trials.
+    ``analytic --full-feedback`` runs at the full-feedback best-M.
     """
     if args.command == "simulate":
         return cfg
@@ -517,7 +516,10 @@ def _run_config(args, cfg) -> dict | None:
         if cfg.get("model", "subband") != "subband":
             raise ValueError(f"config key 'model': the closed forms cover the subband model "
                              f"only, got {cfg['model']!r}")
-        return {key: value for key, value in cfg.items() if key not in ("seed", "trials")}
+        config = {key: value for key, value in cfg.items() if key not in ("seed", "trials")}
+        if args.command == "analytic" and args.full_feedback:
+            config["best_m"] = system_from_config(config).m_full
+        return config
     if args.name not in _FIGURE_TRIALS:
         return None
     return {"figure": args.name, "seed": _config_value(cfg, "seed", int),

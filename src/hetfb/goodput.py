@@ -15,7 +15,9 @@ quadrature, and the helper bounds the memory of each block.  The I3
 integrals take a positive, finite SNR and raise ``ValueError`` otherwise.
 Near perfect feedback the Marcum-Q arguments grow like 1/sqrt(est_error_var);
 ``marcum_q1`` switches to Gauss-Hermite quadrature there, so both stay
-cheap and finite.
+cheap and finite, and I2's closed form scales its squared argument by a
+power of two, so it stays finite down to the smallest accepted
+est_error_var at delay_corr = 1.
 
 The goodput and outage metrics of a whole table (arrays of beta0 and beta1
 on one system) come from one batched quadrature.  Each outage is an
@@ -116,9 +118,17 @@ def i2(a, b: int, imp):
 
     def closed_form(mean: np.ndarray, varpi: np.ndarray, vartheta: np.ndarray) -> np.ndarray:
         z = 2.0 / mean
-        w2, t2 = varpi**2, vartheta**2
+        w2 = varpi**2
         c = w2 + z
-        return np.exp(-0.5 * t2) + np.exp(-0.5 * z * (t2 / c)) * -np.expm1(-0.5 * w2 * (t2 / c))
+        # g = t2 / c from vartheta and c in units of a power of two near sqrt(c):
+        # the scalings are exact, so g rounds as unscaled, yet it stays finite
+        # where t2 = vartheta^2 ~ alpha_w^2 * a overflows near perfect feedback
+        k = np.frexp(c)[1] // 2
+        # a value past the float range only meets exp(-inf) = 0, its limit
+        with np.errstate(over="ignore"):
+            g = np.ldexp(vartheta, -k) ** 2 / np.ldexp(c, -2 * k)
+            t2 = vartheta**2
+            return np.exp(-0.5 * t2) + np.exp(-0.5 * z * g) * -np.expm1(-0.5 * w2 * g)
 
     val = np.asarray(_order_moment(
         closed_form, _threshold_q1, b, imp.estimate_var, varpi, vartheta

@@ -23,7 +23,7 @@ from hetfb.analytic import (
     minimum_best_m,
     selection_coefficients,
 )
-from hetfb import _quad
+from hetfb import _quad, analytic
 from hetfb.channel import Cluster, SystemConfig
 from tests.conftest import two_cluster_system
 from tests.oracles import (
@@ -505,6 +505,75 @@ class TestBatchedSystems:
             average_sum_rate([two_cluster_system(6, 1), other])
         with pytest.raises(ValueError):
             minimum_best_m([two_cluster_system(6, 1), other], 0.9)
+
+
+class TestRateDomainIntegral:
+    """``expect_log_rate`` integrates over the rate u = log2(1 + snr x)."""
+
+    @pytest.mark.parametrize("scale", [1.0, 0.9])
+    @pytest.mark.parametrize("k", [2, 20, 1000])
+    @pytest.mark.parametrize("snr_db", [0, 10, 30, 60, 120])
+    def test_equals_density_route(self, snr_db, k, scale):
+        snr = 10.0 ** (snr_db / 10.0)
+        systems = [two_cluster_system(k, m, snr) for m in range(1, 16)]  # m_full = 16
+        mix = ScheduledCqiMixture(systems, scale=scale)
+        by_parts = mix.expect_log_rate([snr] * len(systems))
+        density = mix.expect(lambda x: np.log2(1.0 + snr * x))
+        np.testing.assert_allclose(by_parts, density, rtol=1e-10, atol=0)
+
+    def test_nodes_per_integral_at_high_snr(self, monkeypatch):
+        # the x-domain integrand graded its panels toward the pole at
+        # x = -1/snr: 1785 nodes at 120 dB
+        nodes = []
+        sf = ScheduledCqiMixture.sf
+        monkeypatch.setattr(ScheduledCqiMixture, "sf",
+                            lambda self, x: nodes.append(np.size(x)) or sf(self, x))
+        s = two_cluster_system(20, 1, snr=1e12)
+        ScheduledCqiMixture(s).expect_log_rate(s.snr)
+        assert 0 < sum(nodes) <= 300
+
+    def test_breakpoints_do_not_depend_on_the_user_count(self, monkeypatch):
+        # the systems of a batch at one snr share every node below their last
+        # breakpoint, so a best-M round of many user counts meets few distinct nodes
+        calls = []
+        quad = analytic.quad_checked
+        monkeypatch.setattr(analytic, "quad_checked", lambda f, a, b, points: (
+            calls.append(np.asarray(points)) or quad(f, a, b, points=points)))
+        systems = [two_cluster_system(k, 2) for k in (5, 50, 500)]
+        ScheduledCqiMixture(systems).expect_log_rate([s.snr for s in systems])
+        (points,) = calls
+        assert points.shape == (3, 6) and (points == points[0]).all()
+
+
+class TestDistinctNodes:
+    """``ReportedCqiLaw`` takes its incomplete beta functions once per distinct node."""
+
+    X = np.array([0.5, 2.0, 0.5, 0.0, -1.0, 2.0, 0.5, 7.0])
+    QUOTAS = np.array([1, 3, 1, 3, 1, 1, 3, 3])
+
+    def test_repeats_and_mixed_quotas_equal_elementwise_calls(self):
+        law = ReportedCqiLaw(8, self.QUOTAS, scale=0.7)
+        for name in ("sf", "pdf", "cdf"):
+            expected = [getattr(ReportedCqiLaw(8, int(q), scale=0.7), name)(float(x))
+                        for x, q in zip(self.X, self.QUOTAS)]
+            assert getattr(law, name)(self.X).tolist() == expected
+        # abscissae of several dimensions broadcast against the quotas
+        grid = np.stack([self.X, self.X[::-1]], axis=1)[:, :, None]  # (8, 2, 1)
+        quotas = np.array([1, 3, 1])
+        table = ReportedCqiLaw(8, quotas, scale=0.7).sf(grid)
+        assert table.shape == (8, 2, 3)
+        for j, q in enumerate(quotas.tolist()):
+            one = ReportedCqiLaw(8, q, scale=0.7)
+            assert table[:, :, j].tolist() == one.sf(grid[:, :, 0]).tolist()
+
+    def test_one_evaluation_per_distinct_pair(self, monkeypatch):
+        sizes = []
+        betainc = analytic.betainc
+        monkeypatch.setattr(analytic, "betainc",
+                            lambda a, b, x: sizes.append(np.size(x)) or betainc(a, b, x))
+        ReportedCqiLaw(8, self.QUOTAS, scale=0.7).sf_pdf(self.X)
+        # (0.5, 1), (2, 3), (0, 3), (0, 1) for x = -1, (2, 1), (0.5, 3), (7, 3)
+        assert sizes == [7, 7]
 
 
 class TestCrossModelConsistency:

@@ -381,6 +381,15 @@ class TestAnalyticCommand:
         expected = {k: v for k, v in BASE.items() if k not in ("seed", "trials")}
         assert manifest["config"] == expected
 
+    @pytest.mark.parametrize("flag, best_m", [([], 2), (["--full-feedback"], 4)])
+    def test_manifest_records_the_best_m_that_ran(self, tmp_path, flag, best_m):
+        cfg = write_config(tmp_path, BASE)  # m_full = 8 RBs / subband size 2
+        argv = ["analytic", "--config", cfg, "--out", str(tmp_path), "--users-grid", "4,6"]
+        assert run(argv + flag) == 0
+        manifest = json.loads((tmp_path / "analytic.manifest.json").read_text())
+        ran = {int(row["best_m"]) for row in read_csv(tmp_path / "analytic.csv")}
+        assert ran == {manifest["config"]["best_m"]} == {best_m}
+
 
     def test_near_perfect_outages_are_nonnegative(self, tmp_path):
         # near-perfect feedback on a large partial-feedback system, where an
@@ -604,6 +613,18 @@ def test_python_m_runs_the_command(tmp_path):
         [sys.executable, "-m", "hetfb.cli", "--help"], env=env, capture_output=True, text=True
     )
     assert usage.returncode == 0 and usage.stdout.startswith("usage: hetfb")
+
+
+def test_near_perfect_optimize_runs_with_warnings_as_errors(tmp_path):
+    # alpha_w^2 = 2e307 at (1e-307, 1): the fixed-rate closed form must not
+    # overflow on the optimizer's thresholds
+    src = str(Path(analytic.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-W", "error", "-m", "hetfb", "optimize", "--est-err-grid", "1e-307",
+            "--alpha-grid", "1", "--out", str(tmp_path)]
+    assert subprocess.run(argv, env=env).returncode == 0
+    (row,) = read_csv(tmp_path / "optimize.csv")
+    assert all(math.isfinite(float(value)) for value in row.values())
 
 
 def test_successive_runs_do_not_share_overrides(tmp_path):

@@ -158,7 +158,13 @@ class TestMomentDomain:
         for b in (1, 8, 40):
             for a in (0.01, 0.5, 1.0, 5.0, 40.0):
                 assert 0.0 < i2(a, b, imp_default) <= 1.0
-                assert 0.0 < i4(a, b, imp_default) <= 1.0
+                exact = i4_mp(a, b, imp_default)
+                if exact < 1e-14:
+                    # below the ~1e-14 rounding noise of the float mixture sum
+                    # the sign is chance (8.6e-19 at a = 40, b = 8): pin the value
+                    assert abs(i4(a, b, imp_default) - exact) <= 1e-13
+                else:
+                    assert 0.0 < i4(a, b, imp_default) <= 1.0
             for a in (0.01, 0.5, 1.0):
                 assert 0.0 < i3_upper_bound(a, b, imp_default, 10.0) < math.inf
 
@@ -594,6 +600,16 @@ class TestNearPerfectFeedback:
         assert abs(i2(self.BETA0, b, imp) - i2_mp(self.BETA0, b, imp)) < 1e-9
         for beta1 in (self.BETA1, 1.0):
             assert abs(i4(beta1, b, imp) - i4_mp(beta1, b, imp)) < 1e-9
+
+    @pytest.mark.parametrize("sw2", [1.2e-308, 1e-307])
+    @pytest.mark.parametrize("b", [1, 8, 20])
+    def test_threshold_success_where_alpha_w_squared_times_a_overflows(self, sw2, b):
+        # alpha_w^2 = 2 / sw2 at alpha = 1: each success tends to the chance
+        # that the largest of b estimates exceeds the threshold, to float precision
+        imp = ImpairmentParams(sw2, 1.0)
+        for a in (1.0, 9.0, 30.0, 1e20):
+            exact = -math.expm1(b * math.log1p(-math.exp(-a / imp.estimate_var)))
+            assert i2(a, b, imp) == pytest.approx(exact, rel=1e-12)
 
     def test_fixed_rate_success_approaches_perfect_feedback(self):
         s = two_cluster_system(20, 4)
