@@ -453,17 +453,17 @@ class ScheduledCqiMixture:
 # ---------------------------------------------------------------------------
 
 
-def _order_expect(func: Callable[..., np.ndarray], b, scale) -> np.ndarray:
+def _order_expect(func: Callable[..., np.ndarray], b, scale, points=None) -> np.ndarray:
     """E[func(X)] for X the maximum of b i.i.d. exponentials with mean ``scale``, per element.
 
     ``b`` and ``scale`` broadcast to one dimension; element i integrates
     ``func`` against d(F^b) = b F^(b-1) dF, F the exponential CDF, whose
     mass sits around scale * ln b.  All elements go through one batched
     quadrature: ``func(x, which)`` gets the abscissae and each abscissa's
-    element index.
+    element index.  The interior breakpoints are ``points``
+    (``_order_points(b, scale)``), per element.
     """
     b, scale = np.broadcast_arrays(np.atleast_1d(b), np.atleast_1d(scale).astype(float))
-    log_b = np.array([math.log(max(k, 2)) for k in b.tolist()])
 
     def integrand(x: np.ndarray, which: np.ndarray) -> np.ndarray:
         k, s = b[which], scale[which]
@@ -471,9 +471,20 @@ def _order_expect(func: Callable[..., np.ndarray], b, scale) -> np.ndarray:
         return func(x, which) * (k * np.exp((k - 1) * np.log(-np.expm1(log_sf)) + log_sf) / s)
 
     return quad_checked(
-        integrand, 0.0, scale * (log_b + 45.0),
-        points=np.stack([scale * log_b, scale * (log_b + 4.0)], axis=1),
+        integrand, 0.0, scale * (_log_order(b) + 45.0),
+        points=_order_points(b, scale) if points is None else points,
     )
+
+
+def _log_order(b) -> np.ndarray:
+    """ln(max(b, 2)) per element: where the maximum of b exponentials sits, in means."""
+    return np.array([math.log(max(k, 2)) for k in np.atleast_1d(b).tolist()])
+
+
+def _order_points(b, scale) -> np.ndarray:
+    """``_order_expect``'s default breakpoints: scale * (ln b, ln b + 4), one row per element."""
+    log_b = _log_order(b)
+    return np.stack([scale * log_b, scale * (log_b + 4.0)], axis=1)
 
 
 def _order(b):

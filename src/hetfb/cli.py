@@ -53,6 +53,9 @@ EXIT_NUMERICAL = 3
 EXIT_CROSSVAL = 4
 EXIT_INTERNAL = 5
 
+# Most points a start:stop:step range grid may hold.
+_GRID_POINTS = 10_000
+
 DEFAULT_CONFIG = {
     "model": "subband",
     "n_rbs": 64,
@@ -157,18 +160,29 @@ def strategy_from_config(cfg: dict) -> StrategyParams | None:
 
 
 def parse_grid(text: str) -> list[float]:
-    """Comma list ("1,2,5") or start:stop:step range ("5:50:5"), inclusive."""
+    """Comma list ("1,2,5") or start:stop:step range ("5:50:5"), inclusive.
+
+    A range is refused before it is built when its step does not advance
+    its start or it would hold more than ``_GRID_POINTS`` points.
+    """
     text = text.strip()
     if ":" in text:
         parts = [float(p) for p in text.split(":")]
         if len(parts) != 3:
             raise ValueError(f"range grid needs start:stop:step, got {text!r}")
         start, stop, step = parts
+        if not all(map(math.isfinite, parts)):
+            raise ValueError(f"range grid needs finite start, stop and step, got {text!r}")
         if step <= 0:
             raise ValueError("grid step must be positive")
+        if start + step == start:
+            raise ValueError(f"grid step {step!r} does not advance from {start!r}")
+        limit = stop + 1e-9 * max(abs(stop), 1.0)
+        if (limit - start) / step >= _GRID_POINTS:
+            raise ValueError(f"range grid {text!r} has more than {_GRID_POINTS} points")
         out = []
         x = start
-        while x <= stop + 1e-9 * max(abs(stop), 1.0):
+        while x <= limit:
             out.append(round(x, 12))
             x += step
         return out

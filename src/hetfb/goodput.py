@@ -24,10 +24,15 @@ on one system) come from one batched quadrature.  Each outage is an
 integral of its own, of the failure probability 1 - Q1 that ``marcum_q1c``
 gives at full relative precision, never coverage or 1 minus a success: its
 integrand is nonnegative, so is the outage, and a small outage keeps its
-relative precision.  A beta's success and failure integrals share most
-quadrature nodes, so each distinct Marcum-Q argument pair of a level is
-evaluated once, by ``marcum_q1_pair``.  The stack holds the fixed-rate
-success and outage and the variable-rate goodput and outage of every beta.
+relative precision: the quadrature holds every integral to 1e-10 of its
+own value, with no absolute floor, so an outage of 1e-46 gets the digits
+that one of 0.1 gets.  Near perfect feedback the variable-rate failure
+decays on a scale far below the first panels, so those outage rows start
+with breakpoints at that scale.  A beta's success and failure integrals
+share most quadrature nodes, so each distinct Marcum-Q argument pair of a
+level is evaluated once, by ``marcum_q1_pair``.  The stack holds the
+fixed-rate success and outage and the variable-rate goodput and outage of
+every beta.
 Under partial feedback it is integrated against the scheduled
 estimated-CQI mixture, the one route of ``analytic``; at full feedback it
 is one ``_order_expect`` stack at every order, so even a small order skips
@@ -55,7 +60,7 @@ import numpy as np
 
 # quad_checked stays bound here: perfbench/selftest.py checks its tracing in this module
 from ._quad import QuadratureError, quad_checked  # noqa: F401
-from .analytic import ScheduledCqiMixture, _order, _order_expect, _order_moment
+from .analytic import ScheduledCqiMixture, _order, _order_expect, _order_moment, _order_points
 from .channel import ImpairmentParams, SystemConfig
 from .specfun import gauss_2f1, marcum_q1, marcum_q1_pair
 
@@ -332,15 +337,27 @@ def _metrics_table(sys: SystemConfig, imp: ImpairmentParams, beta0, beta1):
         out[rate] *= np.log2(1.0 + rho * row_beta[rate] * x[rate])
         return out
 
+    # The variable-rate failure decays like exp(-x/d) in the estimate x, with
+    # d = 2/(alpha_w (alpha - sqrt(beta)))^2.  Near perfect feedback d is so
+    # small that the failure underflows at every node of a first level, so
+    # the variable-rate outage rows also start with breakpoints at d * (1, 8,
+    # 64); the other rows' NaN breakpoints are ignored.  A d of inf (alpha =
+    # sqrt(beta), or past the float range) puts them beyond the interval.
+    decay = np.full((beta.size, 3), np.nan)
+    with np.errstate(divide="ignore", over="ignore"):
+        d = 2.0 / (imp.alpha_w * (imp.delay_corr - np.sqrt(b1))) ** 2
+    decay[beta.size - b1.size :] = d[:, None] * [1.0, 8.0, 64.0]
     if sys.best_m == sys.m_full:
+        orders = np.full(beta.size, k)
         values = _order_expect(
-            lambda x, which: conditional(x, lambda v: v[which]), np.full(beta.size, k),
-            imp.estimate_var,
+            lambda x, which: conditional(x, lambda v: v[which]), orders, imp.estimate_var,
+            points=np.hstack([_order_points(orders, imp.estimate_var), decay]),
         )
     else:
         mix = ScheduledCqiMixture(sys, scale=imp.estimate_var)
         values = mix._integrate(
-            lambda mix, x, at: conditional(x, at) * mix.pdf(x), rows=beta.size
+            lambda mix, x, at: conditional(x, at) * mix.pdf(x), rows=beta.size,
+            points=np.hstack([np.broadcast_to(mix._points(), (beta.size, 2)), decay]),
         )
     success, p0, r1, p1 = np.split(values, np.cumsum([b0.size, b0.size, b1.size]))
     r0 = np.array([math.log2(1.0 + rho * b) for b in b0.tolist()]) * success

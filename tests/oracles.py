@@ -16,6 +16,10 @@
   for the library's mixture-CDF route.
 * The reported-CQI law as the average of the top order statistics, the
   reference for the library's two-term incomplete-beta form.
+* A partial-feedback variable-rate outage integrated over the scheduled
+  estimate by fixed Gauss-Legendre panels, with the failure probability as
+  its positive Bessel series: the reference where the per-feedback-set
+  expansion cancels beyond any working precision.
 * The scalar beta0 / beta1 searches, one impairment cell and one
   objective call at a time, with the beta0 domain extension that grids
   the whole grown domain again: the reference for the lockstep grid
@@ -35,7 +39,7 @@ from typing import Callable
 import mpmath as mp
 import numpy as np
 from scipy import integrate
-from scipy.special import betainc, exp1, gammaln, i0
+from scipy.special import betainc, exp1, gammaln, i0, ive
 
 from hetfb import goodput
 from hetfb.analytic import ReportedCqiLaw, _xi_exact, feedback_set_pmf, selection_coefficients
@@ -254,6 +258,48 @@ def reported_cqi_order_stats(n: int, q: int, scale: float, x) -> tuple[np.ndarra
 def reported_cqi_cdf(x, sys: SystemConfig, g: int):
     """CDF of the CQI a cluster-``g`` user reports for a covered subband."""
     return ReportedCqiLaw(sys.num_subbands(g), cluster_feedback_quota(sys, g)).cdf(x)
+
+
+def variable_outage_over_estimate(sys: SystemConfig, imp: ImpairmentParams, beta: float,
+                                  nodes: int) -> float:
+    """Variable-rate outage under partial feedback, integrated over the scheduled estimate.
+
+    The outage is the integral of the failure probability 1 - Q1(a, b),
+    a = alpha_w * alpha * sqrt(x) and b = alpha_w * sqrt(beta x), against the
+    density W * sum_g K_g p f_g / (1 - p S_g) of the scheduled estimated CQI,
+    W = prod_g (1 - p S_g)^K_g, with (S_g, f_g) the reported-CQI law of
+    ``reported_cqi_order_stats``.  For b < a the failure probability is the
+    positive series exp(-(a - b)^2 / 2) sum_{k >= 1} (b/a)^k ive(k, ab), which
+    neither cancels nor calls a Marcum-Q routine.  It decays like exp(-x/d),
+    d = 2 / (alpha_w (alpha - sqrt(beta)))^2, so the panels double from d/64
+    to 4096 d, each with ``nodes`` Gauss-Legendre nodes: the failure
+    probability beyond is of order exp(-4096).
+    """
+    alpha = imp.delay_corr
+    if not math.sqrt(beta) < alpha:
+        raise ValueError("the series needs b < a, i.e. sqrt(beta) < alpha")
+    d = 2.0 / (imp.alpha_w * (alpha - math.sqrt(beta))) ** 2
+    edges = d * np.concatenate([[0.0], 2.0 ** np.arange(-6, 13)])
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    half = 0.5 * np.diff(edges)[:, None]
+    x = ((0.5 * (edges[1:] + edges[:-1]))[:, None] + half * t).ravel()
+    weights = (half * w).ravel()
+    a = imp.alpha_w * alpha * np.sqrt(x)
+    b = imp.alpha_w * np.sqrt(beta * x)
+    k = np.arange(1, 400)
+    failure = np.exp(-0.5 * (a - b) ** 2) * (
+        (b / a)[:, None] ** k * ive(k, (a * b)[:, None])
+    ).sum(axis=1)
+    p = sys.report_prob
+    log_w = np.zeros_like(x)
+    ratio = np.zeros_like(x)
+    for g, cluster in enumerate(sys.clusters):
+        sf, pdf = reported_cqi_order_stats(
+            sys.num_subbands(g), cluster_feedback_quota(sys, g), imp.estimate_var, x
+        )
+        log_w += cluster.num_users * np.log1p(-p * sf)
+        ratio += cluster.num_users * p * pdf / (1.0 - p * sf)
+    return float(np.sum(weights * failure * np.exp(log_w) * ratio))
 
 
 def subcarrier_correlation(pdp, n1: int, n2: int, num_subcarriers: int) -> complex:

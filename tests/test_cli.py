@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from hetfb.channel import ImpairmentParams
 from hetfb.cli import emit, load_config, parse_grid, run, split_users
 from hetfb.montecarlo import CHUNK_TRIALS, CrossValidationEntry, CrossValidationReport
 from hetfb.specfun import ConvergenceError
+from tests.oracles import variable_outage_over_estimate
 
 
 def read_csv(path: Path):
@@ -47,6 +49,17 @@ class TestHelpers:
             parse_grid("1:2")
         with pytest.raises(ValueError):
             parse_grid("1:5:0")
+
+    def test_range_grid_values(self):
+        # built by repeated addition, each point rounded to 12 decimals
+        assert parse_grid("0.1:0.9:0.1") == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+        assert parse_grid("0.1:0.9:0.2") == [0.1, 0.3, 0.5, 0.7, 0.9]
+        assert parse_grid("5:50:1") == [float(k) for k in range(5, 51)]
+        assert len(parse_grid("0:99.99:0.01")) == cli._GRID_POINTS
+        with pytest.raises(ValueError, match="more than"):
+            parse_grid("0:100:0.01")
+        with pytest.raises(ValueError, match="finite"):
+            parse_grid("1:inf:1")
 
     def test_split_users(self):
         assert split_users(10, [0.5, 0.5]) == [5, 5]
@@ -260,6 +273,17 @@ class TestValidationFailures:
         assert err["error"]["type"] == "validation"
         assert not list(tmp_path.rglob("*.csv"))
 
+    @pytest.mark.parametrize("grid", ["5:50:1e-9", "1e20:2e20:1"])
+    def test_endless_range_grid_exits_2_quickly(self, tmp_path, grid, capsys):
+        # too many points, and a step that 1e20 + 1 == 1e20 does not advance:
+        # both are refused before any point is built
+        start = time.perf_counter()
+        assert run(["min-m", "--users-grid", grid, "--out", str(tmp_path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "validation"
+        assert not list(tmp_path.rglob("*.csv"))
+
     @pytest.mark.parametrize("command", ["analytic", "min-m", "optimize"])
     def test_closed_form_commands_refuse_other_models(self, tmp_path, command, capsys):
         # they compute the subband model's closed forms whatever the config says
@@ -402,6 +426,22 @@ class TestAnalyticCommand:
         rows = read_csv(tmp_path / "analytic.csv")
         assert len(rows) == 6
         assert all(0.0 <= float(row["outage"]) <= 1.0 for row in rows)
+
+    def test_near_perfect_outage_cell_matches_oracle(self, tmp_path):
+        # the variable-rate outage at beta 0.1 is about 1.2e-46: the quadrature
+        # holds it to its own value, as it does an outage of order 1.  On the
+        # default 64-RB system the per-feedback-set sum cancels beyond any
+        # working precision, so the reference integrates over the estimate.
+        argv = ["analytic", "--beta-grid", "0.1:0.9:0.1", "--set", "est_err_var=0.00001",
+                "--set", "alpha=0.99999", "--out", str(tmp_path)]
+        assert run(argv) == 0
+        (row,) = [r for r in read_csv(tmp_path / "analytic.csv")
+                  if r["beta"] == "0.1" and r["strategy"] == "variable"]
+        system = cli.system_from_config(cli.DEFAULT_CONFIG)
+        imp = ImpairmentParams(1e-5, 0.99999)
+        ref = variable_outage_over_estimate(system, imp, 0.1, 40)
+        assert abs(ref - variable_outage_over_estimate(system, imp, 0.1, 20)) <= 1e-12 * ref
+        assert abs(float(row["outage"]) - ref) <= 1e-9 * ref
 
 
 class TestMinMCommand:

@@ -34,6 +34,7 @@ from tests.oracles import (
     metric_over_sets,
     optimize_beta0_scalar,
     optimize_beta1_scalar,
+    variable_outage_over_estimate,
 )
 
 JENSEN_B10_SW001 = 2.8996785714285713  # 0.99 * H_10
@@ -195,6 +196,13 @@ class TestI2:
         a = np.linspace(0.0, 5.0, n)
         a[::10] = 0.0
         assert i2(a, b, imp_default).tolist() == [i2(x, b, imp_default) for x in a.tolist()]
+
+    def test_near_perfect_limit_beyond_the_mixture_orders(self):
+        # order 40 takes the quadrature route; as est_error_var -> 0 at
+        # alpha = 1 the success tends to P(max of 40 unit exponentials > 30)
+        got = i2(30.0, 40, ImpairmentParams(1e-200, 1.0))
+        limit = -math.expm1(40 * math.log1p(-math.exp(-30.0)))
+        assert abs(got - limit) <= 1e-6 * limit
 
 
 class TestI4:
@@ -425,6 +433,63 @@ class TestOutage:
             s, imp_default, beta
         ):
             assert type(value) is float
+
+
+class TestSmallOutage:
+    """Near-perfect variable-rate outages, each held to 1e-9 of its own value."""
+
+    PARTIAL = SystemConfig(8, (Cluster(1, 2), Cluster(2, 2)), 1, 10.0)
+    FULL_4 = SystemConfig(8, (Cluster(1, 2), Cluster(2, 2)), 4, 10.0)
+    FULL_20 = SystemConfig(16, (Cluster(1, 10), Cluster(2, 10)), 8, 10.0)
+
+    # (system, (est_error_var, alpha), beta1); the two beta1 = 0.3 cells at
+    # (1e-6, 1) underflow at every node of a first quadrature level unless
+    # the panels start at the failure's decay scale
+    CELLS = [
+        (PARTIAL, (1e-5, 0.99999), 0.3),
+        (PARTIAL, (1e-5, 0.99999), 0.65),
+        (PARTIAL, (1e-6, 1.0), 0.5),
+        (PARTIAL, (1e-6, 1.0), 0.3),
+        (FULL_4, (1e-6, 1.0), 0.72),
+        (FULL_4, (1e-6, 1.0), 0.3),
+        (FULL_20, (3e-4, 0.9997), 0.3),
+        (FULL_20, (1e-5, 0.99999), 0.5),
+    ]
+
+    @staticmethod
+    def oracle(sys, imp, beta, extra_dps):
+        if sys.best_m == sys.m_full:
+            return i4_outage_mp(beta, sys.num_users, imp, extra_dps=extra_dps)
+        return metric_over_sets(sys, lambda b: i4_outage_mp(beta, b, imp, extra_dps=extra_dps))
+
+    IDS = ["partial-1e-5-0.3", "partial-1e-5-0.65", "partial-1e-6-0.5", "partial-1e-6-0.3",
+           "k4-1e-6-0.72", "k4-1e-6-0.3", "k20-3e-4-0.3", "k20-1e-5-0.5"]
+
+    @pytest.mark.parametrize("sys, cell, beta", CELLS, ids=IDS)
+    def test_matches_mpmath(self, sys, cell, beta):
+        imp = ImpairmentParams(*cell)
+        ref = self.oracle(sys, imp, beta, 60)
+        # the oracle is settled, and far from 0
+        assert 0.0 < ref and abs(ref - self.oracle(sys, imp, beta, 120)) <= 1e-12 * ref
+        _, outage = variable_rate_metrics(sys, imp, beta)
+        assert abs(outage - ref) <= 1e-9 * ref
+
+    @pytest.mark.parametrize("sys, cell, beta", CELLS[:4], ids=IDS[:4])
+    def test_oracles_agree(self, sys, cell, beta):
+        # on the partial-feedback cells, the per-feedback-set sum and the
+        # integral over the scheduled estimate share no special function
+        imp = ImpairmentParams(*cell)
+        ref = self.oracle(sys, imp, beta, 60)
+        assert abs(variable_outage_over_estimate(sys, imp, beta, 40) - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("sys", [PARTIAL, FULL_4], ids=["partial", "full"])
+    @pytest.mark.parametrize("cell", [(0.5, 0.0), (1e-6, 1.0)])
+    def test_decay_scale_at_its_extremes(self, sys, cell):
+        # alpha = 0 with a subnormal beta1 squares (alpha - sqrt(beta1)) to a
+        # subnormal, and alpha = sqrt(beta1) = 1 makes it 0: neither warns,
+        # and the rows stay probabilities
+        _, _, r1, p1 = goodput._metrics_table(sys, ImpairmentParams(*cell), [], [2.2e-313, 1.0])
+        assert np.all(np.isfinite(r1)) and np.all((0.0 <= p1) & (p1 <= 1.0))
 
 
 class TestOptimizers:

@@ -165,3 +165,17 @@ class TestBatch:
 
     def test_empty_stack(self):
         assert quad_checked(lambda x, which: x, np.zeros(0), np.ones(0)).shape == (0,)
+
+
+def test_tiny_value_is_held_relative_to_itself():
+    # the contract has no absolute floor: a value of 1e-34 gets ten digits
+    (got,) = quad_checked(lambda x, which: 1e-30 * np.exp(-x / 1e-4), 0.0, 1.0)
+    exact = 1e-34 * -math.expm1(-1e4)
+    assert abs(got - exact) <= 1e-10 * exact
+
+
+def test_signed_integral_near_zero_raises():
+    # sin over a whole period is 0: no error estimate fits 1e-10 of it, so
+    # the integral refines to the panel limit and raises
+    with pytest.raises(QuadratureError, match="integral 0"):
+        quad_checked(lambda x, which: np.sin(x), 0.0, 2.0 * math.pi)
