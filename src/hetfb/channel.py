@@ -12,9 +12,11 @@ Two channel models are supported:
 Imperfections (estimation error plus feedback delay) follow a first-order
 Gauss-Markov evolution: the scheduler sees an outdated estimate ``h_hat``
 while transmission happens over ``h_tilde = alpha*(h_hat + w) +
-sqrt(1-alpha^2)*eps``.  The correlated model's tap draws and gain map
-(``_complex_normal``, ``_correlated_gain_map``) live here; ``montecarlo``
-draws the subband model's CQIs and the feedback-imperfection noise.
+sqrt(1-alpha^2)*eps``.  The correlated model's gain map
+(``_correlated_gain_map``, one real matrix from a user's normal tap draws to
+the (re, im) pairs of its subcarrier gains) lives here;
+``montecarlo`` draws the taps, the subband model's CQIs and the
+feedback-imperfection noise.
 """
 
 from __future__ import annotations
@@ -203,42 +205,41 @@ def cluster_feedback_quota(sys: SystemConfig, g: int) -> int:
     return (sys.eta_max // sys.clusters[g].subband_size) * sys.best_m
 
 
-def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """CN(0, 1) draws: pairs of standard normals, scaled and viewed as complex."""
-    z = rng.standard_normal(shape + (2,))
-    z *= math.sqrt(0.5)
-    return z.view(complex)[..., 0]
-
-
 def _dft_phases(cfg: CorrelatedChannelConfig) -> np.ndarray:
     l = np.arange(cfg.num_taps)[:, None]
     n = np.arange(cfg.num_subcarriers)[None, :]
     return np.exp(-2j * math.pi * l * n / cfg.num_subcarriers)
 
 
-# Multiply-adds of one complex matrix product from which OpenBLAS runs it on
-# every core.  Products this small gain about a tenth in wall time for twice
-# the CPU time that way, and they fight the Monte Carlo chunk threads.
-_BLAS_THREADED_MACS = 2**16
+# Multiply-adds of one real matrix product from which OpenBLAS runs it on
+# every core.  (m x 32) @ (32 x 512) ran on one thread up to m = 61 (999,424)
+# and on every core from m = 62 (1,015,808), by process time against wall
+# time.  Products this small gain little in wall time that way for twice the
+# CPU time, and they fight the Monte Carlo chunk threads.
+_BLAS_THREADED_MACS = 10**6
 
 
-def _correlated_gain_map(cfg: CorrelatedChannelConfig):
-    """The map of i.i.d. unit taps (..., users, L) to subcarrier gains (..., users, Nc).
+def _correlated_gain_map(cfg: CorrelatedChannelConfig, snr: float):
+    """The map of normal draws (..., users, 2L) to scaled subcarrier gains (..., users, 2 Nc).
 
-    The gain of subcarrier n is sum_l sqrt(pdp_l) h_l exp(-2 pi i l n / Nc).
-    The tap amplitudes are folded into the DFT phase matrix once, when the
-    map is built, so each call is one product of the unit taps with that
-    matrix.  Users are multiplied in groups small enough that BLAS runs each
-    product on the calling thread; every gain is one dot product over the
-    taps either way, so the grouping does not change a bit.
+    The draws are the pairs (x_l, y_l) of each user's unit taps
+    h_l = sqrt(0.5) (x_l + i y_l).  With w_ln = sqrt(0.5 snr pdp_l)
+    exp(-2 pi i l n / Nc), the scaled gain sqrt(snr) g_n = sum_l x_l w_ln +
+    y_l (i w_ln) is real-linear in the draws, so the map is one real product
+    with the rows w_l and i w_l viewed as (re, im) pairs, built once.  Its
+    result holds each subcarrier's (re, im) pair, and viewed as complex it
+    is sqrt(snr) g.  Users are multiplied in groups small enough that BLAS
+    runs each product on the calling thread; every value is one dot product
+    over the draws either way, so the grouping does not change a bit.
     """
-    weights = np.sqrt(np.asarray(cfg.pdp))[:, None] * _dft_phases(cfg)
+    w = np.sqrt(0.5 * snr * np.asarray(cfg.pdp))[:, None] * _dft_phases(cfg)
+    weights = np.stack([w, 1j * w], axis=1).view(float).reshape(2 * cfg.num_taps, -1)
     group = max(1, (_BLAS_THREADED_MACS - 1) // weights.size)
 
-    def gains(taps: np.ndarray) -> np.ndarray:
-        out = np.empty(taps.shape[:-1] + weights.shape[1:], dtype=complex)
-        for lo in range(0, taps.shape[-2], group):
-            np.matmul(taps[..., lo : lo + group, :], weights, out=out[..., lo : lo + group, :])
+    def gains(draws: np.ndarray) -> np.ndarray:
+        out = np.empty(draws.shape[:-1] + weights.shape[1:])
+        for lo in range(0, draws.shape[-2], group):
+            np.matmul(draws[..., lo : lo + group, :], weights, out=out[..., lo : lo + group, :])
         return out
 
     return gains

@@ -12,15 +12,22 @@ matmul), and their per-trial results are reduced in chunk order, so an
 estimate is bit-identical at any worker count.  Each worker holds one row
 block at a time, so peak block memory is workers x ``_BLOCK_BYTES``.
 
-The subband model runs one kernel (``_subband_blocks``): draw exponential
-CQIs, take each cluster subband's best-M winner (``_winner_cqi``, the step
-all schedulers here share) and the maximum over clusters per block, and,
-under imperfect feedback, realize the actual CQI from one noise draw per
-winning (cluster, subband).  A block is scheduled where its winning CQI is
-positive, so a drawn CQI of exactly 0.0 (numpy's exponential sampler gives
-one with probability about 2^-53 per draw) counts as unreported.  Each
-cluster of a chunk has its own draw and noise substreams, and row blocks
-under a fixed byte budget bound peak memory; no result depends on the blocking.
+The subband model runs one kernel (``_subband_blocks``): draw uniforms U,
+take each cluster subband's best-M winner (``_winner_cqi``, the step all
+schedulers here share) on U, map only the winners to exponential CQIs
+-log1p(-U), take the maximum over clusters per block and, under imperfect
+feedback, realize the actual CQI from one noise draw per winning (cluster,
+subband).  The map is increasing, so the winners are those of the CQIs.  A
+block is scheduled where its winning CQI is positive, so a drawn U of
+exactly 0.0 (probability 2^-53 per draw), which maps to CQI 0.0, counts as
+unreported.  Each cluster of a chunk has its own draw and noise substreams,
+and row blocks under a fixed byte budget bound peak memory; no result
+depends on the blocking.
+
+The correlated model multiplies each user's normal tap draws by one real
+matrix (``channel._correlated_gain_map``) into the (re, im) pairs of its
+scaled subcarrier gains, takes log1p of each pair's squared sum in nats,
+and converts to bits once, on the subband CQIs.
 
 Estimators mirror the analytic conventions: the per-block rate and goodput
 averages keep idle (never-reported) blocks in the denominator at zero
@@ -44,7 +51,6 @@ from .channel import (
     CorrelatedChannelConfig,
     ImpairmentParams,
     SystemConfig,
-    _complex_normal,
     _correlated_gain_map,
     _is_power_of_two,
     cluster_feedback_quota,
@@ -80,6 +86,8 @@ _BLOCK_BYTES = 4 * 2**20
 _MAX_WORKERS = 4
 
 _Z_FLAG = 3.0
+
+_BITS_PER_NAT = 1.0 / math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -260,7 +268,11 @@ def _mean_rate(best: np.ndarray, snr: float) -> np.ndarray:
 
 
 def _winner_cqi(cqi: np.ndarray, quota: int) -> np.ndarray:
-    """Best-M winners of (rows, users, subbands) CQIs, in place; 0 where nobody reported."""
+    """Best-M winners of (rows, users, subbands) CQIs, in place; 0 where nobody reported.
+
+    Any nonnegative score that increases with the CQI picks the same
+    winners, as the subband kernel's uniform draws do.
+    """
     _keep_best(cqi, quota)
     return cqi.max(axis=1)
 
@@ -289,11 +301,13 @@ def _subband_blocks(sys: SystemConfig, imp: ImpairmentParams | None, seq, t: int
     the scheduled CQI estimate, ``best > 0`` (the scheduled blocks) and, with
     impairments, the scheduled user's actual CQI (else ``None``); both CQIs are 0 when idle.
 
-    * Draw: |CN(0, 1)|^2 ~ Exp(1), so CQIs are drawn as exponentials,
-      scaled by the estimate variance with impairments.
-    * Select: every user keeps its ``quota`` largest CQIs.
-    * Schedule: maximum over users within each cluster on its subband grid,
-      then over clusters on the block grid.
+    * Draw: |CN(0, 1)|^2 ~ Exp(1) = -log1p(-U) for U uniform on [0, 1),
+      an increasing map, so uniforms are drawn in the CQIs' place.
+    * Select: every user keeps its ``quota`` largest U.
+    * Schedule: maximum over users within each cluster on its subband grid;
+      only these winners become CQIs, -log1p(-U) scaled by the estimate
+      variance with impairments; then the maximum over clusters on the
+      block grid.
     * Realize: given the estimate, h_tilde = alpha*h_hat + n with
       n ~ CN(0, alpha^2 sigma_w^2 + 1 - alpha^2) independent of h_hat, and
       only the winner's actual CQI is read.  So one noise draw per (trial,
@@ -302,6 +316,7 @@ def _subband_blocks(sys: SystemConfig, imp: ImpairmentParams | None, seq, t: int
       joint law is that of independent per-user noise.
     """
     draws, noise = _cluster_streams(seq, sys.num_clusters)
+    scale = 1.0 if imp is None else imp.estimate_var
     cells = max(c.num_users * sys.num_subbands(g) for g, c in enumerate(sys.clusters))
     # draws, partition copy and mask per cell; a dozen block-grid temporaries
     for r in _row_blocks(t, 8 * (3 * cells + 12 * sys.num_rbs)):
@@ -310,10 +325,9 @@ def _subband_blocks(sys: SystemConfig, imp: ImpairmentParams | None, seq, t: int
         for g, cluster in enumerate(sys.clusters):
             if cluster.num_users == 0:
                 continue
-            z = draws[g].standard_exponential((r, cluster.num_users, sys.num_subbands(g)))
-            if imp is not None:
-                z *= imp.estimate_var
-            top = _winner_cqi(z, cluster_feedback_quota(sys, g))
+            u = draws[g].random((r, cluster.num_users, sys.num_subbands(g)))
+            top = np.log1p(-_winner_cqi(u, cluster_feedback_quota(sys, g)))
+            top *= -scale
             top_blocks = np.repeat(top, cluster.subband_size, axis=1)
             wins = top_blocks > best
             best = np.where(wins, top_blocks, best)
@@ -339,21 +353,22 @@ def _group_mean(x: np.ndarray, width: int) -> np.ndarray:
     return x.reshape(*x.shape[:2], -1, width) @ np.full(width, 1.0 / width)
 
 
-def _subcarrier_rates(cfg: CorrelatedChannelConfig, snr: float, users: int, rng, t: int):
-    """Rates log2(1 + snr |g|^2) of ``t`` trials, yielded in (rows, users, Nc) blocks."""
-    gains = _correlated_gain_map(cfg)
-    # per subcarrier: the complex gains (16 B), their power (8 B) and the
-    # previous block's rates, still held by the caller (8 B); traced peaks
-    # run 35-39 B, and 48 B leaves room for the weights, taps and CQIs
+def _subcarrier_rates(gains, cfg: CorrelatedChannelConfig, users: int, rng, t: int):
+    """Rates ln(1 + snr |g|^2) in nats of ``t`` trials, yielded in (rows, users, Nc) blocks.
+
+    ``gains`` is ``cfg``'s gain map at that snr, built once per run and
+    shared by the chunk threads, which only read it.
+    """
+    # per subcarrier: the (re, im) pair (16 B), its power (8 B) and the
+    # previous block's rates, still held by the caller (8 B); 48 B leaves
+    # room for the weights, draws and CQIs
     for r in _row_blocks(t, 48 * users * cfg.num_subcarriers):
-        g = gains(_complex_normal(rng, (r, users, cfg.num_taps))).view(float)
+        g = gains(rng.standard_normal((r, users, 2 * cfg.num_taps)))
         np.multiply(g, g, out=g)
-        # re^2 + im^2 into a contiguous buffer: log2 there takes half the time
+        # re^2 + im^2 into a contiguous buffer, where log1p takes half the time
         power = np.add(g[..., 0::2], g[..., 1::2])
         del g
-        power *= snr
-        power += 1.0
-        yield np.log2(power, out=power)
+        yield np.log1p(power, out=power)
 
 
 def run_perfect(spec: ExperimentSpec) -> EstimateWithError:
@@ -388,20 +403,22 @@ def correlated_rate_grid(
     All combinations see the same fading draws, which pins their relative
     ordering down to far fewer trials.  In each row block of subcarrier
     rates, one mean gives the average-rate CQIs of the finest subband size,
-    and each coarser size averages those; each combination schedules a copy
-    of its size's CQIs.  A scheduled subband contributes log2(1 + snr * CQI)
+    converted there from nats to bits, and each coarser size averages those;
+    each combination schedules a copy of its size's CQIs.  A scheduled subband contributes log2(1 + snr * CQI)
     of its winner, where the homogeneous strategy delivers the CQI itself.
     The mapping stays because figure 1 and the benchmark's recorded
     reference rest on it; the CQI is 9-14% lower.
     """
     etas = sorted({eta for eta, _ in combos})
     finest = etas[0]
+    gains = _correlated_gain_map(cfg, snr)
 
     def chunk(seq, t):
         """Per-trial sum rates, one row per combination."""
         blocks = []
-        for rate in _subcarrier_rates(cfg, snr, num_users, np.random.default_rng(seq), t):
+        for rate in _subcarrier_rates(gains, cfg, num_users, np.random.default_rng(seq), t):
             fine = _group_mean(rate, finest * cfg.subcarriers_per_rb)
+            fine *= _BITS_PER_NAT
             cqi = {finest: fine}
             for e in etas[1:]:
                 cqi[e] = _group_mean(fine, e // finest)

@@ -13,7 +13,8 @@
   chi-square routines.
 * The paper's per-feedback-set expansion of a partial-feedback metric,
   summed exactly over the rational selection coefficients, the reference
-  for the library's mixture-CDF route.
+  for the library's mixture-CDF route; it refuses a sum that the rounding
+  of its terms, amplified by the coefficients, could move by 1e-6.
 * The reported-CQI law as the average of the top order statistics, the
   reference for the library's two-term incomplete-beta form.
 * A partial-feedback variable-rate outage integrated over the scheduled
@@ -201,29 +202,45 @@ def marcum_q1_craig(a: float, b: float, dps: int = 40, complement: bool = False)
         return float(1 - q if complement else q)
 
 
-def metric_over_sets(sys: SystemConfig, term: Callable[[int], float]) -> float:
+def metric_over_sets(
+    sys: SystemConfig, term: Callable[[int], float], eps: float = 2.0**-53
+) -> float:
     """Sum over nonempty feedback sets of P(tau) * sum_m theta_m * term(b_total - m).
 
     ``term(b)`` is the metric's order-statistic integral for the maximum of
-    b CQIs.  The probabilities and selection coefficients are exact
-    rationals and the sum is formed exactly, so the only rounding is that
-    of each ``term`` value, amplified by at most sum |theta_m|.
+    b CQIs, held to relative precision ``eps`` (2^-53 for a float).  The
+    probabilities and selection coefficients are exact rationals and the sum
+    is formed exactly, so the only rounding is that of each ``term`` value,
+    amplified by sum |theta_m|.  Its bound eps * sum P(tau) sum |theta_m term|
+    is carried next to the sum, and an ``ArithmeticError`` is raised when it
+    exceeds 1e-6 of the result.
     """
     dist = feedback_set_pmf(sys)
     values: dict[int, Fraction] = {}
-    total = Fraction(0)
+    total = magnitude = Fraction(0)
     for tau, _ in dist:
         if not any(tau):
             continue
         table = selection_coefficients(sys, tau)
-        inner = Fraction(0)
+        inner = inner_abs = Fraction(0)
         for m, th in enumerate(table.theta_exact):
             b = table.b_total - m
             if b not in values:
                 values[b] = Fraction(term(b))
-            inner += th * values[b]
-        total += dist.probability_exact(tau) * inner
-    return float(total)
+            part = th * values[b]
+            inner += part
+            inner_abs += abs(part)
+        p = dist.probability_exact(tau)
+        total += p * inner
+        magnitude += p * inner_abs
+    result = float(total)
+    bound = eps * float(magnitude)
+    if bound > 1e-6 * abs(result):
+        raise ArithmeticError(
+            f"the terms' rounding, amplified by the selection coefficients, "
+            f"reaches {bound:.3g} on a sum of {result:.3g}"
+        )
+    return result
 
 
 def xi_coefficients(sys: SystemConfig, g: int) -> np.ndarray:

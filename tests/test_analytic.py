@@ -337,6 +337,16 @@ class TestAverageSumRate:
         ref = metric_over_sets(s, lambda b: i1_mp(s.snr, b))
         assert abs(average_sum_rate(s) - ref) < 1e-9
 
+    def test_exact_expansion_refuses_amplified_rounding(self):
+        # at 32 RBs with 3 + 3 users and M = 2, sum |theta| reaches 2.4e25,
+        # so the rounding of the float 1 / b alone swamps the sum
+        s = SystemConfig(32, (Cluster(1, 3), Cluster(4, 3)), 2, 10.0)
+        with pytest.raises(ArithmeticError, match="amplified by the selection coefficients"):
+            metric_over_sets(s, lambda b: 1.0 / b)
+        exact = metric_over_sets(s, lambda b: Fraction(1, b), eps=0.0)
+        unchecked = metric_over_sets(s, lambda b: 1.0 / b, eps=0.0)
+        assert abs(unchecked - exact) > 100.0 * abs(exact)
+
     def test_large_config_uses_cdf_route(self):
         s = two_cluster_system(20, 4)
         val = average_sum_rate(s)  # would be numerically impossible via floats

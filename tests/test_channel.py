@@ -11,7 +11,7 @@ from hetfb.channel import (
     CorrelatedChannelConfig,
     ImpairmentParams,
     SystemConfig,
-    _complex_normal,
+    _correlated_gain_map,
     pdp_exponential,
 )
 from hetfb.specfun import marcum_q1
@@ -19,7 +19,7 @@ from tests.oracles import conditional_pdf_actual, subcarrier_correlation
 from tests.perdraw import (
     ChannelRealization,
     apply_impairments,
-    complex_normal,
+    correlated_gains,
     gen_correlated_channel,
     gen_subband_fading,
 )
@@ -143,11 +143,19 @@ class TestCorrelatedChannel:
         mags = np.abs(real.gains[0])
         assert np.allclose(mags, mags[:, :1])
 
-    def test_complex_normal_is_the_scaled_pair(self):
-        # the library views its draws as complex; the oracle adds re + 1j * im
-        got = _complex_normal(np.random.default_rng(4), (7, 3, 16))
-        want = complex_normal(np.random.default_rng(4).standard_normal((7, 3, 16, 2)))
-        assert np.array_equal(got.view(float), want.view(float))
+    @pytest.mark.parametrize("users", [3, 70])
+    def test_gain_map_is_the_scaled_tap_sum(self, users):
+        # the library's real product gives the (re, im) pairs of sqrt(snr) g;
+        # the oracle sums the complex taps explicitly.  70 users split into
+        # two groups of (users x 32) @ (32 x 512) products
+        cfg, snr = corr_cfg(), 10.0
+        z = np.random.default_rng(4).standard_normal((7, users, cfg.num_taps, 2))
+        got = _correlated_gain_map(cfg, snr)(z.reshape(7, users, -1)).view(complex)
+        want = math.sqrt(snr) * correlated_gains(cfg, z)
+        # relative over each user's subcarriers: a gain near a null carries
+        # the rounding of its largest terms
+        err = np.linalg.norm(got - want, axis=-1)
+        assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=-1))
 
     def test_seed_determinism(self):
         cfg = corr_cfg()

@@ -13,6 +13,7 @@ from hetfb.channel import (
     CorrelatedChannelConfig,
     ImpairmentParams,
     SystemConfig,
+    cluster_feedback_quota,
     pdp_exponential,
 )
 from hetfb.goodput import StrategyParams, fixed_rate_metrics
@@ -26,6 +27,7 @@ from hetfb.montecarlo import (
     _keep_best,
     _mean_rate,
     _subband_blocks,
+    _winner_cqi,
     correlated_rate_grid,
     cross_validate,
     run_imperfect,
@@ -148,8 +150,8 @@ class TestAgainstOpsPipeline:
     """The vectorized kernel must agree with the reference operation chain.
 
     The oracle is fed the kernel's own draws: estimated gains are the square
-    roots of the drawn CQIs, and every user of a cluster shares that
-    subband's noise (the kernel reads only the winner's).
+    roots of the CQIs -log1p(-U) of the drawn uniforms, and every user of a
+    cluster shares that subband's noise (the kernel reads only the winner's).
     """
 
     def test_perfect_chunk_equals_schedule_ops(self):
@@ -160,7 +162,7 @@ class TestAgainstOpsPipeline:
 
         draws, _ = _cluster_streams(np.random.SeedSequence(77), s.num_clusters)
         gains = [
-            np.sqrt(draws[g].standard_exponential((t, c.num_users, s.num_subbands(g)))) + 0j
+            np.sqrt(-np.log1p(-draws[g].random((t, c.num_users, s.num_subbands(g))))) + 0j
             for g, c in enumerate(s.clusters)
         ]
         for i in range(t):
@@ -181,8 +183,8 @@ class TestAgainstOpsPipeline:
         draws, noise = _cluster_streams(np.random.SeedSequence(123), s.num_clusters)
         h_hat, h_til = [], []
         for g, c in enumerate(s.clusters):
-            chi_hat = imp.estimate_var * draws[g].standard_exponential(
-                (t, c.num_users, s.num_subbands(g))
+            chi_hat = imp.estimate_var * -np.log1p(
+                -draws[g].random((t, c.num_users, s.num_subbands(g)))
             )
             hh = np.sqrt(chi_hat) + 0j
             n = noise[g].standard_normal((t, s.num_subbands(g), 2)) / imp.alpha_w
@@ -228,6 +230,54 @@ class TestKernel:
             top = {i for i, _ in best_m_select(row, quota)}
             assert set(np.flatnonzero(row_kept).tolist()) == top
             assert np.array_equal(row_out, np.where(row_kept, row, 0.0))
+
+    def test_uniform_winners_equal_exponential_pipeline(self):
+        # best-M on U, then -log1p(-U) of the winners, against best-M on the
+        # CQIs -log1p(-U) of every draw, scheduled and realized as the kernel does
+        s = two_cluster_system(10, 4)
+        imp = ImpairmentParams(0.01, 0.98)
+        t = 300
+        ((best, covered, actual),) = _subband_blocks(s, imp, np.random.SeedSequence(31), t)
+
+        draws, noise = _cluster_streams(np.random.SeedSequence(31), s.num_clusters)
+        want_best, want_actual = np.zeros((t, s.num_rbs)), np.zeros((t, s.num_rbs))
+        for g, c in enumerate(s.clusters):
+            z = -np.log1p(-draws[g].random((t, c.num_users, s.num_subbands(g))))
+            z *= imp.estimate_var
+            top = _winner_cqi(z, cluster_feedback_quota(s, g))
+            top_blocks = np.repeat(top, c.subband_size, axis=1)
+            wins = top_blocks > want_best
+            want_best = np.where(wins, top_blocks, want_best)
+            n = noise[g].standard_normal(top.shape + (2,)) / imp.alpha_w
+            til = (imp.delay_corr * np.sqrt(top) + n[..., 0]) ** 2 + n[..., 1] ** 2
+            want_actual = np.where(wins, np.repeat(til, c.subband_size, axis=1), want_actual)
+        assert np.array_equal(best, want_best)
+        assert np.array_equal(covered, want_best > 0.0)
+        assert np.array_equal(actual, want_actual)
+        assert 0 < covered.sum() < covered.size
+
+    def test_kept_zero_draw_is_unreported(self, monkeypatch):
+        # a U of exactly 0.0 can be among a user's best M (here by the tie
+        # pass); it maps to CQI 0.0, so a subband it wins stays idle
+        u = np.array([[[0.0, 0.0, 0.3], [0.0, 0.6, 0.0]]])
+        assert _keep_best(u.copy(), 2)[0, :, 0].all()
+        assert _winner_cqi(u.copy(), 2).tolist() == [[0.0, 0.6, 0.3]]
+
+        class Fixed:
+            def random(self, shape):
+                assert shape == u.shape
+                return u.copy()
+
+        monkeypatch.setattr(
+            mc, "_cluster_streams", lambda seq, n: ([Fixed()], [np.random.default_rng(1)])
+        )
+        s = SystemConfig(3, (Cluster(1, 2),), 2, 10.0)
+        imp = ImpairmentParams(0.01, 0.98)
+        ((best, covered, actual),) = _subband_blocks(s, imp, np.random.SeedSequence(0), 1)
+        assert best[0, 0] == 0.0 and actual[0, 0] == 0.0
+        assert covered.tolist() == [[False, True, True]]
+        want = -np.log1p(-np.array([0.6, 0.3])) * imp.estimate_var
+        assert best[0, 1:].tolist() == want.tolist()
 
     def test_empty_cluster(self):
         s = SystemConfig(16, (Cluster(1, 0), Cluster(4, 3)), 2, 10.0)
