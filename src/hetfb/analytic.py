@@ -576,7 +576,7 @@ def i1(a, b):
         raise ValueError("a must be positive")
     return _order_moment(
         lambda mean, a: exp_integral_e1_scaled(1.0 / (a * mean)) / _LN2,
-        lambda x, a: np.log2(1.0 + a * x),
+        lambda x, a: np.log1p(a * x) / _LN2,
         b,
         1.0,
         a,

@@ -202,7 +202,7 @@ def i3_quadrature(a: float, b: int, imp: ImpairmentParams, snr: float) -> float:
         return 0.0
     q1_at = _backoff_q1(a, imp)
     (value,) = _order_expect(
-        lambda x, _: q1_at(x) * np.log2(1.0 + snr * a * x), b, imp.estimate_var
+        lambda x, _: q1_at(x) * np.log1p(snr * a * x) / _LN2, b, imp.estimate_var
     )
     return float(value)
 
@@ -265,7 +265,7 @@ def i3_jensen(a, b: int, imp, snr: float):
     if not np.all((0.0 <= a) & (a <= 1.0)):
         raise ValueError("backoff must lie in [0, 1]")
     mean = jensen_mean(b, imp)
-    return (_backoff_q1(a, imp)(mean) * np.log2(1.0 + snr * a * mean))[()]
+    return (_backoff_q1(a, imp)(mean) * np.log1p(snr * a * mean) / _LN2)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +334,7 @@ def _metrics_table(sys: SystemConfig, imp: ImpairmentParams, beta0, beta1):
         args, inverse = np.unique(args, return_inverse=True)
         q, qc = marcum_q1_pair(args.real, args.imag)
         out = np.where(at(failure), qc[inverse], q[inverse])
-        out[rate] *= np.log2(1.0 + rho * row_beta[rate] * x[rate])
+        out[rate] *= np.log1p(rho * row_beta[rate] * x[rate]) / _LN2
         return out
 
     # The variable-rate failure decays like exp(-x/d) in the estimate x, with
@@ -360,7 +360,7 @@ def _metrics_table(sys: SystemConfig, imp: ImpairmentParams, beta0, beta1):
             points=np.hstack([np.broadcast_to(mix._points(), (beta.size, 2)), decay]),
         )
     success, p0, r1, p1 = np.split(values, np.cumsum([b0.size, b0.size, b1.size]))
-    r0 = np.array([math.log2(1.0 + rho * b) for b in b0.tolist()]) * success
+    r0 = np.array([math.log1p(rho * b) / _LN2 for b in b0.tolist()]) * success
     # probabilities: the quadrature's rounding may not carry an outage past 1
     return r0, np.minimum(p0, 1.0), r1, np.minimum(p1, 1.0)
 
@@ -465,7 +465,7 @@ def optimize_beta0_grid(sys: SystemConfig, imps: Sequence[ImpairmentParams]):
     grid = _ImpairmentGrid.of(imps)
 
     def f(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return np.log2(1.0 + snr * x) * i2(x, k, grid[rows])
+        return np.log1p(snr * x) / _LN2 * i2(x, k, grid[rows])
 
     hi = grid.estimate_var[:, 0] * (math.log(k) + 6.0)
     rows = np.arange(len(imps))

@@ -12,17 +12,23 @@ matmul), and their per-trial results are reduced in chunk order, so an
 estimate is bit-identical at any worker count.  Each worker holds one row
 block at a time, so peak block memory is workers x ``_BLOCK_BYTES``.
 
-The subband model runs one kernel (``_subband_blocks``): draw uniforms U,
-take each cluster subband's best-M winner (``_winner_cqi``, the step all
-schedulers here share) on U, map only the winners to exponential CQIs
--log1p(-U), take the maximum over clusters per block and, under imperfect
-feedback, realize the actual CQI from one noise draw per winning (cluster,
-subband).  The map is increasing, so the winners are those of the CQIs.  A
-block is scheduled where its winning CQI is positive, so a drawn U of
-exactly 0.0 (probability 2^-53 per draw), which maps to CQI 0.0, counts as
-unreported.  Each cluster of a chunk has its own draw and noise substreams,
-and row blocks under a fixed byte budget bound peak memory; no result
-depends on the blocking.
+The subband model runs one kernel (``_subband_blocks``): draw uniform
+32-bit keys k, take each cluster subband's best-M winner (``_winner_cqi``,
+the step all schedulers here share) on k, map only the winners to
+exponential CQIs -log1p(-k 2^-32), take the maximum over clusters per block
+and, under imperfect feedback, realize the actual CQI from one noise draw
+per winning (cluster, subband).  The map is increasing, so the winners are
+those of the CQIs.  The keys are the generator's raw 64-bit outputs read as
+little-endian 32-bit halves (``_keys``), the same on every host.  The CQI
+law is Exp(1) quantized at 2^-32 in probability, whose mean is
+1 - ln(2 pi 2^32) / 2^33, about 1 - 2.8e-9.  A block is scheduled where its
+winning CQI is positive, so a kept key of 0 (probability 2^-32 per draw),
+which maps to CQI 0.0, counts as unreported.  Each cluster of a chunk has
+its own draw and noise substreams, and row blocks under a fixed byte budget
+bound peak memory; no result depends on the blocking.
+
+Rates are log1p(snr x) / ln 2, which keeps its relative precision where
+1 + snr x rounds to 1 (snr x below 1.1e-16).
 
 The correlated model multiplies each user's normal tap draws by one real
 matrix (``channel._correlated_gain_map``) into the (re, im) pairs of its
@@ -84,6 +90,9 @@ _BLOCK_BYTES = 4 * 2**20
 
 # Upper bound on chunk worker threads; each holds one row block at a time.
 _MAX_WORKERS = 4
+
+# Probability step of a 32-bit key: k * _KEY_STEP is uniform on [0, 1).
+_KEY_STEP = 2.0**-32
 
 _Z_FLAG = 3.0
 
@@ -241,8 +250,8 @@ def _keep_best(values: np.ndarray, quota: int) -> np.ndarray:
     Exactly ``quota`` entries are kept per row: ties at the threshold keep
     the lowest indices, as the per-user oracle does.  Ties are systematic
     where one draw covers several feedback subbands (the homogeneous
-    strategy), and have probability zero for continuous draws, whose rows
-    skip the tie pass.
+    strategy).  A row of n 32-bit keys ties with probability about
+    n^2 / 2^33; rows without ties skip the tie pass.
     """
     n = values.shape[-1]
     if quota >= n:
@@ -264,22 +273,37 @@ def _keep_best(values: np.ndarray, quota: int) -> np.ndarray:
 
 def _mean_rate(best: np.ndarray, snr: float) -> np.ndarray:
     """Per-trial mean of log2(1 + snr * CQI) over equal-width blocks (CQI 0 on idle ones)."""
-    return np.log2(1.0 + snr * best).mean(axis=1)
+    return np.log1p(snr * best).mean(axis=1) * _BITS_PER_NAT
 
 
 def _winner_cqi(cqi: np.ndarray, quota: int) -> np.ndarray:
     """Best-M winners of (rows, users, subbands) CQIs, in place; 0 where nobody reported.
 
     Any nonnegative score that increases with the CQI picks the same
-    winners, as the subband kernel's uniform draws do.
+    winners, as the subband kernel's 32-bit keys do.
     """
     _keep_best(cqi, quota)
     return cqi.max(axis=1)
 
 
-def _row_blocks(t: int, row_bytes: int) -> list[int]:
-    """Sizes of the row blocks that split ``t`` trials under ``_BLOCK_BYTES``."""
-    rows = max(1, _BLOCK_BYTES // row_bytes)
+def _keys(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Uniform uint32 keys of ``shape``: ``rng``'s raw 64-bit outputs as little-endian halves.
+
+    Every host reads the same keys.  An even count uses whole outputs and
+    equals ``rng.integers(0, 2**32, n, dtype=np.uint32)`` on a little-endian
+    host; an odd count drops the last output's high half.
+    """
+    n = math.prod(shape)
+    raw = rng.bit_generator.random_raw((n + 1) // 2)
+    return raw.astype("<u8", copy=False).view("<u4")[:n].reshape(shape)
+
+
+def _row_blocks(t: int, row_bytes: int, step: int = 1) -> list[int]:
+    """Sizes of the row blocks that split ``t`` trials under ``_BLOCK_BYTES``.
+
+    Every block but the last holds a multiple of ``step`` rows.
+    """
+    rows = max(step, _BLOCK_BYTES // row_bytes // step * step)
     return [min(rows, t - lo) for lo in range(0, t, rows)]
 
 
@@ -302,12 +326,16 @@ def _subband_blocks(sys: SystemConfig, imp: ImpairmentParams | None, seq, t: int
     impairments, the scheduled user's actual CQI (else ``None``); both CQIs are 0 when idle.
 
     * Draw: |CN(0, 1)|^2 ~ Exp(1) = -log1p(-U) for U uniform on [0, 1),
-      an increasing map, so uniforms are drawn in the CQIs' place.
-    * Select: every user keeps its ``quota`` largest U.
+      an increasing map, so uniform 32-bit keys k (``_keys``, U = k 2^-32)
+      are drawn in the CQIs' place.  Blocks hold an even number of rows
+      but the chunk's last, so no later block's keys depend on the
+      blocking.
+    * Select: every user keeps its ``quota`` largest keys; ties go through
+      ``_keep_best``'s exact tie pass, and a kept key of 0 maps to CQI 0.
     * Schedule: maximum over users within each cluster on its subband grid;
-      only these winners become CQIs, -log1p(-U) scaled by the estimate
-      variance with impairments; then the maximum over clusters on the
-      block grid.
+      only these winners become CQIs, -log1p(-k 2^-32) scaled by the
+      estimate variance with impairments; then the maximum over clusters
+      on the block grid.
     * Realize: given the estimate, h_tilde = alpha*h_hat + n with
       n ~ CN(0, alpha^2 sigma_w^2 + 1 - alpha^2) independent of h_hat, and
       only the winner's actual CQI is read.  So one noise draw per (trial,
@@ -318,15 +346,19 @@ def _subband_blocks(sys: SystemConfig, imp: ImpairmentParams | None, seq, t: int
     draws, noise = _cluster_streams(seq, sys.num_clusters)
     scale = 1.0 if imp is None else imp.estimate_var
     cells = max(c.num_users * sys.num_subbands(g) for g, c in enumerate(sys.clusters))
-    # draws, partition copy and mask per cell; a dozen block-grid temporaries
-    for r in _row_blocks(t, 8 * (3 * cells + 12 * sys.num_rbs)):
+    # 24 B per cell, though a cell holds 9 (its key and partition copy at
+    # 4 B, its mask at 1 B): blocks sized at 9 B ran 3-4% faster but
+    # fill the whole budget, and peak RSS rose 2 MiB; a dozen float
+    # block-grid temporaries
+    for r in _row_blocks(t, 24 * cells + 96 * sys.num_rbs, step=2):
         best = np.zeros((r, sys.num_rbs))
         actual = None if imp is None else np.zeros((r, sys.num_rbs))
         for g, cluster in enumerate(sys.clusters):
             if cluster.num_users == 0:
                 continue
-            u = draws[g].random((r, cluster.num_users, sys.num_subbands(g)))
-            top = np.log1p(-_winner_cqi(u, cluster_feedback_quota(sys, g)))
+            keys = _keys(draws[g], (r, cluster.num_users, sys.num_subbands(g)))
+            top = _winner_cqi(keys, cluster_feedback_quota(sys, g)) * -_KEY_STEP
+            np.log1p(top, out=top)
             top *= -scale
             top_blocks = np.repeat(top, cluster.subband_size, axis=1)
             wins = top_blocks > best
@@ -359,16 +391,20 @@ def _subcarrier_rates(gains, cfg: CorrelatedChannelConfig, users: int, rng, t: i
     ``gains`` is ``cfg``'s gain map at that snr, built once per run and
     shared by the chunk threads, which only read it.
     """
-    # per subcarrier: the (re, im) pair (16 B), its power (8 B) and the
-    # previous block's rates, still held by the caller (8 B); 48 B leaves
-    # room for the weights, draws and CQIs
-    for r in _row_blocks(t, 48 * users * cfg.num_subcarriers):
+    # per subcarrier: the (re, im) pair (16 B) and its power (8 B); 48 B
+    # leaves room for the weights, draws and CQIs
+    blocks = _row_blocks(t, 48 * users * cfg.num_subcarriers)
+    # the caller is done with a block's rates when it asks for the next, so
+    # every block's power and rates reuse one buffer, which kept a fresh
+    # allocation per block off the peak RSS
+    power = np.empty((blocks[0], users, cfg.num_subcarriers))
+    for r in blocks:
         g = gains(rng.standard_normal((r, users, 2 * cfg.num_taps)))
         np.multiply(g, g, out=g)
         # re^2 + im^2 into a contiguous buffer, where log1p takes half the time
-        power = np.add(g[..., 0::2], g[..., 1::2])
+        rate = np.add(g[..., 0::2], g[..., 1::2], out=power[:r])
         del g
-        yield np.log1p(power, out=power)
+        yield np.log1p(rate, out=rate)
 
 
 def run_perfect(spec: ExperimentSpec) -> EstimateWithError:
@@ -465,10 +501,10 @@ def run_imperfect_grid(
             stats = [covered.sum(axis=1)]
             for s in strategies:
                 if s.beta0 is not None:
-                    rate = math.log2(1.0 + rho * s.beta0)
+                    rate = math.log1p(rho * s.beta0) * _BITS_PER_NAT
                     success = til > s.beta0
                 else:
-                    rate = np.log2(1.0 + rho * s.beta1 * best)
+                    rate = np.log1p(rho * s.beta1 * best) * _BITS_PER_NAT
                     success = til > s.beta1 * best
                 stats += [np.where(success, rate, 0.0).sum(axis=1) / n,
                           (covered & ~success).sum(axis=1)]
@@ -588,12 +624,14 @@ def _run_homogeneous(sys: SystemConfig, eta_fb: int, trials: int, seed) -> Estim
     cells = max(c.num_users * sys.num_subbands(g) for g, c in enumerate(sys.clusters))
 
     def feedback_cqi(rng, r, g):
-        """Cluster ``g``'s rates repeated (coarser) or averaged (finer) onto the feedback grid."""
+        """Cluster ``g``'s rates repeated (coarser) or averaged (finer) onto the feedback grid.
+
+        The rates are in nats; each trial's mean is converted to bits once.
+        """
         c = sys.clusters[g]
         z = rng.standard_exponential((r, c.num_users, sys.num_subbands(g)))
         z *= sys.snr
-        z += 1.0
-        rate = np.log2(z, out=z)
+        rate = np.log1p(z, out=z)
         if c.subband_size >= eta_fb:
             return np.repeat(rate, c.subband_size // eta_fb, axis=2)
         return _group_mean(rate, eta_fb // c.subband_size)
@@ -605,7 +643,8 @@ def _run_homogeneous(sys: SystemConfig, eta_fb: int, trials: int, seed) -> Estim
         # and the selector's tie pass over them
         for r in _row_blocks(t, 8 * (cells + 4 * sys.num_users * subbands)):
             cqi = [feedback_cqi(draws[g], r, g) for g in range(sys.num_clusters)]
-            rates.append(_winner_cqi(np.concatenate(cqi, axis=1), quota).mean(axis=1))
+            nats = _winner_cqi(np.concatenate(cqi, axis=1), quota).mean(axis=1)
+            rates.append(nats * _BITS_PER_NAT)
         return np.concatenate(rates)
 
     return _mean_estimate(np.concatenate(_map_chunks(chunk, _chunk_plan(trials, seed))))

@@ -399,13 +399,13 @@ def optimize_beta1_scalar(sys: SystemConfig, imp: ImpairmentParams) -> tuple[flo
 def optimize_beta0_scalar(sys: SystemConfig, imp: ImpairmentParams) -> tuple[float, float]:
     """beta0* and the goodput there; each domain extension grids [0, hi] again.
 
-    The rate factor uses numpy's log2, as the library does, so that both
-    searches compare the same objective values.
+    The rate factor is numpy's log1p over ln 2, as the library's, so that
+    both searches compare the same objective values.
     """
     k, snr = sys.num_users, sys.snr
 
     def f(b0: float) -> float:
-        return np.log2(1.0 + snr * b0) * goodput.i2(b0, k, imp)
+        return np.log1p(snr * b0) / math.log(2.0) * goodput.i2(b0, k, imp)
 
     hi = imp.estimate_var * (math.log(k) + 6.0)
     for _ in range(40):

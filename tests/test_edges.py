@@ -14,7 +14,10 @@ sum rate at the same M, to 1e-10 relative.
 
 Monte Carlo runs of two to four chunks at 120 dB and at near-perfect
 feedback give finite estimates that cross-validate within |z| <= 5 (a z of
-NaN, where nothing was observed to vary, is not a disagreement).  Random
+NaN, where nothing was observed to vary, is not a disagreement).  At -200
+and -190 dB, where 1 + snr x rounds to 1, both engines' sum rates and
+goodputs are positive, grow tenfold with the SNR to 1e-6 relative, and
+cross-validate within |z| <= 3.  Random
 CLI argv over every subcommand and figure, at 2 to 64 trials, exits 0, 2
 or 3, or 4 where a cross-validation at so few trials is flagged, but never
 5, and writes finite CSV values.
@@ -201,6 +204,28 @@ def test_monte_carlo_cross_validates_at_the_edges(sys, impaired, trials, seed):
         assert math.isfinite(entry.analytic)
         z = entry.z_score
         assert abs(z) <= 5.0 if math.isfinite(z) else entry.std_error == 0.0
+
+
+@pytest.mark.parametrize("strategy", [None, StrategyParams(beta0=0.5), StrategyParams(beta1=0.7)],
+                         ids=["perfect", "fixed", "variable"])
+def test_rates_are_linear_in_a_vanishing_snr(strategy):
+    # the same seed at both SNRs: the draws, schedules and successes agree,
+    # and each rate log2(1 + snr x) is snr x / ln 2 to far below 1e-6
+    imp = None if strategy is None else ImpairmentParams(0.01, 0.98)
+    rates = []
+    for snr_db in (-200.0, -190.0):
+        sys = SystemConfig(64, (Cluster(1, 10), Cluster(4, 10)), 4, 10.0 ** (snr_db / 10.0))
+        spec = ExperimentSpec("subband", sys, impairments=imp, strategy=strategy,
+                              trials=4096, seed=17)
+        entries = cross_validate(spec).entries
+        for entry in entries:
+            assert abs(entry.z_score) <= 3.0, entry
+        rate = entries[0]
+        assert rate.name.endswith(("sum_rate", "goodput"))
+        assert rate.empirical > 0.0 and rate.analytic > 0.0
+        rates.append((rate.empirical, rate.analytic))
+    for low, high in zip(*rates):
+        assert high / low == pytest.approx(10.0, rel=1e-6)
 
 
 @st.composite

@@ -53,6 +53,14 @@ def corr_cfg():
     return CorrelatedChannelConfig(64, 4, tuple(pdp_exponential(8, 3.0)))
 
 
+def kernel_uniforms(rng, shape):
+    """The subband kernel's draws of ``shape`` from ``rng``, as U = k 2^-32.
+
+    For an even key count the kernel's keys k are ``integers``' uint32 draws.
+    """
+    return rng.integers(0, 2**32, shape, dtype=np.uint32) * 2.0**-32
+
+
 class TestSpecValidation:
     def test_correlated_requires_config(self):
         s = SystemConfig(16, (Cluster(2, 3),), 2, 10.0)
@@ -150,7 +158,7 @@ class TestAgainstOpsPipeline:
     """The vectorized kernel must agree with the reference operation chain.
 
     The oracle is fed the kernel's own draws: estimated gains are the square
-    roots of the CQIs -log1p(-U) of the drawn uniforms, and every user of a
+    roots of the CQIs -log1p(-U) of the drawn keys' uniforms, and every user of a
     cluster shares that subband's noise (the kernel reads only the winner's).
     """
 
@@ -162,7 +170,8 @@ class TestAgainstOpsPipeline:
 
         draws, _ = _cluster_streams(np.random.SeedSequence(77), s.num_clusters)
         gains = [
-            np.sqrt(-np.log1p(-draws[g].random((t, c.num_users, s.num_subbands(g))))) + 0j
+            np.sqrt(-np.log1p(-kernel_uniforms(draws[g], (t, c.num_users, s.num_subbands(g)))))
+            + 0j
             for g, c in enumerate(s.clusters)
         ]
         for i in range(t):
@@ -184,7 +193,7 @@ class TestAgainstOpsPipeline:
         h_hat, h_til = [], []
         for g, c in enumerate(s.clusters):
             chi_hat = imp.estimate_var * -np.log1p(
-                -draws[g].random((t, c.num_users, s.num_subbands(g)))
+                -kernel_uniforms(draws[g], (t, c.num_users, s.num_subbands(g)))
             )
             hh = np.sqrt(chi_hat) + 0j
             n = noise[g].standard_normal((t, s.num_subbands(g), 2)) / imp.alpha_w
@@ -232,8 +241,8 @@ class TestKernel:
             assert np.array_equal(row_out, np.where(row_kept, row, 0.0))
 
     def test_uniform_winners_equal_exponential_pipeline(self):
-        # best-M on U, then -log1p(-U) of the winners, against best-M on the
-        # CQIs -log1p(-U) of every draw, scheduled and realized as the kernel does
+        # best-M on the keys, then -log1p(-U) of the winners, against best-M on
+        # the CQIs -log1p(-U) of every draw, scheduled and realized as the kernel does
         s = two_cluster_system(10, 4)
         imp = ImpairmentParams(0.01, 0.98)
         t = 300
@@ -242,7 +251,7 @@ class TestKernel:
         draws, noise = _cluster_streams(np.random.SeedSequence(31), s.num_clusters)
         want_best, want_actual = np.zeros((t, s.num_rbs)), np.zeros((t, s.num_rbs))
         for g, c in enumerate(s.clusters):
-            z = -np.log1p(-draws[g].random((t, c.num_users, s.num_subbands(g))))
+            z = -np.log1p(-kernel_uniforms(draws[g], (t, c.num_users, s.num_subbands(g))))
             z *= imp.estimate_var
             top = _winner_cqi(z, cluster_feedback_quota(s, g))
             top_blocks = np.repeat(top, c.subband_size, axis=1)
@@ -257,16 +266,20 @@ class TestKernel:
         assert 0 < covered.sum() < covered.size
 
     def test_kept_zero_draw_is_unreported(self, monkeypatch):
-        # a U of exactly 0.0 can be among a user's best M (here by the tie
-        # pass); it maps to CQI 0.0, so a subband it wins stays idle
-        u = np.array([[[0.0, 0.0, 0.3], [0.0, 0.6, 0.0]]])
+        # a key of 0 can be among a user's best M (here by the tie pass); it
+        # maps to CQI 0.0, so a subband it wins stays idle
+        u = np.array([[[0, 0, 2**30], [0, 2**31, 0]]], dtype=np.uint32)
         assert _keep_best(u.copy(), 2)[0, :, 0].all()
-        assert _winner_cqi(u.copy(), 2).tolist() == [[0.0, 0.6, 0.3]]
+        assert _winner_cqi(u.copy(), 2).tolist() == [[0, 2**31, 2**30]]
+
+        class Raw:
+            def random_raw(self, n):
+                # two keys per output, the first in the low half
+                assert n == u.size // 2
+                return u.astype("<u4").ravel().view("<u8").copy()
 
         class Fixed:
-            def random(self, shape):
-                assert shape == u.shape
-                return u.copy()
+            bit_generator = Raw()
 
         monkeypatch.setattr(
             mc, "_cluster_streams", lambda seq, n: ([Fixed()], [np.random.default_rng(1)])
@@ -276,19 +289,55 @@ class TestKernel:
         ((best, covered, actual),) = _subband_blocks(s, imp, np.random.SeedSequence(0), 1)
         assert best[0, 0] == 0.0 and actual[0, 0] == 0.0
         assert covered.tolist() == [[False, True, True]]
-        want = -np.log1p(-np.array([0.6, 0.3])) * imp.estimate_var
+        want = -np.log1p(-np.array([0.5, 0.25])) * imp.estimate_var
         assert best[0, 1:].tolist() == want.tolist()
+
+    def test_keys_are_the_generators_uint32_draws(self):
+        # an even count: whole raw outputs, low half first, as integers() reads them
+        shape = (6, 5, 16)
+        keys = mc._keys(np.random.default_rng(11), shape)
+        assert keys.dtype == np.uint32 and keys.shape == shape
+        want = np.random.default_rng(11).integers(0, 2**32, shape, dtype=np.uint32)
+        assert np.array_equal(keys, want)
+        raw = np.random.default_rng(11).bit_generator.random_raw(2)
+        assert keys.ravel()[:4].tolist() == [int(raw[0]) & 0xFFFFFFFF, int(raw[0]) >> 32,
+                                             int(raw[1]) & 0xFFFFFFFF, int(raw[1]) >> 32]
+        # an odd count drops the last output's high half
+        assert np.array_equal(mc._keys(np.random.default_rng(11), (7,)), want.ravel()[:7])
+
+    @pytest.mark.parametrize("quota", [1, 3, 5, 8])
+    def test_dense_key_ties_equal_per_user_oracle(self, quota):
+        # keys in 0..3 tie in nearly every row; at the larger quotas some
+        # rows keep keys of 0
+        keys = np.random.default_rng(quota).integers(0, 4, (50, 3, 8), dtype=np.uint32)
+        if quota >= 5:
+            assert (_keep_best(keys.copy(), quota) & (keys == 0)).any()
+        got = _winner_cqi(keys.copy(), quota)
+        assert got.dtype == np.uint32
+        for row, row_got in zip(keys, got):
+            want = np.zeros(keys.shape[-1], dtype=np.uint32)
+            for user in row:
+                for i, value in best_m_select(user, quota):
+                    want[i] = max(want[i], value)
+            assert np.array_equal(row_got, want)
 
     def test_empty_cluster(self):
         s = SystemConfig(16, (Cluster(1, 0), Cluster(4, 3)), 2, 10.0)
         est = run_perfect(ExperimentSpec("subband", s, trials=4000, seed=3))
         assert abs(est.value - average_sum_rate(s)) < 3 * est.std_error
 
-    @pytest.mark.parametrize("budget", [1, 2**16])
-    def test_results_independent_of_row_blocking(self, monkeypatch, budget):
-        s = two_cluster_system(6, 2)
+    @pytest.mark.parametrize(
+        "budget,odd_keys",
+        [pytest.param(b, odd, id=("odd_keys-" if odd else "") + str(b))
+         for odd in (False, True) for b in (1, 2**16)],
+    )
+    def test_results_independent_of_row_blocking(self, monkeypatch, budget, odd_keys):
+        # with odd_keys, one subband of 3 users draws 3 keys per trial, and the
+        # odd trial count leaves the chunk's last block an odd key count: a
+        # dropped half output must never shift a later block's keys
+        s = SystemConfig(8, (Cluster(8, 3),), 1, 10.0) if odd_keys else two_cluster_system(6, 2)
         imp = ImpairmentParams(0.01, 0.98)
-        trials = CHUNK_TRIALS + 300
+        trials = CHUNK_TRIALS + (301 if odd_keys else 300)
         runs = (
             lambda: run_perfect(ExperimentSpec("subband", s, trials=trials, seed=4)),
             lambda: run_imperfect(
