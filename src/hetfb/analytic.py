@@ -27,10 +27,11 @@ The order-statistic moment integrals (I1 here, I2, I4 and the I3 bound in
 signed mixture of b exponentials.  Each passes one helper,
 ``_order_moment``, its integrand and that integrand's closed-form
 expectation over one exponential, with their parameters (and the order)
-as arrays that broadcast: the helper sums the mixture up to order 20 and
-integrates the integrand beyond (``_order_expect``), in both cases one
-block of elements at a time, a block's integrals in one batched
-quadrature.
+as arrays that broadcast.  The helper makes two passes over the elements,
+one block at a time: the shallow pass sums the mixture for every element
+up to order 20, its terms padded with zeros to the block's largest order,
+and the deep pass integrates the integrand for every element beyond
+(``_order_expect``), a block's integrals in one batched quadrature.
 
 The laws take per-system parameters as arrays, so one mixture covers a
 sequence of systems that share the block count and subband sizes:
@@ -42,7 +43,6 @@ systems evaluate each reported-CQI law on their shared nodes once.
 from __future__ import annotations
 
 import copy
-import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -79,18 +79,18 @@ _B_FLOAT_MAX = 20
 # scale: they bracket where the scheduled CQI's mass sits, scale * ln K,
 # for any user count up to millions.
 _RATE_POINTS = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
-# Bytes of one (elements, order) array of mixture terms: ``_order_moment``
-# sums a block of elements at a time, so a whole grid adds little to the
-# peak memory.
+# Bytes of one block of mixture terms or first quadrature nodes:
+# ``_order_moment`` takes a block of elements at a time, so a whole grid
+# adds little to the peak memory.
 _BLOCK_BYTES = 64 * 1024
-
-
-@functools.lru_cache(maxsize=None)
-def _signed_binomials(b: int) -> np.ndarray:
-    """(-1)^l * C(b-1, l) for l < b: the weights of the closed-form order sums."""
-    out = np.array([(-1) ** l * math.comb(b - 1, l) for l in range(b)], dtype=float)
-    out.flags.writeable = False
-    return out
+# Row b - 1 holds (-1)^l * C(b-1, l) for l < b, then zeros: the weights of
+# the closed-form order sums.
+_SIGNED_BINOMIALS = np.array(
+    [[(-1) ** l * math.comb(b - 1, l) for l in range(_B_FLOAT_MAX)]
+     for b in range(1, _B_FLOAT_MAX + 1)],
+    dtype=float,
+)
+_SIGNED_BINOMIALS.flags.writeable = False
 
 
 # ---------------------------------------------------------------------------
@@ -403,32 +403,32 @@ class ScheduledCqiMixture:
         return self._per_system(lambda k: [self.scale * math.log1p(max(k, 2)),
                                            self.scale * (math.log1p(max(k, 2)) + 4.0)])
 
-    def _integrate(self, integrand, rows: int | None = None, upper=None, points=None):
-        """Integral of ``integrand(mix, x, at)`` over the continuous part, per system.
+    def _integrate(self, integrand, system: np.ndarray, upper, points) -> np.ndarray:
+        """Integral i of ``integrand(mix, x, at)`` over the continuous part of system ``system[i]``.
 
         All of them in one batched quadrature: ``mix`` is the mixture at each
-        abscissa's system, and ``at(v)`` takes a per-system array (or scalar)
-        ``v`` there; one system gives a float.  With ``rows``, one system
-        integrates a stack of that many integrands: ``at(v)`` then takes a
-        per-row array ``v`` at each abscissa's row, and the result is an array.
-        The integral runs from 0 to ``upper`` (``x_max``) with the interior
-        breakpoints ``points`` (``_points()``), each per system.
+        abscissa's system, and ``at(v)`` takes a per-integral array (or a
+        scalar) ``v`` at each abscissa's integral.  Integral i runs from 0 to
+        ``upper[i]`` with the interior breakpoints ``points[i]``; both
+        broadcast.
         """
-        values = quad_checked(
-            lambda x, which: integrand(self if rows is not None else self._at(which), x,
-                                       lambda v: np.take(v, which)),
-            np.zeros(self.num_users.size if rows is None else rows),
-            self.x_max if upper is None else upper,
-            points=self._points() if points is None else points,
+        return quad_checked(
+            lambda x, which: integrand(self._at(system[which]), x, lambda v: np.take(v, which)),
+            np.zeros(system.size),
+            upper,
+            points=points,
         )
-        return float(values[0]) if rows is None and isinstance(self.sys, SystemConfig) else values
 
     def expect(self, func: Callable[[np.ndarray], np.ndarray]):
         """Integral of the array-valued ``func`` against the continuous part of the law.
 
         Over a sequence of systems, one integral of ``func`` per system.
         """
-        return self._integrate(lambda mix, x, at: func(x) * mix.pdf(x))
+        values = self._integrate(
+            lambda mix, x, at: func(x) * mix.pdf(x),
+            np.arange(self.num_users.size), self.x_max, self._points(),
+        )
+        return float(values[0]) if isinstance(self.sys, SystemConfig) else values
 
     def expect_log_rate(self, snr):
         """E[log2(1 + snr X)] over the continuous part, by parts over the rate (no pdf).
@@ -441,11 +441,13 @@ class ScheduledCqiMixture:
         a sequence of systems, one per system.
         """
         snr = np.asarray(snr, dtype=float)
-        return self._integrate(
+        values = self._integrate(
             lambda mix, u, at: mix.sf(np.expm1(u * _LN2) / at(snr)),
-            upper=np.log1p(snr * self.x_max) / _LN2,
-            points=np.log1p(snr[..., None] * np.multiply(self.scale, _RATE_POINTS)) / _LN2,
+            np.arange(self.num_users.size),
+            np.log1p(snr * self.x_max) / _LN2,
+            np.log1p(snr[..., None] * np.multiply(self.scale, _RATE_POINTS)) / _LN2,
         )
+        return float(values[0]) if isinstance(self.sys, SystemConfig) else values
 
 
 # ---------------------------------------------------------------------------
@@ -487,26 +489,30 @@ def _order_points(b, scale) -> np.ndarray:
     return np.stack([scale * log_b, scale * (log_b + 4.0)], axis=1)
 
 
-def _order(b):
-    """The order b as an int, or an int array for an array of orders.
+def _order(b) -> np.ndarray:
+    """The order b as an int array, 0-d for a scalar order.
 
     An integral float or numpy integer passes.
     """
-    if np.ndim(b):
-        value = np.asarray(b, dtype=float)
-        if not np.all((value >= 1) & np.isfinite(value) & (value == np.round(value))):
-            raise ValueError("b must be a positive integer")
-        return value.astype(int)
-    if not (b >= 1 and float(b).is_integer()):
+    value = np.asarray(b, dtype=float)
+    if not ((value >= 1) & np.isfinite(value) & (value == np.floor(value))).all():
         raise ValueError("b must be a positive integer")
-    return int(b)
+    return value.astype(int)
 
 
-def _mixture_sum(closed_form, b: int, scale: np.ndarray, *params: np.ndarray) -> np.ndarray:
-    """b sum_l (-1)^l C(b-1, l)/(l+1) closed_form(scale/(l+1), *params), per element."""
-    order = np.arange(1, b + 1)
-    weights = _signed_binomials(b) / order
-    terms = weights * closed_form(scale[:, None] / order, *(p[:, None] for p in params))
+def _mixture_sum(closed_form, b: np.ndarray, scale: np.ndarray, *params: np.ndarray) -> np.ndarray:
+    """b sum_l (-1)^l C(b-1, l)/(l+1) closed_form(scale/(l+1), *params), l < b, per element.
+
+    Each element has its own order b <= ``_B_FLOAT_MAX``; its terms are
+    padded with exact zeros up to the largest order of the block.
+    """
+    order = np.arange(1, b.max() + 1)
+    weights = _SIGNED_BINOMIALS[b - 1, : order.size] / order
+    # a closed form at a padded mean may not be finite: mask it before the
+    # zero weight meets it
+    values = np.where(order <= b[:, None],
+                      closed_form(scale[:, None] / order, *(p[:, None] for p in params)), 0.0)
+    terms = weights * values
     # the alternating sum amplifies any rounding of the closed form by the
     # binomial-to-result ratio, so each element is summed exactly rounded
     return b * np.array([math.fsum(row) for row in terms.tolist()])
@@ -526,42 +532,33 @@ def _order_moment(
     maps an array of means, with the order l along a trailing axis, and the
     parameters, each with a trailing axis of one, to E[func(Y, *params)]
     for Y exponential with each mean.  The result is taken elementwise over
-    the broadcast of ``b``, ``scale`` and ``params``, a float for scalars:
-    up to order 20 the mixture of closed forms is summed, beyond it
-    ``func`` is integrated by ``_order_expect``, one batched quadrature for
-    all such elements of a block.  Blocks are contiguous runs of elements,
-    taken from the broadcast arguments without copying the whole grid,
-    sized so that a block's mixture terms or first quadrature nodes fit in
+    the broadcast of ``b``, ``scale`` and ``params``, a float for scalars.
+    Two passes run over the flat element indices: the shallow pass sums the
+    mixture of closed forms (``_mixture_sum``) for every element up to
+    order ``_B_FLOAT_MAX``, and the deep pass integrates ``func`` by
+    ``_order_expect`` for every element beyond, one batched quadrature per
+    block.  Blocks are taken from the broadcast arguments without copying
+    the whole grid, sized so that a block's mixture terms (up to
+    ``_B_FLOAT_MAX`` per element) or first quadrature nodes fit in
     ``_BLOCK_BYTES``.
     """
-    b = _order(b)
-    args = np.broadcast_arrays(scale, *params)
-    # groups of elements: all of them for one order, else one group per
-    # order up to the crossover and one for every order beyond
-    if not np.ndim(b):
-        groups = [(b, None)]
-    else:
-        orders, *args = np.broadcast_arrays(b, *args)
-        groups = [(u, np.flatnonzero(orders == u))
-                  for u in np.unique(b).tolist() if u <= _B_FLOAT_MAX]
-        if np.any(b > _B_FLOAT_MAX):
-            groups.append((_B_FLOAT_MAX + 1, np.flatnonzero(orders > _B_FLOAT_MAX)))
-    out = np.empty(args[0].shape)
-    for order, elements in groups:
-        deep = order > _B_FLOAT_MAX
-        # a first quadrature level has 3 panels of 21 nodes per element
-        step = _BLOCK_BYTES // (8 * (63 if deep else order))
-        count = out.size if elements is None else elements.size
-        for i in range(0, count, step):
-            block = slice(i, i + step) if elements is None else elements[i : i + step]
-            s, *p = (arg.flat[block] for arg in args)
-            if deep:
-                k = order if elements is None else orders.flat[block]
-                out.flat[block] = _order_expect(
-                    lambda x, which: func(x, *(v[which] for v in p)), k, s
-                )
-            else:
-                out.flat[block] = _mixture_sum(closed_form, order, s, *p)
+    orders, *args = np.broadcast_arrays(_order(b), scale, *params)
+    out = np.empty(orders.shape)
+
+    def shallow(k, s, *p):
+        return _mixture_sum(closed_form, k, s, *p)
+
+    def deep(k, s, *p):
+        return _order_expect(lambda x, which: func(x, *(v[which] for v in p)), k, s)
+
+    beyond = orders > _B_FLOAT_MAX
+    # a first quadrature level has 3 panels of 21 nodes per element
+    for route, elements, width in ((shallow, np.flatnonzero(~beyond), _B_FLOAT_MAX),
+                                   (deep, np.flatnonzero(beyond), 63)):
+        step = _BLOCK_BYTES // (8 * width)
+        for i in range(0, elements.size, step):
+            block = elements[i : i + step]
+            out.flat[block] = route(*(arg.flat[block] for arg in (orders, *args)))
     return out if out.ndim else float(out)
 
 

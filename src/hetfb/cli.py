@@ -515,15 +515,26 @@ _FIGURES = {
 }
 # The Monte Carlo figures and their default trial counts; the rest are closed-form.
 _FIGURE_TRIALS = {"1": 20_000, "5": 20_000}
+# Every key the config readers use.
+_CONFIG_KEYS = frozenset({
+    "model", "n_rbs", "clusters", "best_m", "snr_db", "trials", "seed",
+    "est_err_var", "alpha", "beta0", "beta1", "num_subcarriers", "num_taps", "pdp_decay",
+})
 
 
 def _run_config(args, cfg) -> dict | None:
     """The configuration a command runs, which its manifest records.
 
-    ``analytic``, ``min-m`` and ``optimize`` compute the subband model's
-    closed forms: they refuse another ``model`` and use no seed or trials.
-    ``analytic --full-feedback`` runs at the full-feedback best-M.
+    A key no config reader uses is refused, so a misspelt key never runs
+    as its default.  ``analytic``, ``min-m`` and ``optimize`` compute the
+    subband model's closed forms: they refuse another ``model`` and use no
+    seed or trials.  ``analytic --full-feedback`` runs at the full-feedback
+    best-M.
     """
+    unknown = sorted(set(cfg) - _CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"config key {unknown[0]!r} is unknown; the keys are "
+                         f"{', '.join(sorted(_CONFIG_KEYS))}")
     if args.command == "simulate":
         return cfg
     if args.command != "figure":

@@ -310,17 +310,13 @@ def _metrics_table(sys: SystemConfig, imp: ImpairmentParams, beta0, beta1):
     if not np.all((0.0 <= b1) & (b1 <= 1.0)):
         raise ValueError("beta1 must lie in [0, 1]")
     rho, k = sys.snr, sys.num_users
-    # the rows of the stack: (betas, at a backoff of the estimate, failure, times the rate)
-    rows = [
-        (b0, False, False, False),  # fixed-rate success
-        (b0, False, True, False),  # fixed-rate outage
-        (b1, True, False, True),  # variable-rate goodput
-        (b1, True, True, False),  # variable-rate outage
-    ]
-    beta = np.concatenate([r[0] for r in rows])
-    backoff, failure, rated = (
-        np.concatenate([np.full(r[0].size, r[i]) for r in rows]) for i in (1, 2, 3)
-    )
+    # the rows of the stack: fixed-rate success and outage over beta0, then
+    # variable-rate goodput and outage over beta1
+    sizes = [b0.size, b0.size, b1.size, b1.size]
+    beta = np.concatenate([b0, b0, b1, b1])
+    variable = np.repeat([False, False, True, True], sizes)
+    failure = np.repeat([False, True, False, True], sizes)
+    rated = variable & ~failure
     varpi = imp.alpha_w * imp.delay_corr
 
     def conditional(x, at):
@@ -328,7 +324,7 @@ def _metrics_table(sys: SystemConfig, imp: ImpairmentParams, beta0, beta1):
         row_beta, rate = at(beta), at(rated)
         args = np.empty(x.shape, dtype=complex)
         args.real = varpi * np.sqrt(x)
-        args.imag = imp.alpha_w * np.sqrt(row_beta * np.where(at(backoff), x, 1.0))
+        args.imag = imp.alpha_w * np.sqrt(row_beta * np.where(at(variable), x, 1.0))
         # a beta's success and failure rows share most nodes: each distinct
         # argument pair is evaluated once
         args, inverse = np.unique(args, return_inverse=True)
@@ -356,10 +352,10 @@ def _metrics_table(sys: SystemConfig, imp: ImpairmentParams, beta0, beta1):
     else:
         mix = ScheduledCqiMixture(sys, scale=imp.estimate_var)
         values = mix._integrate(
-            lambda mix, x, at: conditional(x, at) * mix.pdf(x), rows=beta.size,
-            points=np.hstack([np.broadcast_to(mix._points(), (beta.size, 2)), decay]),
+            lambda mix, x, at: conditional(x, at) * mix.pdf(x), np.zeros(beta.size, int),
+            mix.x_max, np.hstack([np.broadcast_to(mix._points(), (beta.size, 2)), decay]),
         )
-    success, p0, r1, p1 = np.split(values, np.cumsum([b0.size, b0.size, b1.size]))
+    success, p0, r1, p1 = np.split(values, np.cumsum(sizes[:-1]))
     r0 = np.array([math.log1p(rho * b) / _LN2 for b in b0.tolist()]) * success
     # probabilities: the quadrature's rounding may not carry an outage past 1
     return r0, np.minimum(p0, 1.0), r1, np.minimum(p1, 1.0)

@@ -116,6 +116,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown channel model {self.model!r}")
         if self.trials < 2:
             raise ValueError("at least two trials are required")
+        if self.strategy is not None and self.impairments is None:
+            raise ValueError("a rate-adaptation strategy needs impairments (est_err_var, alpha)")
         if self.model == "correlated":
             if self.correlated is None:
                 raise ValueError("the correlated model requires a CorrelatedChannelConfig")

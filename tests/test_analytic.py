@@ -455,9 +455,12 @@ def figure_4b_system(k: int, frac: float) -> SystemConfig:
 class TestBatchedSystems:
     """A sequence of systems through one batched call equals the per-system calls."""
 
-    # partial and full feedback (16 = m_full), orders up to 20 and beyond
+    # partial and full feedback (16 = m_full), orders up to 20 and beyond: the
+    # full-feedback orders 3, 8, 12, 20, 21 and 25 share one i1 call, so one
+    # block of the mixture sum pads orders 3 to 20 to 20 terms
     SYSTEMS = [two_cluster_system(k, m) for k, m in
-               ((4, 1), (10, 2), (25, 16), (30, 4), (21, 16), (7, 3), (12, 16), (45, 1))]
+               ((4, 1), (10, 2), (25, 16), (30, 4), (21, 16), (7, 3), (12, 16), (45, 1),
+                (3, 16), (8, 16), (20, 16))]
 
     def test_average_sum_rate(self):
         rates = average_sum_rate(self.SYSTEMS)
@@ -487,6 +490,19 @@ class TestBatchedSystems:
     def test_i1_broadcasts_over_orders(self):
         a, b = [0.5, 10.0, 3.0, 10.0, 1.0], [5, 21, 40, 20, 21]
         assert i1(a, b).tolist() == [i1(x, k) for x, k in zip(a, b)]
+
+    def test_padded_mixture_terms_are_exact_zeros(self):
+        # one block pads order 1 with the terms of orders 2 and 3, at the means
+        # 1/2 and 1/3, where this closed form is inf: they must add 0, not inf * 0
+        def moment(b, floor):
+            return analytic._order_moment(
+                lambda mean, floor: np.where(mean >= floor, mean, np.inf),
+                lambda x, floor: x, b, 1.0, floor,
+            )
+
+        mixed = moment([1, 3], [1.0, 0.1])
+        assert mixed.tolist() == [moment(1, 1.0), moment(3, 0.1)]
+        assert mixed.tolist() == pytest.approx([1.0, 1.0 + 1 / 2 + 1 / 3], rel=1e-15)
 
     def test_mixture_laws_broadcast_against_abscissae(self):
         systems = self.SYSTEMS[:2] + self.SYSTEMS[3:4]

@@ -198,6 +198,42 @@ class TestValidationFailures:
         cfg = write_config(tmp_path, BASE)
         assert run(["simulate", "--config", cfg, "--set", "oops"]) == 2
 
+    @pytest.mark.parametrize("cross_validate", [False, True], ids=["run", "cross_validate"])
+    def test_strategy_without_impairments_exits_2(self, tmp_path, cross_validate, capsys):
+        # a perfect-feedback run would ignore beta1, and its manifest would record it
+        argv = ["simulate", "--trials", "100", "--set", "beta1=0.5", "--out", str(tmp_path)]
+        assert run(argv + (["--cross-validate"] if cross_validate else [])) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "validation"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["min-m", "--users-grid", "5", "--set", "bogus=1"],
+            ["analytic", "--users-grid", "5", "--set", "snr=20"],
+            ["optimize", "--est-err-grid", "0", "--alpha-grid", "0.9", "--set", "Best_m=2"],
+            ["simulate", "--trials", "100", "--set", "est_err=0.01"],
+            ["figure", "3", "--set", "bogus=1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unknown_key_override_exits_2(self, tmp_path, argv, capsys):
+        key = argv[-1].split("=")[0]
+        assert run(argv + ["--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "validation"
+        assert repr(key) in err["error"]["message"]
+        assert not list(tmp_path.iterdir())
+
+    def test_unknown_key_in_config_file_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(BASE, snr=20.0))
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "validation" and "'snr'" in err["error"]["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "override",
         [

@@ -84,6 +84,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="model='correlated'"):
             ExperimentSpec("subband", s, correlated=corr_cfg())
 
+    @pytest.mark.parametrize("strategy", [StrategyParams(beta0=1.0), StrategyParams(beta1=0.5)],
+                             ids=["fixed", "variable"])
+    def test_strategy_requires_impairments(self, strategy):
+        # without impairments every entry point would run perfect feedback
+        s = SystemConfig(16, (Cluster(2, 3),), 2, 10.0)
+        with pytest.raises(ValueError, match="impairments"):
+            ExperimentSpec("subband", s, strategy=strategy)
+        with pytest.raises(ValueError, match="impairments"):
+            ExperimentSpec("correlated", s, correlated=corr_cfg(), strategy=strategy)
+
     def test_unknown_model(self):
         s = SystemConfig(16, (Cluster(2, 3),), 2, 10.0)
         with pytest.raises(ValueError):
