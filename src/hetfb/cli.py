@@ -358,18 +358,24 @@ def _cmd_simulate(args, cfg) -> tuple[list[dict], int]:
     return _estimate_rows(estimates), EXIT_OK
 
 
+# The analytic grid flags' defaults; the flags default to None, so that a flag is refused unread.
+_USERS_GRID, _BETA_GRID, _BETA0_SCALE = "5:50:5", "0.1:0.9:0.2", 10.0
+
+
 def _cmd_analytic(args, cfg) -> list[dict]:
     system = system_from_config(cfg)
     imp = impairments_from_config(cfg)
     if imp is None:
-        systems = _user_grid_systems(system, args.users_grid)
+        grid = _USERS_GRID if args.users_grid is None else args.users_grid
+        systems = _user_grid_systems(system, grid)
         rates = analytic.average_sum_rate([sys_k for _, sys_k in systems]).tolist()
         return [
             {"users": k, "best_m": sys_k.best_m, "sum_rate": rate}
             for (k, sys_k), rate in zip(systems, rates)
         ]
-    betas = parse_grid(args.beta_grid)
-    return _goodput_rows(system, imp, [args.beta0_scale * beta for beta in betas], betas,
+    betas = parse_grid(_BETA_GRID if args.beta_grid is None else args.beta_grid)
+    scale = _BETA0_SCALE if args.beta0_scale is None else args.beta0_scale
+    return _goodput_rows(system, imp, [scale * beta for beta in betas], betas,
                          [{"beta": beta} for beta in betas])
 
 
@@ -453,24 +459,19 @@ def _fig5_system(k: int, m: int) -> SystemConfig:
     return SystemConfig(64, clusters, best_m=m, snr=10.0)
 
 
-# (series, strategy, common subband size) of figure 5, in seed order
-_FIG5_SERIES = (
-    ("joint", "joint", None),
-    ("homogeneous_eta2", "homogeneous", 2),
-    ("homogeneous_eta4", "homogeneous", 4),
-    ("separate", "separate", None),
-)
+# Figure 5's common subband sizes, and its series: the rows of ``montecarlo.strategy_comparison``.
+_FIG5_SIZES = (2, 4)
+_FIG5_SERIES = ("joint",) + tuple(f"homogeneous_eta{eta}" for eta in _FIG5_SIZES) + ("separate",)
 
 
 def _figure_5(trials, seed):
     rows = []
     for m in (2, 4):
         for k in (8, 16, 24, 32, 40):
-            system = _fig5_system(k, m)
-            for i, (series, strategy, eta) in enumerate(_FIG5_SERIES):
-                est = montecarlo.run_strategy_comparison(
-                    system, strategy, subband_size=eta, trials=trials, seed=(seed, m, k, i)
-                )
+            rates = montecarlo.strategy_comparison(_fig5_system(k, m), _FIG5_SIZES,
+                                                   trials=trials, seed=(seed, m, k))
+            for series, per_trial in zip(_FIG5_SERIES, rates):
+                est = montecarlo._mean_estimate(per_trial)
                 rows.append({"users": k, "best_m": m, "strategy": series,
                              "sum_rate": est.value, "std_error": est.std_error})
     return rows
@@ -515,26 +516,45 @@ _FIGURES = {
 }
 # The Monte Carlo figures and their default trial counts; the rest are closed-form.
 _FIGURE_TRIALS = {"1": 20_000, "5": 20_000}
-# Every key the config readers use.
-_CONFIG_KEYS = frozenset({
-    "model", "n_rbs", "clusters", "best_m", "snr_db", "trials", "seed",
-    "est_err_var", "alpha", "beta0", "beta1", "num_subcarriers", "num_taps", "pdp_decay",
-})
+# The config keys each command reads.  Every command accepts ``seed`` and
+# ``trials``, whether or not it draws.
+_SYSTEM_KEYS = frozenset({"seed", "trials", "model", "n_rbs", "clusters", "best_m", "snr_db"})
+_IMPAIRED_KEYS = _SYSTEM_KEYS | {"est_err_var", "alpha"}
+_SUBBAND_KEYS = _IMPAIRED_KEYS | {"beta0", "beta1"}
+_CONFIG_KEYS = _SUBBAND_KEYS | {"num_subcarriers", "num_taps", "pdp_decay"}
 
 
-def _run_config(args, cfg) -> dict | None:
+def _run_config(args, cfg, given) -> dict | None:
     """The configuration a command runs, which its manifest records.
 
     A key no config reader uses is refused, so a misspelt key never runs
-    as its default.  ``analytic``, ``min-m`` and ``optimize`` compute the
-    subband model's closed forms: they refuse another ``model`` and use no
-    seed or trials.  ``analytic --full-feedback`` runs at the full-feedback
-    best-M.
+    as its default.  So are a key in ``given`` (the keys of the config
+    file and ``--set``) and a grid flag that the command does not read.
+    ``analytic``, ``min-m`` and ``optimize`` compute the subband model's
+    closed forms: they refuse another ``model`` and use no seed or trials.
+    ``analytic --full-feedback`` runs at the full-feedback best-M.
     """
     unknown = sorted(set(cfg) - _CONFIG_KEYS)
     if unknown:
         raise ValueError(f"config key {unknown[0]!r} is unknown; the keys are "
                          f"{', '.join(sorted(_CONFIG_KEYS))}")
+    command, read, flags = args.command, _SYSTEM_KEYS, {}
+    if command == "figure":
+        command, read = f"figure {args.name}", frozenset({"seed", "trials"})
+    elif command == "simulate" and cfg.get("model") != "correlated":
+        command, read = f"simulate on the {cfg.get('model')} model", _SUBBAND_KEYS
+    elif command == "simulate":
+        read = _CONFIG_KEYS
+    elif command == "analytic" and impairments_from_config(cfg) is None:
+        command += " without impairments"
+        flags = {"--beta-grid": args.beta_grid, "--beta0-scale": args.beta0_scale}
+    elif command == "analytic":
+        command, read = "analytic with impairments", _IMPAIRED_KEYS
+        flags = {"--users-grid": args.users_grid}
+    unread = [repr(key) for key in sorted(set(given) - read)]
+    unread += [flag for flag, value in flags.items() if value is not None]
+    if unread:
+        raise ValueError(f"{command} does not read {', '.join(unread)}")
     if args.command == "simulate":
         return cfg
     if args.command != "figure":
@@ -584,9 +604,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analytic", help="closed-form tables")
     common(p)
-    p.add_argument("--users-grid", default="5:50:5")
-    p.add_argument("--beta-grid", default="0.1:0.9:0.2")
-    p.add_argument("--beta0-scale", type=float, default=10.0, help="beta0 = scale * beta")
+    p.add_argument("--users-grid", help=f"without impairments (default {_USERS_GRID})")
+    p.add_argument("--beta-grid", help=f"with impairments (default {_BETA_GRID})")
+    p.add_argument("--beta0-scale", type=float,
+                   help=f"beta0 = scale * beta, with impairments (default {_BETA0_SCALE:g})")
     p.add_argument("--full-feedback", action="store_true")
 
     p = sub.add_parser("min-m", help="minimum feedback amount table")
@@ -644,7 +665,8 @@ def run(argv=None) -> int:
     if args.command == "figure" and args.name in _FIGURE_TRIALS:
         defaults = {**DEFAULT_CONFIG, "trials": _FIGURE_TRIALS[args.name]}
     try:
-        cfg = load_config(args.config, args.overrides, defaults)
+        given = load_config(args.config, args.overrides, {})
+        cfg = {**defaults, **given}
         if args.trials is not None:
             cfg["trials"] = args.trials
         if args.seed is not None:
@@ -655,7 +677,7 @@ def run(argv=None) -> int:
     name = f"figure_{args.name}" if args.command == "figure" else args.command.replace("-", "_")
     # each handler gets the configuration it runs, and the manifest records it
     try:
-        config = _run_config(args, cfg)
+        config = _run_config(args, cfg, given)
         result = _HANDLERS[args.command](args, config)
     except Exception as exc:
         return _fail(exc)

@@ -26,6 +26,8 @@ winning CQI is positive, so a kept key of 0 (probability 2^-32 per draw),
 which maps to CQI 0.0, counts as unreported.  Each cluster of a chunk has
 its own draw and noise substreams, and row blocks under a fixed byte budget
 bound peak memory; no result depends on the blocking.
+``strategy_comparison`` reads the same keys of every cluster to evaluate
+the joint, homogeneous and separate feedback organizations on one draw.
 
 Rates are log1p(snr x) / ln 2, which keeps its relative precision where
 1 + snr x rounds to 1 (snr x below 1.1e-16).
@@ -53,7 +55,6 @@ import numpy as np
 
 from . import analytic, goodput
 from .channel import (
-    Cluster,
     CorrelatedChannelConfig,
     ImpairmentParams,
     SystemConfig,
@@ -75,6 +76,7 @@ __all__ = [
     "run_imperfect_grid",
     "cross_validate",
     "run_strategy_comparison",
+    "strategy_comparison",
     "correlated_rate_grid",
 ]
 
@@ -591,23 +593,18 @@ def run_strategy_comparison(
 ) -> EstimateWithError:
     """Average sum rate of one feedback organization on the subband channel.
 
-    ``joint``        per-cluster subband sizes with scaled quotas;
-    ``homogeneous``  one common feedback subband size for everybody, with
-                     the same total feedback budget split evenly; the CQI
-                     is the average rate log2(1 + snr z) over a feedback
-                     subband, which a scheduled subband delivers;
-    ``separate``     clusters served one at a time in equal time shares,
-                     only the served cluster reports.
+    ``joint`` runs ``run_perfect``; ``homogeneous`` at the common size
+    ``subband_size`` and ``separate`` are rows of ``strategy_comparison``.
     """
     if strategy == "joint":
         return run_perfect(ExperimentSpec("subband", sys, trials=trials, seed=seed))
-    if strategy == "homogeneous":
-        if subband_size is None:
-            raise ValueError("homogeneous comparison needs a common subband size")
-        return _run_homogeneous(sys, subband_size, trials, seed)
-    if strategy == "separate":
-        return _run_separate(sys, trials, seed)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy not in ("homogeneous", "separate"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == "homogeneous" and subband_size is None:
+        raise ValueError("homogeneous comparison needs a common subband size")
+    sizes = [subband_size] if strategy == "homogeneous" else []
+    # row 1 is the homogeneous row, or the separate row where no size is asked for
+    return _mean_estimate(strategy_comparison(sys, sizes, trials=trials, seed=seed)[1])
 
 
 def homogeneous_quota(sys: SystemConfig) -> int:
@@ -616,57 +613,59 @@ def homogeneous_quota(sys: SystemConfig) -> int:
     return math.ceil(total / sys.num_users)
 
 
-def _run_homogeneous(sys: SystemConfig, eta_fb: int, trials: int, seed) -> EstimateWithError:
-    if not _is_power_of_two(eta_fb) or sys.num_rbs % eta_fb:
-        raise ValueError(
-            f"the common subband size must be a power of two dividing num_rbs, got {eta_fb}"
-        )
-    subbands = sys.num_rbs // eta_fb
-    quota = min(homogeneous_quota(sys), subbands)
-    cells = max(c.num_users * sys.num_subbands(g) for g, c in enumerate(sys.clusters))
+def strategy_comparison(sys: SystemConfig, subband_sizes, *, trials: int, seed) -> np.ndarray:
+    """Paired per-trial sum rates of the feedback organizations on one channel draw.
 
-    def feedback_cqi(rng, r, g):
-        """Cluster ``g``'s rates repeated (coarser) or averaged (finer) onto the feedback grid.
-
-        The rates are in nats; each trial's mean is converted to bits once.
-        """
-        c = sys.clusters[g]
-        z = rng.standard_exponential((r, c.num_users, sys.num_subbands(g)))
-        z *= sys.snr
-        rate = np.log1p(z, out=z)
-        if c.subband_size >= eta_fb:
-            return np.repeat(rate, c.subband_size // eta_fb, axis=2)
-        return _group_mean(rate, eta_fb // c.subband_size)
+    Rows: joint (the subband kernel, equal to ``run_perfect`` at the same
+    seed); homogeneous at each common size in ``subband_sizes``, with the
+    joint feedback budget split evenly (``homogeneous_quota``): every key's
+    rate log(1 + snr z), z = -log1p(-k 2^-32), on its cluster's grid is
+    repeated onto a finer common grid or averaged over a coarser one, and a
+    scheduled subband delivers the winner's mean rate there; then separate:
+    each cluster scheduled alone on its best-M winners, in equal time shares.
+    Each cluster draws its keys once per row block, as ``_subband_blocks``
+    does; blocks hold an even number of rows only where a cluster draws an
+    odd number of keys per row, so no block's keys depend on the blocking.
+    """
+    bad = [eta for eta in subband_sizes if not _is_power_of_two(eta) or sys.num_rbs % eta]
+    if bad:
+        raise ValueError(f"common subband size {bad[0]} is not a power of two dividing num_rbs")
+    quota = homogeneous_quota(sys)  # _keep_best keeps every subband of a shorter row
+    cells = [c.num_users * sys.num_subbands(g) for g, c in enumerate(sys.clusters)]
+    feedback_cells = sys.num_users * sys.num_rbs // min(subband_sizes, default=sys.num_rbs)
+    # per cell: every cluster's rates (8 B), one cluster's keys, partition copy and mask (9 B),
+    # a common grid's pieces, their concatenation, partition copy and mask (25 B); a dozen
+    # float block-grid temporaries
+    row_bytes = 8 * sum(cells) + 9 * max(cells) + 25 * feedback_cells + 96 * sys.num_rbs
+    step = 2 if any(n % 2 for n in cells) else 1
 
     def chunk(seq, t):
-        rates = []
         draws = _cluster_streams(seq, sys.num_clusters)[0]
-        # one cluster's draws, then the feedback CQIs, their concatenation
-        # and the selector's tie pass over them
-        for r in _row_blocks(t, 8 * (cells + 4 * sys.num_users * subbands)):
-            cqi = [feedback_cqi(draws[g], r, g) for g in range(sys.num_clusters)]
-            nats = _winner_cqi(np.concatenate(cqi, axis=1), quota).mean(axis=1)
-            rates.append(nats * _BITS_PER_NAT)
-        return np.concatenate(rates)
+        blocks = []
+        for r in _row_blocks(t, row_bytes, step):
+            best, separate, rates = np.zeros((r, sys.num_rbs)), np.zeros(r), []
+            for g, cluster in enumerate(sys.clusters):
+                if cluster.num_users == 0:
+                    continue
+                keys = _keys(draws[g], (r, cluster.num_users, sys.num_subbands(g)))
+                if subband_sizes:
+                    rate = keys * -_KEY_STEP
+                    np.log1p(rate, out=rate)
+                    rate *= -sys.snr
+                    rates.append((cluster.subband_size, np.log1p(rate, out=rate)))
+                top = _winner_cqi(keys, cluster_feedback_quota(sys, g)) * -_KEY_STEP
+                np.log1p(top, out=top)
+                top *= -1.0
+                separate += _mean_rate(top, sys.snr)
+                top_blocks = np.repeat(top, cluster.subband_size, axis=1)
+                best = np.where(top_blocks > best, top_blocks, best)
+            stats = [_mean_rate(best, sys.snr)]
+            for eta_fb in subband_sizes:
+                cqi = [np.repeat(rate, eta // eta_fb, axis=2) if eta >= eta_fb
+                       else _group_mean(rate, eta_fb // eta) for eta, rate in rates]
+                nats = _winner_cqi(np.concatenate(cqi, axis=1), quota).mean(axis=1)
+                stats.append(nats * _BITS_PER_NAT)
+            blocks.append(stats + [separate / sys.num_clusters])
+        return np.concatenate(blocks, axis=1)
 
-    return _mean_estimate(np.concatenate(_map_chunks(chunk, _chunk_plan(trials, seed))))
-
-
-def _run_separate(sys: SystemConfig, trials: int, seed) -> EstimateWithError:
-    seqs = _substreams(seed, sys.num_clusters)
-    per_cluster = []
-    for g, cluster in enumerate(sys.clusters):
-        quota = cluster_feedback_quota(sys, g)
-        solo = SystemConfig(
-            num_rbs=sys.num_rbs,
-            clusters=(Cluster(cluster.subband_size, cluster.num_users),),
-            best_m=quota,
-            snr=sys.snr,
-        )
-        per_cluster.append(
-            run_perfect(ExperimentSpec("subband", solo, trials=trials, seed=seqs[g]))
-        )
-    g_count = sys.num_clusters
-    value = sum(e.value for e in per_cluster) / g_count
-    se = math.sqrt(sum(e.std_error**2 for e in per_cluster)) / g_count
-    return EstimateWithError(value=value, std_error=se, trials=trials)
+    return np.concatenate(_map_chunks(chunk, _chunk_plan(trials, seed)), axis=1)

@@ -226,6 +226,43 @@ class TestValidationFailures:
         assert repr(key) in err["error"]["message"]
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["min-m", "--users-grid", "5", "--set", "est_err_var=0.01", "--set", "alpha=0.9",
+              "--set", "beta1=0.5"], ["'alpha'", "'beta1'", "'est_err_var'"]),
+            (["optimize", "--est-err-grid", "0.01", "--alpha-grid", "0.98",
+              "--set", "est_err_var=0.05", "--set", "beta0=2"], ["'beta0'", "'est_err_var'"]),
+            (["figure", "3", "--set", "snr_db=30"], ["'snr_db'"]),
+            (["figure", "5", "--trials", "2", "--set", "best_m=2"], ["'best_m'"]),
+            (["simulate", "--trials", "100", "--set", "num_taps=16"], ["'num_taps'"]),
+            (["analytic", "--beta-grid", "0.1:0.9:0.4"], ["--beta-grid"]),
+            (["analytic", "--users-grid", "5", "--beta0-scale", "5"], ["--beta0-scale"]),
+            (["analytic", "--users-grid", "5", "--set", "est_err_var=0.01", "--set", "alpha=0.98"],
+             ["--users-grid"]),
+            (["analytic", "--beta-grid", "0.5", "--set", "est_err_var=0.01", "--set", "alpha=0.98",
+              "--set", "beta1=0.5"], ["'beta1'"]),
+        ],
+        ids=["min-m", "optimize", "figure-3", "figure-5", "simulate", "analytic-beta-grid",
+             "analytic-beta0-scale", "analytic-users-grid", "analytic-beta1"],
+    )
+    def test_unread_input_exits_2(self, tmp_path, argv, named, capsys):
+        # a key or grid flag the command would drop is refused, so no run
+        # and no manifest describes an input that did not run
+        assert run(argv + ["--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "validation"
+        assert all(name in err["error"]["message"] for name in named)
+        assert not list(tmp_path.iterdir())
+
+    def test_unread_key_in_config_file_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(BASE, alpha=0.9, est_err_var=0.01))
+        out = tmp_path / "out"
+        assert run(["min-m", "--config", cfg, "--users-grid", "4", "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "'alpha'" in err["error"]["message"] and "'est_err_var'" in err["error"]["message"]
+        assert not out.exists()
+
     def test_unknown_key_in_config_file_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(BASE, snr=20.0))
         out = tmp_path / "out"
@@ -562,6 +599,7 @@ class TestFigureCommand:
             (["1", "--trials", "600", "--seed", "7"], {"figure": "1", "seed": 7, "trials": 600}),
             (["5", "--trials", "400"], {"figure": "5", "seed": 12345, "trials": 400}),
             (["4b", "--seed", "1234"], None),
+            (["4b", "--set", "seed=3", "--set", "trials=5"], None),
             (["1", "--set", "trials=600", "--seed", "7"], {"figure": "1", "seed": 7, "trials": 600}),
         ],
     )
@@ -613,7 +651,8 @@ IMPAIRED = SMALL + ["--set", "best_m=4", "--set", "est_err_var=0.02", "--set", "
             id="min-m",
         ),
         pytest.param(
-            ["optimize", "--est-err-grid", "0.01", "--alpha-grid", "0.95"] + IMPAIRED,
+            ["optimize", "--est-err-grid", "0.01", "--alpha-grid", "0.95", "--set", "best_m=4"]
+            + SMALL,
             ["est_err_var", "alpha", "beta0_opt", "r0_opt", "beta1_opt", "r1_approx_opt", "m_star"],
             id="optimize",
         ),

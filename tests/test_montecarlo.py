@@ -357,6 +357,7 @@ class TestKernel:
                 )
             ),
             lambda: run_strategy_comparison(s, "homogeneous", subband_size=2, trials=900, seed=6),
+            lambda: run_strategy_comparison(s, "separate", trials=900, seed=6),
             lambda: run_perfect(
                 ExperimentSpec(
                     "correlated", SystemConfig(16, (Cluster(2, 4),), 2, 10.0),
@@ -587,6 +588,47 @@ class TestStrategyComparison:
         b = run_perfect(ExperimentSpec("subband", s, trials=2000, seed=4))
         assert a.value == b.value
 
+    @pytest.mark.parametrize("odd_keys", [False, True], ids=["even_keys", "odd_keys"])
+    def test_joint_row_equals_run_perfect(self, odd_keys):
+        s = SystemConfig(8, (Cluster(1, 3), Cluster(8, 3 if odd_keys else 2)), 1, 10.0)
+        trials = CHUNK_TRIALS + 301
+        rates = mc.strategy_comparison(s, [2], trials=trials, seed=(9, 2))
+        want = run_perfect(ExperimentSpec("subband", s, trials=trials, seed=(9, 2)))
+        got = mc._mean_estimate(rates[0])
+        assert (got.value, got.std_error) == (want.value, want.std_error)
+
+    def test_separate_row_matches_per_cluster_oracle(self):
+        # every cluster scheduled alone on its own reports, in equal time
+        # shares; an empty cluster's share is idle
+        s = SystemConfig(16, (Cluster(1, 3), Cluster(2, 0), Cluster(4, 2)), 1, 10.0)
+        t = 40
+        separate = mc.strategy_comparison(s, [], trials=t, seed=12)[-1]
+
+        ((seq, _),) = mc._chunk_plan(t, 12)
+        draws, _ = _cluster_streams(seq, s.num_clusters)
+        shares = []
+        for g, c in enumerate(s.clusters):
+            if c.num_users == 0:
+                shares.append(np.zeros(t))
+                continue
+            solo = SystemConfig(s.num_rbs, (c,), cluster_feedback_quota(s, g), s.snr)
+            z = -np.log1p(-kernel_uniforms(draws[g], (t, c.num_users, s.num_subbands(g))))
+            rates = []
+            for i in range(t):
+                real = ChannelRealization("subband", (np.sqrt(z[i]),))
+                dec = schedule(subband_reports(real, solo), solo)
+                cqi = np.where(dec.scheduled, dec.cqi, 0.0)
+                rates.append(np.log2(1.0 + s.snr * cqi).mean())
+            shares.append(rates)
+        assert np.max(np.abs(np.mean(shares, axis=0) - separate)) < 1e-12
+
+    def test_one_call_equals_one_call_per_size(self):
+        s = SystemConfig(16, (Cluster(1, 3), Cluster(4, 3)), 2, 10.0)
+        rates = mc.strategy_comparison(s, [1, 2, 8], trials=600, seed=13)
+        for i, eta in enumerate([1, 2, 8]):
+            alone = mc.strategy_comparison(s, [eta], trials=600, seed=13)
+            assert np.array_equal(alone, rates[[0, 1 + i, -1]])
+
     def test_homogeneous_and_separate_run(self):
         s = self._sys()
         hom = run_strategy_comparison(s, "homogeneous", subband_size=1, trials=2000, seed=4)
@@ -617,7 +659,7 @@ class TestStrategyComparison:
         z = np.concatenate(
             [
                 np.repeat(
-                    draws[g].standard_exponential((t, c.num_users, s.num_subbands(g))),
+                    -np.log1p(-kernel_uniforms(draws[g], (t, c.num_users, s.num_subbands(g)))),
                     c.subband_size,
                     axis=2,
                 )
