@@ -124,10 +124,11 @@ def system_from_config(cfg: dict) -> SystemConfig:
         snr = 10.0 ** (_config_value(cfg, "snr_db", float) / 10.0)
     except OverflowError:  # past ~3083 dB; SystemConfig rejects the inf
         snr = math.inf
+    # a command that scans or sets best-M itself runs without one; 1 is valid on every system
     return SystemConfig(
         num_rbs=_config_value(cfg, "n_rbs", int),
         clusters=clusters,
-        best_m=_config_value(cfg, "best_m", int),
+        best_m=_config_value(cfg, "best_m", int, 1),
         snr=snr,
     )
 
@@ -198,14 +199,20 @@ def split_users(total: int, fractions: list[float]) -> list[int]:
     return sizes
 
 
-def _user_grid_systems(system: SystemConfig, users_grid: str) -> list[tuple[int, SystemConfig]]:
-    """(k, ``system`` with k users split in its cluster proportions) per grid point."""
+def _user_counts(text: str) -> list[int]:
+    """``parse_grid`` of user counts, refusing a point that is not an integer."""
+    counts = parse_grid(text)
+    bad = [u for u in counts if not u.is_integer()]
+    if bad:
+        raise ValueError(f"--users-grid: expected integer user counts, got {bad[0]!r}")
+    return [int(u) for u in counts]
+
+
+def _user_grid_systems(system: SystemConfig, users: list[int]) -> list[tuple[int, SystemConfig]]:
+    """(k, ``system`` with k users split in its cluster proportions) per user count k."""
     fractions = [c.num_users / system.num_users for c in system.clusters]
     out = []
-    for u in parse_grid(users_grid):
-        if not u.is_integer():
-            raise ValueError(f"--users-grid: expected integer user counts, got {u!r}")
-        k = int(u)
+    for k in users:
         sizes = split_users(k, fractions)
         clusters = tuple(Cluster(c.subband_size, n) for c, n in zip(system.clusters, sizes))
         out.append((k, dataclasses.replace(system, clusters=clusters)))
@@ -232,10 +239,11 @@ def _timestamp() -> str:
     return dt.isoformat()
 
 
-def emit(rows, *, out_dir, name, fmt, command, config, seed) -> list[str]:
+def emit(rows, *, out_dir, name, fmt, command, config, seed, flags=None) -> list[str]:
     """Write the result table and its manifest; returns the written paths.
 
-    The columns are the keys of the first row, in order.
+    The columns are the keys of the first row, in order.  ``flags`` holds
+    the parsed command-line grids that decided what ran.
     """
     if not rows:
         raise ValueError("refusing to emit an empty result set")
@@ -259,7 +267,7 @@ def emit(rows, *, out_dir, name, fmt, command, config, seed) -> list[str]:
         raise ValueError(f"unknown format {fmt!r}")
 
     manifest = dict(
-        command=command, config=config, seed=seed, artifact_version=__version__,
+        command=command, config=config, flags=flags or {}, seed=seed, artifact_version=__version__,
         timestamp=_timestamp(), outputs=[str(data_path)], columns=columns,
     )
     manifest_path = out / f"{name}.manifest.json"
@@ -362,32 +370,51 @@ def _cmd_simulate(args, cfg) -> tuple[list[dict], int]:
 _USERS_GRID, _BETA_GRID, _BETA0_SCALE = "5:50:5", "0.1:0.9:0.2", 10.0
 
 
+def _grid_flags(args, cfg) -> dict:
+    """The parsed grid flags that decide what ``args.command`` runs on ``cfg``, defaults resolved.
+
+    Keyed by the flags' argparse names; the handler reads these values, and
+    the manifest records them.
+    """
+    if args.command == "analytic" and impairments_from_config(cfg) is None:
+        grid = _USERS_GRID if args.users_grid is None else args.users_grid
+        return {"users_grid": _user_counts(grid)}
+    if args.command == "analytic":
+        betas = parse_grid(_BETA_GRID if args.beta_grid is None else args.beta_grid)
+        scale = _BETA0_SCALE if args.beta0_scale is None else args.beta0_scale
+        return {"beta_grid": betas, "beta0_scale": scale}
+    if args.command == "min-m":
+        return {"users_grid": _user_counts(args.users_grid), "gamma": parse_grid(args.gamma)}
+    if args.command == "optimize":
+        return {"est_err_grid": parse_grid(args.est_err_grid),
+                "alpha_grid": parse_grid(args.alpha_grid), "gamma": args.gamma}
+    return {}
+
+
 def _cmd_analytic(args, cfg) -> list[dict]:
     system = system_from_config(cfg)
     imp = impairments_from_config(cfg)
     if imp is None:
-        grid = _USERS_GRID if args.users_grid is None else args.users_grid
-        systems = _user_grid_systems(system, grid)
+        systems = _user_grid_systems(system, args.users_grid)
         rates = analytic.average_sum_rate([sys_k for _, sys_k in systems]).tolist()
         return [
             {"users": k, "best_m": sys_k.best_m, "sum_rate": rate}
             for (k, sys_k), rate in zip(systems, rates)
         ]
-    betas = parse_grid(_BETA_GRID if args.beta_grid is None else args.beta_grid)
-    scale = _BETA0_SCALE if args.beta0_scale is None else args.beta0_scale
+    betas, scale = args.beta_grid, args.beta0_scale
     return _goodput_rows(system, imp, [scale * beta for beta in betas], betas,
                          [{"beta": beta} for beta in betas])
 
 
 def _cmd_min_m(args, cfg) -> list[dict]:
     system = system_from_config(cfg)
-    return _min_m_rows(_user_grid_systems(system, args.users_grid), parse_grid(args.gamma))
+    return _min_m_rows(_user_grid_systems(system, args.users_grid), args.gamma)
 
 
 def _cmd_optimize(args, cfg) -> list[dict]:
     system = system_from_config(cfg)
     m_star = analytic.minimum_best_m(system, args.gamma).exact
-    rows = _optimize_rows(system, parse_grid(args.est_err_grid), parse_grid(args.alpha_grid))
+    rows = _optimize_rows(system, args.est_err_grid, args.alpha_grid)
     return [dict(row, m_star=m_star) for row in rows]
 
 
@@ -532,7 +559,9 @@ def _run_config(args, cfg, given) -> dict | None:
     file and ``--set``) and a grid flag that the command does not read.
     ``analytic``, ``min-m`` and ``optimize`` compute the subband model's
     closed forms: they refuse another ``model`` and use no seed or trials.
-    ``analytic --full-feedback`` runs at the full-feedback best-M.
+    ``analytic --full-feedback`` runs at the full-feedback best-M.  It,
+    ``min-m`` and ``optimize`` scan or set best-M themselves, so they check
+    and record a ``best_m`` only when it is given.
     """
     unknown = sorted(set(cfg) - _CONFIG_KEYS)
     if unknown:
@@ -562,6 +591,8 @@ def _run_config(args, cfg, given) -> dict | None:
             raise ValueError(f"config key 'model': the closed forms cover the subband model "
                              f"only, got {cfg['model']!r}")
         config = {key: value for key, value in cfg.items() if key not in ("seed", "trials")}
+        if "best_m" not in given and (args.command != "analytic" or args.full_feedback):
+            del config["best_m"]  # the command scans or sets best-M itself
         if args.command == "analytic" and args.full_feedback:
             config["best_m"] = system_from_config(config).m_full
         return config
@@ -678,13 +709,15 @@ def run(argv=None) -> int:
     # each handler gets the configuration it runs, and the manifest records it
     try:
         config = _run_config(args, cfg, given)
+        flags = _grid_flags(args, config)
+        vars(args).update(flags)  # the handler runs the parsed grids the manifest records
         result = _HANDLERS[args.command](args, config)
     except Exception as exc:
         return _fail(exc)
     rows, code = result if args.command == "simulate" else (result, EXIT_OK)
     try:
         emit(rows, out_dir=args.out, name=name, fmt=args.format, command=args.command,
-             config=config, seed=(config or {}).get("seed"))
+             config=config, seed=(config or {}).get("seed"), flags=flags)
     except OSError as exc:
         # the output path is at fault, not the program
         return _fail(exc, "validation")

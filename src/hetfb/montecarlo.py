@@ -6,28 +6,28 @@ given (spec, seed) regardless of how the host schedules the work.  The
 chunk width is part of the reproducibility contract: changing it changes
 the stream assignment.
 
-Chunks run on a thread pool of min(cpus, chunks, ``_MAX_WORKERS``) workers
-(numpy releases the interpreter lock in the draws, the selection and the
-matmul), and their per-trial results are reduced in chunk order, so an
-estimate is bit-identical at any worker count.  Each worker holds one row
-block at a time, so peak block memory is workers x ``_BLOCK_BYTES``.
+Chunks run on a thread pool of min(cpus, chunks, ``_MAX_WORKERS``) workers,
+and their per-trial results are reduced in chunk order, so an estimate is
+bit-identical at any worker count.  Each worker holds one row block at a
+time, so peak block memory is workers x ``_BLOCK_BYTES``.  numpy releases
+the interpreter lock in the kernels' array calls (under numpy 2.4 no
+6-110 ms call of a draw, partition, comparison, count_nonzero, repeat,
+where, log1p or max stalled a counting thread for 0.4 ms), not in the
+Python between them.  On 2 vCPUs an imperfect subband chunk (20 users,
+64 RBs) took 19-23 ms alone or beside a busy process and 24-28 ms beside
+a second chunk thread; eight ran 1.4-1.7x faster on two threads and
+1.7-2.1x on two processes, eight correlated chunks 1.6-1.9x on two threads.
 
-The subband model runs one kernel (``_subband_blocks``): draw uniform
-32-bit keys k, take each cluster subband's best-M winner (``_winner_cqi``,
-the step all schedulers here share) on k, map only the winners to
-exponential CQIs -log1p(-k 2^-32), take the maximum over clusters per block
-and, under imperfect feedback, realize the actual CQI from one noise draw
-per winning (cluster, subband).  The map is increasing, so the winners are
-those of the CQIs.  The keys are the generator's raw 64-bit outputs read as
-little-endian 32-bit halves (``_keys``), the same on every host.  The CQI
-law is Exp(1) quantized at 2^-32 in probability, whose mean is
-1 - ln(2 pi 2^32) / 2^33, about 1 - 2.8e-9.  A block is scheduled where its
-winning CQI is positive, so a kept key of 0 (probability 2^-32 per draw),
-which maps to CQI 0.0, counts as unreported.  Each cluster of a chunk has
-its own draw and noise substreams, and row blocks under a fixed byte budget
-bound peak memory; no result depends on the blocking.
-``strategy_comparison`` reads the same keys of every cluster to evaluate
-the joint, homogeneous and separate feedback organizations on one draw.
+The subband model has one draw-and-schedule path: ``_key_blocks`` draws
+each cluster's uniform 32-bit keys per row block (``_keys`` reads the raw
+64-bit outputs as little-endian halves, the same on every host), and
+``_schedule`` maps each cluster's best-M winners (``_winner_cqi``, the
+step all schedulers here share) to CQIs and merges the clusters per block.
+``_subband_blocks`` realizes imperfect feedback on that path, and
+``strategy_comparison`` evaluates the joint, homogeneous and separate
+feedback organizations.  The CQI law is Exp(1) quantized at 2^-32 in
+probability, with mean about 1 - 2.8e-9; a kept key of 0 maps to CQI 0.0
+and counts as unreported.
 
 Rates are log1p(snr x) / ln 2, which keeps its relative precision where
 1 + snr x rounds to 1 (snr x below 1.1e-16).
@@ -284,10 +284,11 @@ def _winner_cqi(cqi: np.ndarray, quota: int) -> np.ndarray:
     """Best-M winners of (rows, users, subbands) CQIs, in place; 0 where nobody reported.
 
     Any nonnegative score that increases with the CQI picks the same
-    winners, as the subband kernel's 32-bit keys do.
+    winners, as the subband kernel's 32-bit keys do.  With no users, every
+    winner is 0.
     """
     _keep_best(cqi, quota)
-    return cqi.max(axis=1)
+    return cqi.max(axis=1, initial=0)
 
 
 def _keys(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -322,56 +323,76 @@ def _cluster_streams(seq: np.random.SeedSequence, num_clusters: int):
 # ---------------------------------------------------------------------------
 
 
+def _key_blocks(sys: SystemConfig, seq, t: int, row_bytes: int):
+    """Per row block of one chunk: each cluster's (rows, users, subbands) keys, and noise streams.
+
+    A key k stands in for the CQI |CN(0, 1)|^2 = -log1p(-k 2^-32), an
+    increasing map, so best-M on the keys picks the CQIs' winners.  Blocks
+    hold an even number of rows, but the chunk's last, only where some
+    cluster draws an odd number of keys per row (``_keys`` drops a half
+    output there), so no block's keys depend on the blocking.
+    """
+    draws, noise = _cluster_streams(seq, sys.num_clusters)
+    shapes = [(c.num_users, sys.num_subbands(g)) for g, c in enumerate(sys.clusters)]
+    step = 2 if any(users * n % 2 for users, n in shapes) else 1
+    for r in _row_blocks(t, row_bytes, step):
+        yield [_keys(rng, (r, *shape)) for rng, shape in zip(draws, shapes)], noise
+
+
+def _schedule(sys: SystemConfig, keys: list[np.ndarray]):
+    """Each cluster's best-M winners, selected in place on its keys, and the joint schedule.
+
+    Returns ``(best, winners)``: the maximum over clusters of the winning
+    CQIs -log1p(-k 2^-32) on the block grid, the earlier cluster kept on
+    ties and 0 on idle blocks; and per cluster ``(top, wins)``, its winning
+    CQIs on its subband grid (0 where nobody reported) and the blocks it wins.
+    """
+    best = np.zeros((len(keys[0]), sys.num_rbs))
+    winners = []
+    for g, (cluster, k) in enumerate(zip(sys.clusters, keys)):
+        top = _winner_cqi(k, cluster_feedback_quota(sys, g)) * -_KEY_STEP
+        np.log1p(top, out=top)
+        top *= -1.0
+        top_blocks = np.repeat(top, cluster.subband_size, axis=1)
+        wins = top_blocks > best
+        best = np.where(wins, top_blocks, best)
+        winners.append((top, wins))
+    return best, winners
+
+
 def _subband_blocks(sys: SystemConfig, imp: ImpairmentParams | None, seq, t: int):
     """Best-M scheduling of one subband-model chunk, one row block at a time.
 
     Yields ``(best, covered, actual)`` per block, each shaped (rows, num_rbs):
     the scheduled CQI estimate, ``best > 0`` (the scheduled blocks) and, with
     impairments, the scheduled user's actual CQI (else ``None``); both CQIs are 0 when idle.
+    The schedule is ``_schedule``'s on ``_key_blocks``' keys; with impairments
+    its CQIs are scaled by the estimate variance, which keeps every comparison.
 
-    * Draw: |CN(0, 1)|^2 ~ Exp(1) = -log1p(-U) for U uniform on [0, 1),
-      an increasing map, so uniform 32-bit keys k (``_keys``, U = k 2^-32)
-      are drawn in the CQIs' place.  Blocks hold an even number of rows
-      but the chunk's last, so no later block's keys depend on the
-      blocking.
-    * Select: every user keeps its ``quota`` largest keys; ties go through
-      ``_keep_best``'s exact tie pass, and a kept key of 0 maps to CQI 0.
-    * Schedule: maximum over users within each cluster on its subband grid;
-      only these winners become CQIs, -log1p(-k 2^-32) scaled by the
-      estimate variance with impairments; then the maximum over clusters
-      on the block grid.
-    * Realize: given the estimate, h_tilde = alpha*h_hat + n with
-      n ~ CN(0, alpha^2 sigma_w^2 + 1 - alpha^2) independent of h_hat, and
-      only the winner's actual CQI is read.  So one noise draw per (trial,
-      cluster, subband) gives |alpha*sqrt(chi_hat) + n|^2; distinct
-      (cluster, subband) pairs are distinct (user, subband) pairs, so the
-      joint law is that of independent per-user noise.
+    Realize: given the estimate, h_tilde = alpha*h_hat + n with
+    n ~ CN(0, alpha^2 sigma_w^2 + 1 - alpha^2) independent of h_hat, and
+    only the winner's actual CQI is read.  So one noise draw per (trial,
+    cluster, subband) gives |alpha*sqrt(chi_hat) + n|^2; distinct (cluster,
+    subband) pairs are distinct (user, subband) pairs, so the joint law is
+    that of independent per-user noise.
     """
-    draws, noise = _cluster_streams(seq, sys.num_clusters)
-    scale = 1.0 if imp is None else imp.estimate_var
-    cells = max(c.num_users * sys.num_subbands(g) for g, c in enumerate(sys.clusters))
-    # 24 B per cell, though a cell holds 9 (its key and partition copy at
-    # 4 B, its mask at 1 B): blocks sized at 9 B ran 3-4% faster but
-    # fill the whole budget, and peak RSS rose 2 MiB; a dozen float
-    # block-grid temporaries
-    for r in _row_blocks(t, 24 * cells + 96 * sys.num_rbs, step=2):
-        best = np.zeros((r, sys.num_rbs))
-        actual = None if imp is None else np.zeros((r, sys.num_rbs))
-        for g, cluster in enumerate(sys.clusters):
-            if cluster.num_users == 0:
-                continue
-            keys = _keys(draws[g], (r, cluster.num_users, sys.num_subbands(g)))
-            top = _winner_cqi(keys, cluster_feedback_quota(sys, g)) * -_KEY_STEP
-            np.log1p(top, out=top)
-            top *= -scale
-            top_blocks = np.repeat(top, cluster.subband_size, axis=1)
-            wins = top_blocks > best
-            best = np.where(wins, top_blocks, best)
-            if imp is not None:
+    cells = [c.num_users * sys.num_subbands(g) for g, c in enumerate(sys.clusters)]
+    # 24 B per cell of the largest cluster, unless every cluster's keys (4 B
+    # per cell) and one partition copy and mask (5 B) hold more: blocks
+    # sized at the 9 B of one cluster ran 3-4% faster but fill the whole
+    # budget, and peak RSS rose 2 MiB; a dozen float block-grid temporaries
+    row_bytes = max(24 * max(cells), 4 * sum(cells) + 5 * max(cells)) + 96 * sys.num_rbs
+    for keys, noise in _key_blocks(sys, seq, t, row_bytes):
+        best, winners = _schedule(sys, keys)
+        actual = None
+        if imp is not None:
+            best *= imp.estimate_var
+            actual = np.zeros_like(best)
+            for g, (top, wins) in enumerate(winners):
                 n = noise[g].standard_normal(top.shape + (2,)) / imp.alpha_w
-                amp = imp.delay_corr * np.sqrt(top) + n[..., 0]
-                til = amp * amp + n[..., 1] ** 2
-                actual = np.where(wins, np.repeat(til, cluster.subband_size, axis=1), actual)
+                amp = imp.delay_corr * np.sqrt(top * imp.estimate_var) + n[..., 0]
+                til = np.repeat(amp * amp + n[..., 1] ** 2, sys.clusters[g].subband_size, 1)
+                actual = np.where(wins, til, actual)
         yield best, best > 0.0, actual
 
 
@@ -386,7 +407,7 @@ def _group_mean(x: np.ndarray, width: int) -> np.ndarray:
     One small matrix-vector product per (row, user), which BLAS runs on the
     calling thread several times faster than a reduction over a short axis.
     """
-    return x.reshape(*x.shape[:2], -1, width) @ np.full(width, 1.0 / width)
+    return x.reshape(*x.shape[:2], x.shape[2] // width, width) @ np.full(width, 1.0 / width)
 
 
 def _subcarrier_rates(gains, cfg: CorrelatedChannelConfig, users: int, rng, t: int):
@@ -593,18 +614,17 @@ def run_strategy_comparison(
 ) -> EstimateWithError:
     """Average sum rate of one feedback organization on the subband channel.
 
-    ``joint`` runs ``run_perfect``; ``homogeneous`` at the common size
-    ``subband_size`` and ``separate`` are rows of ``strategy_comparison``.
+    Each is a row of ``strategy_comparison``: ``joint`` (which equals
+    ``run_perfect``), ``homogeneous`` at the common size ``subband_size``,
+    and ``separate``.
     """
-    if strategy == "joint":
-        return run_perfect(ExperimentSpec("subband", sys, trials=trials, seed=seed))
-    if strategy not in ("homogeneous", "separate"):
+    rows = {"joint": 0, "homogeneous": 1, "separate": -1}
+    if strategy not in rows:
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy == "homogeneous" and subband_size is None:
         raise ValueError("homogeneous comparison needs a common subband size")
     sizes = [subband_size] if strategy == "homogeneous" else []
-    # row 1 is the homogeneous row, or the separate row where no size is asked for
-    return _mean_estimate(strategy_comparison(sys, sizes, trials=trials, seed=seed)[1])
+    return _mean_estimate(strategy_comparison(sys, sizes, trials=trials, seed=seed)[rows[strategy]])
 
 
 def homogeneous_quota(sys: SystemConfig) -> int:
@@ -623,9 +643,7 @@ def strategy_comparison(sys: SystemConfig, subband_sizes, *, trials: int, seed) 
     repeated onto a finer common grid or averaged over a coarser one, and a
     scheduled subband delivers the winner's mean rate there; then separate:
     each cluster scheduled alone on its best-M winners, in equal time shares.
-    Each cluster draws its keys once per row block, as ``_subband_blocks``
-    does; blocks hold an even number of rows only where a cluster draws an
-    odd number of keys per row, so no block's keys depend on the blocking.
+    All read the kernel's keys and schedule (``_key_blocks``, ``_schedule``).
     """
     bad = [eta for eta in subband_sizes if not _is_power_of_two(eta) or sys.num_rbs % eta]
     if bad:
@@ -633,38 +651,29 @@ def strategy_comparison(sys: SystemConfig, subband_sizes, *, trials: int, seed) 
     quota = homogeneous_quota(sys)  # _keep_best keeps every subband of a shorter row
     cells = [c.num_users * sys.num_subbands(g) for g, c in enumerate(sys.clusters)]
     feedback_cells = sys.num_users * sys.num_rbs // min(subband_sizes, default=sys.num_rbs)
-    # per cell: every cluster's rates (8 B), one cluster's keys, partition copy and mask (9 B),
-    # a common grid's pieces, their concatenation, partition copy and mask (25 B); a dozen
-    # float block-grid temporaries
-    row_bytes = 8 * sum(cells) + 9 * max(cells) + 25 * feedback_cells + 96 * sys.num_rbs
-    step = 2 if any(n % 2 for n in cells) else 1
+    # per cell: every cluster's keys and rates (12 B), one cluster's partition copy and mask
+    # (5 B), a common grid's pieces, their concatenation, partition copy and mask (25 B); a
+    # dozen float block-grid temporaries
+    row_bytes = 12 * sum(cells) + 5 * max(cells) + 25 * feedback_cells + 96 * sys.num_rbs
 
     def chunk(seq, t):
-        draws = _cluster_streams(seq, sys.num_clusters)[0]
         blocks = []
-        for r in _row_blocks(t, row_bytes, step):
-            best, separate, rates = np.zeros((r, sys.num_rbs)), np.zeros(r), []
-            for g, cluster in enumerate(sys.clusters):
-                if cluster.num_users == 0:
-                    continue
-                keys = _keys(draws[g], (r, cluster.num_users, sys.num_subbands(g)))
+        for keys, _ in _key_blocks(sys, seq, t, row_bytes):
+            rates = []
+            for cluster, k in zip(sys.clusters, keys):
                 if subband_sizes:
-                    rate = keys * -_KEY_STEP
+                    rate = k * -_KEY_STEP
                     np.log1p(rate, out=rate)
                     rate *= -sys.snr
                     rates.append((cluster.subband_size, np.log1p(rate, out=rate)))
-                top = _winner_cqi(keys, cluster_feedback_quota(sys, g)) * -_KEY_STEP
-                np.log1p(top, out=top)
-                top *= -1.0
-                separate += _mean_rate(top, sys.snr)
-                top_blocks = np.repeat(top, cluster.subband_size, axis=1)
-                best = np.where(top_blocks > best, top_blocks, best)
+            best, winners = _schedule(sys, keys)
             stats = [_mean_rate(best, sys.snr)]
             for eta_fb in subband_sizes:
                 cqi = [np.repeat(rate, eta // eta_fb, axis=2) if eta >= eta_fb
                        else _group_mean(rate, eta_fb // eta) for eta, rate in rates]
                 nats = _winner_cqi(np.concatenate(cqi, axis=1), quota).mean(axis=1)
                 stats.append(nats * _BITS_PER_NAT)
+            separate = sum(_mean_rate(top, sys.snr) for top, _ in winners)
             blocks.append(stats + [separate / sys.num_clusters])
         return np.concatenate(blocks, axis=1)
 

@@ -752,5 +752,48 @@ def test_successive_runs_do_not_share_overrides(tmp_path):
         argv = ["min-m", "--users-grid", "4", "--set", override, "--out", str(out)]
         assert run(argv + SMALL) == 0
         configs.append(json.loads((out / "min_m.manifest.json").read_text())["config"])
-    assert (configs[0]["snr_db"], configs[0]["best_m"]) == (20, 4)
+    # min-m sets best-M itself: it records best_m only when it is given
+    assert (configs[0]["snr_db"], "best_m" in configs[0]) == (20, False)
     assert (configs[1]["snr_db"], configs[1]["best_m"]) == (10.0, 2)
+
+
+# A system whose full feedback, 2, lies below the default best_m of 4.
+NARROW = ["--set", "n_rbs=4", "--set", 'clusters=[{"eta": 2, "users": 2}]']
+
+
+@pytest.mark.parametrize(
+    "argv, best_m",
+    [
+        (["min-m", "--users-grid", "4"], None),
+        (["optimize", "--est-err-grid", "0.01", "--alpha-grid", "0.98"], None),
+        (["analytic", "--full-feedback", "--users-grid", "4"], 2),
+    ],
+    ids=["min-m", "optimize", "analytic-full-feedback"],
+)
+def test_commands_that_set_best_m_ignore_its_default(tmp_path, argv, best_m):
+    # each scans or sets best-M itself, so the default best_m is neither
+    # checked nor recorded; the manifest holds the best_m that ran, if any
+    assert run(argv + NARROW + ["--out", str(tmp_path / "a")]) == 0
+    (manifest,) = (tmp_path / "a").glob("*.manifest.json")
+    assert json.loads(manifest.read_text())["config"].get("best_m") == best_m
+    # a best_m that is given is still checked
+    assert run(argv + NARROW + ["--set", "best_m=3", "--out", str(tmp_path / "b")]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["analytic"], {"users_grid": list(range(5, 51, 5))}),
+        (["analytic", "--beta-grid", "0.2:0.6:0.4", "--set", "best_m=4", "--set", "alpha=0.95",
+          "--set", "est_err_var=0.02"], {"beta_grid": [0.2, 0.6], "beta0_scale": 10.0}),
+        (["min-m", "--users-grid", "4:6:2"], {"users_grid": [4, 6], "gamma": [0.9, 0.99]}),
+        (["optimize", "--est-err-grid", "0.01", "--alpha-grid", "0.95,0.98", "--gamma", "0.9"],
+         {"est_err_grid": [0.01], "alpha_grid": [0.95, 0.98], "gamma": 0.9}),
+    ],
+    ids=["analytic-users", "analytic-beta", "min-m", "optimize"],
+)
+def test_manifest_records_the_grid_flags(tmp_path, argv, flags):
+    # the parsed values that ran, defaults resolved
+    assert run(argv + SMALL + ["--out", str(tmp_path)]) == 0
+    (manifest,) = tmp_path.glob("*.manifest.json")
+    assert json.loads(manifest.read_text())["flags"] == flags

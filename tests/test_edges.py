@@ -14,7 +14,8 @@ sum rate at the same M, to 1e-10 relative.
 
 Monte Carlo runs of two to four chunks at 120 dB and at near-perfect
 feedback give finite estimates that cross-validate within |z| <= 5 (a z of
-NaN, where nothing was observed to vary, is not a disagreement).  At -200
+NaN, where nothing was observed to vary, is not a disagreement), and on the
+default system at alpha_w of 2.6e57 and 1.4e150 within |z| <= 3.  At -200
 and -190 dB, where 1 + snr x rounds to 1, both engines' sum rates and
 goodputs are positive, grow tenfold with the SNR to 1e-6 relative, and
 cross-validate within |z| <= 3.  Random
@@ -204,6 +205,21 @@ def test_monte_carlo_cross_validates_at_the_edges(sys, impaired, trials, seed):
         assert math.isfinite(entry.analytic)
         z = entry.z_score
         assert abs(z) <= 5.0 if math.isfinite(z) else entry.std_error == 0.0
+
+
+@pytest.mark.parametrize("strategy", [StrategyParams(beta0=5.0), StrategyParams(beta1=0.9)],
+                         ids=["fixed", "variable"])
+@pytest.mark.parametrize("sw2", [2.9e-115, 1e-300])
+def test_monte_carlo_cross_validates_at_a_vast_alpha_w(sw2, strategy):
+    # at alpha = 1, alpha_w = sqrt(2 / sw2) is about 2.6e57 and 1.4e150: the
+    # actual CQI is the estimate to within its last bits
+    imp = ImpairmentParams(sw2, 1.0)
+    assert imp.alpha_w > 1e57
+    spec = ExperimentSpec("subband", cli.system_from_config(cli.DEFAULT_CONFIG), impairments=imp,
+                          strategy=strategy, trials=4 * CHUNK_TRIALS, seed=12345)
+    for entry in cross_validate(spec).entries:
+        assert math.isfinite(entry.empirical) and math.isfinite(entry.analytic)
+        assert abs(entry.z_score) <= 3.0
 
 
 @pytest.mark.parametrize("strategy", [None, StrategyParams(beta0=0.5), StrategyParams(beta1=0.7)],
