@@ -1,4 +1,5 @@
-"""Channel models, their configuration and the feedback-imperfection model.
+"""Channel models, their configuration, the feedback-imperfection model and
+the rate-adaptation parameters (``StrategyParams``).
 
 Two channel models are supported:
 
@@ -31,6 +32,7 @@ __all__ = [
     "SystemConfig",
     "CorrelatedChannelConfig",
     "ImpairmentParams",
+    "StrategyParams",
     "pdp_exponential",
     "cluster_feedback_quota",
 ]
@@ -182,6 +184,22 @@ class ImpairmentParams:
     def estimate_var(self) -> float:
         """Variance of the channel estimate h_hat (so h keeps unit variance)."""
         return 1.0 - self.est_error_var
+
+
+@dataclass(frozen=True)
+class StrategyParams:
+    """Rate-adaptation parameters of one strategy: exactly one of beta0/beta1."""
+
+    beta0: float | None = None  # fixed-rate CQI threshold
+    beta1: float | None = None  # variable-rate backoff factor
+
+    def __post_init__(self) -> None:
+        if (self.beta0 is None) == (self.beta1 is None):
+            raise ValueError("set exactly one of beta0/beta1")
+        if self.beta0 is not None and not 0.0 <= self.beta0 < math.inf:
+            raise ValueError("beta0 must be finite and nonnegative")
+        if self.beta1 is not None and not 0.0 <= self.beta1 <= 1.0:
+            raise ValueError("beta1 must lie in [0, 1]")
 
 
 # ---------------------------------------------------------------------------

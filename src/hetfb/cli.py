@@ -37,11 +37,10 @@ import sys as _sys
 import traceback
 from pathlib import Path
 
-from . import __version__, analytic, goodput, montecarlo
+from . import __version__, analytic, crossval, goodput, montecarlo
 from ._quad import QuadratureError
-from .channel import Cluster, CorrelatedChannelConfig, ImpairmentParams, SystemConfig
-from .channel import pdp_exponential
-from .goodput import StrategyParams
+from .channel import Cluster, CorrelatedChannelConfig, ImpairmentParams, StrategyParams
+from .channel import SystemConfig, pdp_exponential
 from .montecarlo import ExperimentSpec
 from .specfun import ConvergenceError
 
@@ -349,7 +348,7 @@ def _cmd_simulate(args, cfg) -> tuple[list[dict], int]:
         seed=_config_value(cfg, "seed", int),
     )
     if args.cross_validate:
-        report = montecarlo.cross_validate(spec)
+        report = crossval.cross_validate(spec)
         rows = [
             {"metric": e.name, "empirical": e.empirical, "std_error": e.std_error,
              "analytic": e.analytic, "z": e.z_score}

@@ -65,7 +65,6 @@ from .channel import ImpairmentParams, SystemConfig
 from .specfun import gauss_2f1, marcum_q1, marcum_q1_pair
 
 __all__ = [
-    "StrategyParams",
     "QuadratureError",
     "i2",
     "i4",
@@ -83,22 +82,6 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class StrategyParams:
-    """Rate-adaptation parameters of one strategy: exactly one of beta0/beta1."""
-
-    beta0: float | None = None  # fixed-rate CQI threshold
-    beta1: float | None = None  # variable-rate backoff factor
-
-    def __post_init__(self) -> None:
-        if (self.beta0 is None) == (self.beta1 is None):
-            raise ValueError("set exactly one of beta0/beta1")
-        if self.beta0 is not None and not 0.0 <= self.beta0 < math.inf:
-            raise ValueError("beta0 must be finite and nonnegative")
-        if self.beta1 is not None and not 0.0 <= self.beta1 <= 1.0:
-            raise ValueError("beta1 must lie in [0, 1]")
 
 
 # ---------------------------------------------------------------------------

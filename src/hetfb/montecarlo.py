@@ -1,4 +1,4 @@
-"""Trial orchestration and cross-validation against the analytic engine.
+"""Monte Carlo engine: trial orchestration and the channel kernels.
 
 Trials are vectorized in fixed-size chunks; every chunk draws from its own
 substream spawned from the master seed, so results are bit-identical for a
@@ -42,6 +42,9 @@ averages keep idle (never-reported) blocks in the denominator at zero
 contribution, while the transmission-outage probability is reported as the
 fraction of scheduled blocks whose transmission failed, with the
 never-reported fraction exposed separately.
+
+The engine imports only numpy and ``channel``; ``crossval`` checks it
+against the closed forms.
 """
 
 from __future__ import annotations
@@ -53,28 +56,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analytic, goodput
 from .channel import (
     CorrelatedChannelConfig,
     ImpairmentParams,
+    StrategyParams,
     SystemConfig,
     _correlated_gain_map,
     _is_power_of_two,
     cluster_feedback_quota,
 )
-from .goodput import StrategyParams
 
 __all__ = [
     "CHUNK_TRIALS",
     "ExperimentSpec",
     "EstimateWithError",
     "ImperfectResult",
-    "CrossValidationEntry",
-    "CrossValidationReport",
     "run_perfect",
     "run_imperfect",
     "run_imperfect_grid",
-    "cross_validate",
     "run_strategy_comparison",
     "strategy_comparison",
     "correlated_rate_grid",
@@ -95,8 +94,6 @@ _MAX_WORKERS = 4
 
 # Probability step of a 32-bit key: k * _KEY_STEP is uniform on [0, 1).
 _KEY_STEP = 2.0**-32
-
-_Z_FLAG = 3.0
 
 _BITS_PER_NAT = 1.0 / math.log(2.0)
 
@@ -152,31 +149,6 @@ class ImperfectResult:
     goodput: EstimateWithError
     outage: EstimateWithError
     scheduling_outage: EstimateWithError
-
-
-@dataclass(frozen=True)
-class CrossValidationEntry:
-    name: str
-    empirical: float
-    std_error: float
-    analytic: float
-
-    @property
-    def z_score(self) -> float:
-        """Standardized difference; at zero standard error, 0 on agreement and NaN otherwise."""
-        diff = self.empirical - self.analytic
-        if self.std_error == 0.0:
-            return 0.0 if diff == 0.0 else math.nan
-        return diff / self.std_error
-
-
-@dataclass(frozen=True)
-class CrossValidationReport:
-    entries: tuple[CrossValidationEntry, ...]
-
-    @property
-    def flagged(self) -> bool:
-        return any(abs(e.z_score) > _Z_FLAG for e in self.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -552,51 +524,6 @@ def run_imperfect(spec: ExperimentSpec) -> ImperfectResult:
     if spec.strategy is None:
         raise ValueError("run_imperfect requires strategy parameters")
     return run_imperfect_grid(spec, [spec.strategy])[0]
-
-
-# ---------------------------------------------------------------------------
-# Cross-validation
-# ---------------------------------------------------------------------------
-
-
-def cross_validate(spec: ExperimentSpec) -> CrossValidationReport:
-    """Compare every empirical estimate against its closed-form value.
-
-    Entries carry z = (empirical - analytic) / SE; |z| > 3 flags the
-    report.  The analytic outage is divided by the coverage probability to
-    match the scheduled-blocks-only empirical convention.
-    """
-    if spec.model != "subband":
-        raise ValueError("cross-validation requires the subband fading model")
-    entries = []
-    if spec.impairments is None:
-        est = run_perfect(spec)
-        entries.append(
-            CrossValidationEntry(
-                "sum_rate", est.value, est.std_error, analytic.average_sum_rate(spec.system)
-            )
-        )
-    else:
-        res = run_imperfect(spec)
-        coverage = analytic.coverage_prob(spec.system)
-        s = spec.strategy
-        if s.beta0 is not None:
-            r, p = goodput.fixed_rate_metrics(spec.system, spec.impairments, s.beta0)
-            prefix = "fixed_rate"
-        else:
-            r, p = goodput.variable_rate_metrics(spec.system, spec.impairments, s.beta1)
-            prefix = "variable_rate"
-        entries.append(
-            CrossValidationEntry(
-                f"{prefix}_goodput", res.goodput.value, res.goodput.std_error, r
-            )
-        )
-        entries.append(
-            CrossValidationEntry(
-                f"{prefix}_outage", res.outage.value, res.outage.std_error, p / coverage
-            )
-        )
-    return CrossValidationReport(entries=tuple(entries))
 
 
 # ---------------------------------------------------------------------------

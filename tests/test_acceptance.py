@@ -25,10 +25,9 @@ from hetfb.analytic import (
     minimum_best_m,
     selection_coefficients,
 )
-from hetfb.channel import Cluster, CorrelatedChannelConfig, ImpairmentParams, SystemConfig
-from hetfb.channel import pdp_exponential
+from hetfb.channel import Cluster, CorrelatedChannelConfig, ImpairmentParams, StrategyParams
+from hetfb.channel import SystemConfig, pdp_exponential
 from hetfb.goodput import (
-    StrategyParams,
     fixed_rate_metrics,
     i2,
     i3_jensen,

@@ -10,6 +10,7 @@ from hetfb.channel import (
     Cluster,
     CorrelatedChannelConfig,
     ImpairmentParams,
+    StrategyParams,
     SystemConfig,
     _correlated_gain_map,
     pdp_exponential,
@@ -275,6 +276,16 @@ class TestImpairments:
         b = apply_impairments(base, imp, seed=2)
         assert np.array_equal(a[0].gains[0], b[0].gains[0])
         assert np.array_equal(a[1].gains[0], b[1].gains[0])
+
+
+class TestStrategyParams:
+    def test_validation(self):
+        StrategyParams(beta0=0.0)
+        StrategyParams(beta1=1.0)
+        with pytest.raises(ValueError):
+            StrategyParams(beta0=-0.1)
+        with pytest.raises(ValueError):
+            StrategyParams(beta1=1.1)
 
 
 class TestConditionalPdf:

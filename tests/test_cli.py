@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import math
 import os
@@ -14,7 +15,8 @@ import hetfb.montecarlo as mc
 from hetfb import analytic, cli
 from hetfb.channel import ImpairmentParams
 from hetfb.cli import emit, load_config, parse_grid, run, split_users
-from hetfb.montecarlo import CHUNK_TRIALS, CrossValidationEntry, CrossValidationReport
+from hetfb.crossval import CrossValidationEntry, CrossValidationReport
+from hetfb.montecarlo import CHUNK_TRIALS
 from hetfb.specfun import ConvergenceError
 from tests.oracles import variable_outage_over_estimate
 
@@ -152,7 +154,7 @@ class TestSimulate:
                 entries=(CrossValidationEntry("sum_rate", 1.0, 0.01, 2.0),)
             )
 
-        monkeypatch.setattr(cli.montecarlo, "cross_validate", fake)
+        monkeypatch.setattr(cli.crossval, "cross_validate", fake)
         cfg = write_config(tmp_path, BASE)
         code = run(["simulate", "--config", cfg, "--out", str(tmp_path), "--cross-validate"])
         assert code == 4
@@ -690,12 +692,57 @@ def test_column_contract(tmp_path, argv, columns):
     assert header == columns == json.loads(manifest.read_text())["columns"]
 
 
-def test_cli_import_leaves_mpmath_unloaded():
-    # mpmath is a test-only dependency: the library must run without it
+@pytest.mark.parametrize(
+    "module, unloaded",
+    [
+        # mpmath is a test-only dependency: the library must run without it
+        ("hetfb.cli", {"mpmath"}),
+        # the Monte Carlo engine imports numpy and channel, never the closed forms
+        ("hetfb.montecarlo",
+         {"scipy", "hetfb.analytic", "hetfb.goodput", "hetfb.specfun", "hetfb._quad"}),
+    ],
+    ids=["cli", "montecarlo"],
+)
+def test_cli_import_leaves_mpmath_unloaded(module, unloaded):
     src = str(Path(analytic.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, hetfb.cli; sys.exit('mpmath' in sys.modules)"
+    code = f"import sys, {module}; sys.exit(bool({unloaded!r} & set(sys.modules)))"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+# Every export of the package and the module that defines it.
+PACKAGE_EXPORTS = {
+    "CHUNK_TRIALS": "montecarlo", "Cluster": "channel", "ConvergenceError": "specfun",
+    "CorrelatedChannelConfig": "channel", "CrossValidationReport": "crossval",
+    "EstimateWithError": "montecarlo", "ExperimentSpec": "montecarlo",
+    "ImpairmentParams": "channel", "ImperfectResult": "montecarlo", "MinimumBestM": "analytic",
+    "QuadratureError": "_quad", "ReportedCqiLaw": "analytic", "ScheduledCqiMixture": "analytic",
+    "StrategyParams": "channel", "SystemConfig": "channel", "analytic": None,
+    "average_sum_rate": "analytic", "channel": None, "cluster_feedback_quota": "channel",
+    "coverage_prob": "analytic", "cross_validate": "crossval",
+    "exp_integral_e1_scaled": "specfun", "fixed_rate_metrics": "goodput",
+    "gauss_2f1": "specfun", "goodput": None, "i1": "analytic", "i2": "goodput",
+    "i3_jensen": "goodput", "i3_quadrature": "goodput", "i3_upper_bound": "goodput",
+    "i4": "goodput", "jensen_mean": "goodput", "marcum_q1": "specfun",
+    "minimum_best_m": "analytic", "montecarlo": None, "optimize_beta0": "goodput",
+    "optimize_beta1": "goodput", "pdp_exponential": "channel", "run_imperfect": "montecarlo",
+    "run_imperfect_grid": "montecarlo", "run_perfect": "montecarlo",
+    "run_strategy_comparison": "montecarlo", "specfun": None,
+    "variable_rate_metrics": "goodput",
+}
+
+
+def test_package_exports_resolve_to_their_defining_modules():
+    import hetfb
+
+    assert sorted(hetfb.__all__) == sorted(PACKAGE_EXPORTS)
+    for name, module in PACKAGE_EXPORTS.items():
+        # a submodule export is the submodule itself
+        owner = importlib.import_module(f"hetfb.{module or name}")
+        assert getattr(hetfb, name) is (owner if module is None else getattr(owner, name))
+    namespace = {}
+    exec("from hetfb import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(PACKAGE_EXPORTS)
 
 
 def test_per_draw_pipeline_is_test_only():

@@ -36,9 +36,10 @@ from hypothesis import strategies as st
 from hetfb import cli, goodput
 from hetfb._quad import QuadratureError
 from hetfb.analytic import average_sum_rate
-from hetfb.channel import Cluster, ImpairmentParams, SystemConfig
-from hetfb.goodput import StrategyParams, fixed_rate_metrics, variable_rate_metrics
-from hetfb.montecarlo import CHUNK_TRIALS, ExperimentSpec, cross_validate
+from hetfb.channel import Cluster, ImpairmentParams, StrategyParams, SystemConfig
+from hetfb.crossval import cross_validate
+from hetfb.goodput import fixed_rate_metrics, variable_rate_metrics
+from hetfb.montecarlo import CHUNK_TRIALS, ExperimentSpec
 from hetfb.specfun import ConvergenceError
 
 SW2 = st.one_of(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]), st.floats(0.0, 0.99))

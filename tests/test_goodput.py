@@ -9,7 +9,6 @@ from hetfb import goodput
 from hetfb.analytic import ScheduledCqiMixture, coverage_prob, i1, minimum_best_m
 from hetfb.channel import Cluster, ImpairmentParams, SystemConfig
 from hetfb.goodput import (
-    StrategyParams,
     fixed_rate_metrics,
     i2,
     i3_jensen,
@@ -85,16 +84,6 @@ def i3_oracle(a, b, imp, snr):
         b,
         imp,
     )
-
-
-class TestStrategyParams:
-    def test_validation(self):
-        StrategyParams(beta0=0.0)
-        StrategyParams(beta1=1.0)
-        with pytest.raises(ValueError):
-            StrategyParams(beta0=-0.1)
-        with pytest.raises(ValueError):
-            StrategyParams(beta1=1.1)
 
 
 class TestMomentDomain:

@@ -12,15 +12,15 @@ from hetfb.channel import (
     Cluster,
     CorrelatedChannelConfig,
     ImpairmentParams,
+    StrategyParams,
     SystemConfig,
     cluster_feedback_quota,
     pdp_exponential,
 )
-from hetfb.goodput import StrategyParams, fixed_rate_metrics
+from hetfb.crossval import CrossValidationEntry, CrossValidationReport, cross_validate
+from hetfb.goodput import fixed_rate_metrics
 from hetfb.montecarlo import (
     CHUNK_TRIALS,
-    CrossValidationEntry,
-    CrossValidationReport,
     EstimateWithError,
     ExperimentSpec,
     _cluster_streams,
@@ -29,7 +29,6 @@ from hetfb.montecarlo import (
     _subband_blocks,
     _winner_cqi,
     correlated_rate_grid,
-    cross_validate,
     run_imperfect,
     run_imperfect_grid,
     run_perfect,

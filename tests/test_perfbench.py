@@ -22,10 +22,10 @@ from hetfb.channel import (
     Cluster,
     CorrelatedChannelConfig,
     ImpairmentParams,
+    StrategyParams,
     SystemConfig,
     pdp_exponential,
 )
-from hetfb.goodput import StrategyParams
 from hetfb.montecarlo import ExperimentSpec
 
 ROOT = Path(__file__).resolve().parent.parent
