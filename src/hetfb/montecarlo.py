@@ -19,8 +19,9 @@ a second chunk thread; eight ran 1.4-1.7x faster on two threads and
 1.7-2.1x on two processes, eight correlated chunks 1.6-1.9x on two threads.
 
 The subband model has one draw-and-schedule path: ``_key_blocks`` draws
-each cluster's uniform 32-bit keys per row block (``_keys`` reads the raw
-64-bit outputs as little-endian halves, the same on every host), and
+each cluster's uniform 32-bit keys per row block (``_keys`` reads each row's
+own whole raw 64-bit outputs as little-endian halves, the same on every
+host, so no key depends on the blocking), and
 ``_schedule`` maps each cluster's best-M winners (``_winner_cqi``, the
 step all schedulers here share) to CQIs and merges the clusters per block.
 ``_subband_blocks`` realizes imperfect feedback on that path, and
@@ -263,24 +264,23 @@ def _winner_cqi(cqi: np.ndarray, quota: int) -> np.ndarray:
     return cqi.max(axis=1, initial=0)
 
 
-def _keys(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Uniform uint32 keys of ``shape``: ``rng``'s raw 64-bit outputs as little-endian halves.
+def _keys(rng: np.random.Generator, rows: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Uniform uint32 keys of shape (rows, *shape), read one whole row at a time.
 
-    Every host reads the same keys.  An even count uses whole outputs and
-    equals ``rng.integers(0, 2**32, n, dtype=np.uint32)`` on a little-endian
-    host; an odd count drops the last output's high half.
+    Each row of n keys reads ceil(n / 2) raw 64-bit outputs as little-endian
+    halves and keeps its first n, so a key depends only on its row and cell,
+    not on how many rows one call draws, and every host reads the same keys.
+    An even n equals ``rng.integers(0, 2**32, (rows, *shape), dtype=np.uint32)``
+    on a little-endian host.
     """
     n = math.prod(shape)
-    raw = rng.bit_generator.random_raw((n + 1) // 2)
-    return raw.astype("<u8", copy=False).view("<u4")[:n].reshape(shape)
+    raw = rng.bit_generator.random_raw((rows, (n + 1) // 2))
+    return raw.astype("<u8", copy=False).view("<u4")[:, :n].reshape(rows, *shape)
 
 
-def _row_blocks(t: int, row_bytes: int, step: int = 1) -> list[int]:
-    """Sizes of the row blocks that split ``t`` trials under ``_BLOCK_BYTES``.
-
-    Every block but the last holds a multiple of ``step`` rows.
-    """
-    rows = max(step, _BLOCK_BYTES // row_bytes // step * step)
+def _row_blocks(t: int, row_bytes: int) -> list[int]:
+    """Sizes of the row blocks that split ``t`` trials under ``_BLOCK_BYTES``, one row at least."""
+    rows = max(1, _BLOCK_BYTES // row_bytes)
     return [min(rows, t - lo) for lo in range(0, t, rows)]
 
 
@@ -299,16 +299,12 @@ def _key_blocks(sys: SystemConfig, seq, t: int, row_bytes: int):
     """Per row block of one chunk: each cluster's (rows, users, subbands) keys, and noise streams.
 
     A key k stands in for the CQI |CN(0, 1)|^2 = -log1p(-k 2^-32), an
-    increasing map, so best-M on the keys picks the CQIs' winners.  Blocks
-    hold an even number of rows, but the chunk's last, only where some
-    cluster draws an odd number of keys per row (``_keys`` drops a half
-    output there), so no block's keys depend on the blocking.
+    increasing map, so best-M on the keys picks the CQIs' winners.
     """
     draws, noise = _cluster_streams(seq, sys.num_clusters)
     shapes = [(c.num_users, sys.num_subbands(g)) for g, c in enumerate(sys.clusters)]
-    step = 2 if any(users * n % 2 for users, n in shapes) else 1
-    for r in _row_blocks(t, row_bytes, step):
-        yield [_keys(rng, (r, *shape)) for rng, shape in zip(draws, shapes)], noise
+    for r in _row_blocks(t, row_bytes):
+        yield [_keys(rng, r, shape) for rng, shape in zip(draws, shapes)], noise
 
 
 def _schedule(sys: SystemConfig, keys: list[np.ndarray]):

@@ -282,10 +282,10 @@ class TestKernel:
         assert _winner_cqi(u.copy(), 2).tolist() == [[0, 2**31, 2**30]]
 
         class Raw:
-            def random_raw(self, n):
-                # two keys per output, the first in the low half
-                assert n == u.size // 2
-                return u.astype("<u4").ravel().view("<u8").copy()
+            def random_raw(self, size):
+                # one row of outputs, two keys per output, the first in the low half
+                assert size == (1, u.size // 2)
+                return u.astype("<u4").reshape(size[0], -1).view("<u8").copy()
 
         class Fixed:
             bit_generator = Raw()
@@ -302,17 +302,24 @@ class TestKernel:
         assert best[0, 1:].tolist() == want.tolist()
 
     def test_keys_are_the_generators_uint32_draws(self):
-        # an even count: whole raw outputs, low half first, as integers() reads them
-        shape = (6, 5, 16)
-        keys = mc._keys(np.random.default_rng(11), shape)
-        assert keys.dtype == np.uint32 and keys.shape == shape
-        want = np.random.default_rng(11).integers(0, 2**32, shape, dtype=np.uint32)
+        # an even count per row: whole raw outputs, low half first, as integers() reads them
+        shape = (5, 16)
+        keys = mc._keys(np.random.default_rng(11), 6, shape)
+        assert keys.dtype == np.uint32 and keys.shape == (6, *shape)
+        want = np.random.default_rng(11).integers(0, 2**32, (6, *shape), dtype=np.uint32)
         assert np.array_equal(keys, want)
         raw = np.random.default_rng(11).bit_generator.random_raw(2)
         assert keys.ravel()[:4].tolist() == [int(raw[0]) & 0xFFFFFFFF, int(raw[0]) >> 32,
                                              int(raw[1]) & 0xFFFFFFFF, int(raw[1]) >> 32]
-        # an odd count drops the last output's high half
-        assert np.array_equal(mc._keys(np.random.default_rng(11), (7,)), want.ravel()[:7])
+        # an odd count per row drops each row's last high half
+        odd = mc._keys(np.random.default_rng(11), 3, (7,))
+        assert np.array_equal(odd, want.ravel()[:24].reshape(3, 8)[:, :7])
+
+    @pytest.mark.parametrize("shape", [(3, 4), (3, 3)], ids=["even_keys", "odd_keys"])
+    def test_keys_of_many_rows_equal_one_row_at_a_time(self, shape):
+        rows = mc._keys(np.random.default_rng(12), 5, shape)
+        rng = np.random.default_rng(12)
+        assert np.array_equal(rows, np.concatenate([mc._keys(rng, 1, shape) for _ in range(5)]))
 
     @pytest.mark.parametrize("quota", [1, 3, 5, 8])
     def test_dense_key_ties_equal_per_user_oracle(self, quota):
