@@ -151,7 +151,8 @@ def quad_checked(f, a, b, *, points=None) -> np.ndarray:
     ``1e-10 * |value|``, relative to its own value with no absolute floor,
     and is accepted if its value is finite and its error estimate at most
     ``1e-6 * |value|``.  Raises QuadratureError when the integrand is not
-    finite at a node or an integral misses that bound.  The contract suits
+    finite at a node, an integral misses that bound, or it holds a panel
+    that the floating-point grid cannot halve.  The contract suits
     nonnegative integrands: a signed integral whose value is near 0 refines
     until it hits the panel limit, then raises.
     """
@@ -187,10 +188,16 @@ def quad_checked(f, a, b, *, points=None) -> np.ndarray:
         split = np.minimum(count + 1, _LIMIT - size)
         mid = 0.5 * (lo + hi)
         done = (error <= tol) | (size >= _LIMIT)
-        # panels at the resolution of the floating-point grid stop their integral
-        narrow = (mid <= lo) | (mid >= hi)
+        # a panel at the resolution of the floating-point grid fails its
+        # integral, converged or not: its nodes have collapsed onto a few
+        # floats, so the error estimate means nothing
+        narrow = ((mid <= lo) | (mid >= hi)) & (np.arange(mid.shape[1]) < size[:, None])
         if narrow.any():
-            done |= (narrow & (np.arange(narrow.shape[1]) < split[:, None])).any(axis=1)
+            i = np.flatnonzero(narrow.any(axis=1))[0]
+            raise QuadratureError(
+                f"integral {ids[i]}: a panel reached floating-point resolution; "
+                f"error estimate {float(error[i])!r} on {size[i]} panels is void"
+            )
         if done.any():
             _check(ids[done], value[done], error[done], size[done])
             out[ids[done]] = value[done]

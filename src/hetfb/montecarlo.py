@@ -438,6 +438,14 @@ def correlated_rate_grid(
     The mapping stays because figure 1 and the benchmark's recorded
     reference rest on it; the CQI is 9-14% lower.
     """
+    if not combos:
+        raise ValueError("correlated_rate_grid needs at least one (subband_size, best_m) combo")
+    for eta, m in combos:
+        if not _is_power_of_two(eta) or cfg.num_rbs % eta:
+            raise ValueError(f"combo {(eta, m)}: subband size is not a power of two "
+                             f"dividing num_rbs={cfg.num_rbs}")
+        if not 1 <= m <= cfg.num_rbs // eta:
+            raise ValueError(f"combo {(eta, m)}: best_m must lie in [1, {cfg.num_rbs // eta}]")
     etas = sorted({eta for eta, _ in combos})
     finest = etas[0]
     gains = _correlated_gain_map(cfg, snr)
@@ -479,8 +487,6 @@ def run_imperfect_grid(
     spec: ExperimentSpec, strategies: list[StrategyParams]
 ) -> list[ImperfectResult]:
     """Realize several strategies on one shared set of channel draws."""
-    if spec.model != "subband":
-        raise ValueError("impairments are modeled on the subband channel only")
     if spec.impairments is None:
         raise ValueError("run_imperfect requires impairment parameters")
 

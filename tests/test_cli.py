@@ -122,6 +122,19 @@ class TestSimulate:
         pooled = (tmp_path / "pooled" / "simulate.csv").read_bytes()
         assert pooled == (tmp_path / "serial" / "simulate.csv").read_bytes()
 
+    def test_source_date_epoch_fixes_the_manifest(self, tmp_path, monkeypatch):
+        # two runs differ only in where they wrote; the timestamp is the epoch's
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        manifests = []
+        for sub in ("a", "b"):
+            assert run(["simulate", "--trials", "100", "--out", str(tmp_path / sub)]) == 0
+            manifests.append(json.loads((tmp_path / sub / "simulate.manifest.json").read_bytes()))
+        assert manifests[0]["timestamp"] == "2023-11-14T22:13:20+00:00"
+        assert [m.pop("outputs") for m in manifests] == [
+            [str(tmp_path / sub / "simulate.csv")] for sub in ("a", "b")
+        ]
+        assert json.dumps(manifests[0]) == json.dumps(manifests[1])
+
     def test_imperfect_rows(self, tmp_path):
         payload = dict(BASE, best_m=4, alpha=0.95, est_err_var=0.02, beta1=0.8)
         cfg = write_config(tmp_path, payload)
@@ -207,6 +220,14 @@ class TestValidationFailures:
         assert run(argv + (["--cross-validate"] if cross_validate else [])) == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"]["type"] == "validation"
+        assert not list(tmp_path.iterdir())
+
+    def test_impairments_without_beta_exit_2(self, tmp_path, capsys):
+        argv = ["simulate", "--trials", "100", "--set", "est_err_var=0.01", "--set", "alpha=0.98"]
+        assert run(argv + ["--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "validation"
+        assert "needs beta0 or beta1" in err["error"]["message"]
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(

@@ -93,6 +93,20 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="impairments"):
             ExperimentSpec("correlated", s, correlated=corr_cfg(), strategy=strategy)
 
+    def test_correlated_rb_counts_must_agree(self):
+        # corr_cfg() has 16 RBs
+        s = SystemConfig(32, (Cluster(2, 3),), 2, 10.0)
+        with pytest.raises(ValueError, match="resource-block counts"):
+            ExperimentSpec("correlated", s, correlated=corr_cfg())
+
+    @pytest.mark.parametrize("model", ["subband", "correlated"])
+    def test_imperfect_grid_needs_impairments(self, model):
+        s = SystemConfig(16, (Cluster(2, 3),), 2, 10.0)
+        cfg = corr_cfg() if model == "correlated" else None
+        spec = ExperimentSpec(model, s, correlated=cfg, trials=100)
+        with pytest.raises(ValueError, match="requires impairment parameters"):
+            run_imperfect_grid(spec, [StrategyParams(beta1=0.5)])
+
     def test_unknown_model(self):
         s = SystemConfig(16, (Cluster(2, 3),), 2, 10.0)
         with pytest.raises(ValueError):
@@ -106,6 +120,7 @@ class TestSpecValidation:
     def test_entry_points_need_two_trials(self, trials):
         s = SystemConfig(16, (Cluster(1, 2), Cluster(2, 2)), 2, 10.0)
         calls = (
+            lambda: ExperimentSpec("subband", s, trials=trials),
             lambda: correlated_rate_grid(corr_cfg(), 10.0, 4, [(1, 2)], trials, 1),
             lambda: run_strategy_comparison(
                 s, "homogeneous", subband_size=2, trials=trials, seed=1
@@ -408,6 +423,41 @@ class TestKernel:
             finally:
                 tracemalloc.stop()
             assert peak < workers * mc._BLOCK_BYTES
+
+    @pytest.mark.parametrize("path", ["subband", "strategy", "correlated"])
+    def test_row_larger_than_the_budget(self, monkeypatch, path):
+        # a budget below one row's bytes gives one-row blocks, and the peak of
+        # one worker does not grow from one chunk of trials to three
+        monkeypatch.setattr(mc, "_BLOCK_BYTES", 1024)
+        monkeypatch.setattr(mc, "CHUNK_TRIALS", 16)
+        monkeypatch.setattr(mc, "_MAX_WORKERS", 1)
+        row_blocks, rows = mc._row_blocks, []
+        monkeypatch.setattr(
+            mc, "_row_blocks",
+            lambda t, row_bytes: rows.append(row_bytes) or row_blocks(t, row_bytes),
+        )
+        s = SystemConfig(128, (Cluster(1, 40), Cluster(4, 40)), 4, 10.0)
+        run = {
+            "subband": lambda t: run_imperfect(
+                ExperimentSpec("subband", s, impairments=ImpairmentParams(0.01, 0.98),
+                               strategy=StrategyParams(beta1=0.8), trials=t, seed=1)
+            ),
+            "strategy": lambda t: mc.strategy_comparison(s, [2], trials=t, seed=2),
+            "correlated": lambda t: correlated_rate_grid(corr_cfg(), 10.0, 40, [(1, 2)], t, 3),
+        }[path]
+        peaks = []
+        for trials in (16, 48):
+            tracemalloc.start()
+            try:
+                run(trials)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert len(rows) == 4 and min(rows) > mc._BLOCK_BYTES
+        assert all(row_blocks(16, row_bytes) == [1] * 16 for row_bytes in rows)
+        # the per-trial results of two more chunks take about 1 KiB
+        assert peaks[1] < 1.05 * peaks[0]
 
     @pytest.mark.parametrize(
         "subcarriers,per_rb,users,trials",
@@ -766,6 +816,19 @@ class TestChunkPool:
 
 
 class TestCorrelatedGrid:
+    @pytest.mark.parametrize(
+        "combos,match",
+        [([], "at least one"), ([(1, 2), (3, 2)], r"combo \(3, 2\): .*power of two"),
+         ([(32, 1)], r"combo \(32, 1\): .*power of two"),
+         ([(1, 99)], r"combo \(1, 99\): best_m must lie in \[1, 16\]"),
+         ([(4, 0)], r"combo \(4, 0\): best_m must lie in \[1, 4\]")],
+        ids=["empty", "size_3", "size_32", "best_m_99", "best_m_0"],
+    )
+    def test_malformed_combos_raise(self, combos, match):
+        # corr_cfg() has 16 RBs
+        with pytest.raises(ValueError, match=match):
+            correlated_rate_grid(corr_cfg(), 10.0, 4, combos, 100, 1)
+
     def test_shared_draws_and_shapes(self):
         grid = correlated_rate_grid(corr_cfg(), 10.0, 6, [(1, 2), (2, 2)], 1200, 9)
         assert set(grid) == {(1, 2), (2, 2)}

@@ -179,3 +179,14 @@ def test_signed_integral_near_zero_raises():
     # the integral refines to the panel limit and raises
     with pytest.raises(QuadratureError, match="integral 0"):
         quad_checked(lambda x, which: np.sin(x), 0.0, 2.0 * math.pi)
+
+
+@pytest.mark.parametrize("ulps", [8, 64])
+def test_step_below_the_float_grid_raises(ulps):
+    # a unit step at the middle of [1, 1 + ulps*eps]: the panel holding it
+    # cannot be halved, and its accepted value was 25% (8) or 3.1% (64) low
+    eps = np.finfo(float).eps
+    mid = 1.0 + ulps * eps / 2.0
+    f = stacked([np.exp, lambda x: (x > mid).astype(float)])
+    with pytest.raises(QuadratureError, match="integral 1: .*floating-point resolution"):
+        quad_checked(f, np.array([0.0, 1.0]), np.array([1.0, 1.0 + ulps * eps]))
