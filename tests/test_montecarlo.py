@@ -431,10 +431,10 @@ class TestKernel:
         monkeypatch.setattr(mc, "_BLOCK_BYTES", 1024)
         monkeypatch.setattr(mc, "CHUNK_TRIALS", 16)
         monkeypatch.setattr(mc, "_MAX_WORKERS", 1)
-        row_blocks, rows = mc._row_blocks, []
+        row_blocks, sizes = mc._row_blocks, []
         monkeypatch.setattr(
             mc, "_row_blocks",
-            lambda t, row_bytes: rows.append(row_bytes) or row_blocks(t, row_bytes),
+            lambda t, row_bytes: sizes.append(row_bytes) or row_blocks(t, row_bytes),
         )
         s = SystemConfig(128, (Cluster(1, 40), Cluster(4, 40)), 4, 10.0)
         run = {
@@ -454,8 +454,8 @@ class TestKernel:
             finally:
                 tracemalloc.stop()
             peaks.append(peak)
-        assert len(rows) == 4 and min(rows) > mc._BLOCK_BYTES
-        assert all(row_blocks(16, row_bytes) == [1] * 16 for row_bytes in rows)
+        assert len(sizes) == 4 and min(sizes) > mc._BLOCK_BYTES
+        assert all(row_blocks(16, row_bytes) == [1] * 16 for row_bytes in sizes)
         # the per-trial results of two more chunks take about 1 KiB
         assert peaks[1] < 1.05 * peaks[0]
 

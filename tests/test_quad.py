@@ -184,7 +184,8 @@ def test_signed_integral_near_zero_raises():
 @pytest.mark.parametrize("ulps", [8, 64])
 def test_step_below_the_float_grid_raises(ulps):
     # a unit step at the middle of [1, 1 + ulps*eps]: the panel holding it
-    # cannot be halved, and its accepted value was 25% (8) or 3.1% (64) low
+    # cannot be halved, and the rule on its collapsed nodes reads 25% (8) or
+    # 3.1% (64) low with an error estimate near 1e-29
     eps = np.finfo(float).eps
     mid = 1.0 + ulps * eps / 2.0
     f = stacked([np.exp, lambda x: (x > mid).astype(float)])
