@@ -102,7 +102,9 @@ def _gauss_kronrod(f, lo: np.ndarray, hi: np.ndarray, which: np.ndarray):
     half = 0.5 * (hi - lo)
     x = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
     owner = np.repeat(which, _NODES.size)
-    fx = np.asarray(f(x.ravel(), owner), dtype=float)
+    # an integrand past the float range gives inf or NaN, which fails below
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx = np.asarray(f(x.ravel(), owner), dtype=float)
     fx = np.broadcast_to(fx, (x.size,)).reshape(x.shape)
     if not np.all(np.isfinite(fx)):
         bad = x[~np.isfinite(fx)][0]
@@ -150,14 +152,20 @@ def quad_checked(f, a, b, *, points=None) -> np.ndarray:
     Each integral refines until its error estimate is at most
     ``1e-10 * |value|``, relative to its own value with no absolute floor,
     and is accepted if its value is finite and its error estimate at most
-    ``1e-6 * |value|``.  Raises QuadratureError when the integrand is not
-    finite at a node, an integral misses that bound, or it holds a panel
-    that the floating-point grid cannot halve.  The contract suits
-    nonnegative integrands: a signed integral whose value is near 0 refines
-    until it hits the panel limit, then raises.
+    ``1e-6 * |value|``.  Raises QuadratureError when a limit or the
+    integrand at a node is not finite, an integral misses that bound, or
+    it holds a panel that the floating-point grid cannot halve.  The
+    contract suits nonnegative integrands: a signed integral whose value is
+    near 0 refines until it hits the panel limit, then raises.
     """
     a, b = np.broadcast_arrays(np.atleast_1d(np.asarray(a, dtype=float)),
                                np.atleast_1d(np.asarray(b, dtype=float)))
+    infinite = ~(np.isfinite(a) & np.isfinite(b))
+    if infinite.any():
+        i = np.flatnonzero(infinite)[0]
+        raise QuadratureError(
+            f"integral {i}: limits [{float(a[i])!r}, {float(b[i])!r}] are not finite"
+        )
     if not np.all(a < b):
         raise ValueError(f"quad_checked needs a < b, got [{a!r}, {b!r}]")
     out = np.empty(a.size)

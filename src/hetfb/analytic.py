@@ -441,11 +441,12 @@ class ScheduledCqiMixture:
         a sequence of systems, one per system.
         """
         snr = np.asarray(snr, dtype=float)
+        with np.errstate(over="ignore"):  # a rate past the float range is an inf limit, refused
+            top = np.log1p(snr * self.x_max) / _LN2
+            points = np.log1p(snr[..., None] * np.multiply(self.scale, _RATE_POINTS)) / _LN2
         values = self._integrate(
             lambda mix, u, at: mix.sf(np.expm1(u * _LN2) / at(snr)),
-            np.arange(self.num_users.size),
-            np.log1p(snr * self.x_max) / _LN2,
-            np.log1p(snr[..., None] * np.multiply(self.scale, _RATE_POINTS)) / _LN2,
+            np.arange(self.num_users.size), top, points,
         )
         return float(values[0]) if isinstance(self.sys, SystemConfig) else values
 

@@ -10,6 +10,12 @@ optimize   optimal beta0/beta1 over an impairment grid
 figure     emit the data series of a named figure with its documented
            default parameters
 
+One mode table (``_mode``) decides what each run reads: from the
+subcommand and the config it picks the run's mode, which names the config
+keys the run reads and its grid flags with their parsers and defaults.
+A given key or grid flag that the mode does not read is refused, and the
+handler gets the mode's grids parsed once, as the manifest records them.
+
 Each handler returns its rows (``simulate`` also its exit code), built by
 row builders that the figure recipes share with the subcommands.  A row is
 a dict, and the keys of the first row are the table's columns.  Every run
@@ -334,7 +340,7 @@ def _optimize_rows(system, sw2_grid, alpha_grid) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(args, cfg) -> tuple[list[dict], int]:
+def _cmd_simulate(args, cfg, grids) -> tuple[list[dict], int]:
     system = system_from_config(cfg)
     imp = impairments_from_config(cfg)
     strategy = strategy_from_config(cfg)
@@ -365,55 +371,30 @@ def _cmd_simulate(args, cfg) -> tuple[list[dict], int]:
     return _estimate_rows(estimates), EXIT_OK
 
 
-# The analytic grid flags' defaults; the flags default to None, so that a flag is refused unread.
-_USERS_GRID, _BETA_GRID, _BETA0_SCALE = "5:50:5", "0.1:0.9:0.2", 10.0
-
-
-def _grid_flags(args, cfg) -> dict:
-    """The parsed grid flags that decide what ``args.command`` runs on ``cfg``, defaults resolved.
-
-    Keyed by the flags' argparse names; the handler reads these values, and
-    the manifest records them.
-    """
-    if args.command == "analytic" and impairments_from_config(cfg) is None:
-        grid = _USERS_GRID if args.users_grid is None else args.users_grid
-        return {"users_grid": _user_counts(grid)}
-    if args.command == "analytic":
-        betas = parse_grid(_BETA_GRID if args.beta_grid is None else args.beta_grid)
-        scale = _BETA0_SCALE if args.beta0_scale is None else args.beta0_scale
-        return {"beta_grid": betas, "beta0_scale": scale}
-    if args.command == "min-m":
-        return {"users_grid": _user_counts(args.users_grid), "gamma": parse_grid(args.gamma)}
-    if args.command == "optimize":
-        return {"est_err_grid": parse_grid(args.est_err_grid),
-                "alpha_grid": parse_grid(args.alpha_grid), "gamma": args.gamma}
-    return {}
-
-
-def _cmd_analytic(args, cfg) -> list[dict]:
+def _cmd_analytic(args, cfg, grids) -> list[dict]:
+    """Sum rate over ``users_grid``; in the mode with impairments, goodput over ``beta_grid``."""
     system = system_from_config(cfg)
-    imp = impairments_from_config(cfg)
-    if imp is None:
-        systems = _user_grid_systems(system, args.users_grid)
+    if "users_grid" in grids:
+        systems = _user_grid_systems(system, grids["users_grid"])
         rates = analytic.average_sum_rate([sys_k for _, sys_k in systems]).tolist()
         return [
             {"users": k, "best_m": sys_k.best_m, "sum_rate": rate}
             for (k, sys_k), rate in zip(systems, rates)
         ]
-    betas, scale = args.beta_grid, args.beta0_scale
-    return _goodput_rows(system, imp, [scale * beta for beta in betas], betas,
-                         [{"beta": beta} for beta in betas])
+    betas, scale = grids["beta_grid"], grids["beta0_scale"]
+    return _goodput_rows(system, impairments_from_config(cfg), [scale * beta for beta in betas],
+                         betas, [{"beta": beta} for beta in betas])
 
 
-def _cmd_min_m(args, cfg) -> list[dict]:
+def _cmd_min_m(args, cfg, grids) -> list[dict]:
     system = system_from_config(cfg)
-    return _min_m_rows(_user_grid_systems(system, args.users_grid), args.gamma)
+    return _min_m_rows(_user_grid_systems(system, grids["users_grid"]), grids["gamma"])
 
 
-def _cmd_optimize(args, cfg) -> list[dict]:
+def _cmd_optimize(args, cfg, grids) -> list[dict]:
     system = system_from_config(cfg)
-    m_star = analytic.minimum_best_m(system, args.gamma).exact
-    rows = _optimize_rows(system, args.est_err_grid, args.alpha_grid)
+    m_star = analytic.minimum_best_m(system, grids["gamma"]).exact
+    rows = _optimize_rows(system, grids["est_err_grid"], grids["alpha_grid"])
     return [dict(row, m_star=m_star) for row in rows]
 
 
@@ -542,7 +523,7 @@ _FIGURES = {
 }
 # The Monte Carlo figures and their default trial counts; the rest are closed-form.
 _FIGURE_TRIALS = {"1": 20_000, "5": 20_000}
-# The config keys each command reads.  Every command accepts ``seed`` and
+# The config keys each run mode reads.  Every mode accepts ``seed`` and
 # ``trials``, whether or not it draws.
 _SYSTEM_KEYS = frozenset({"seed", "trials", "model", "n_rbs", "clusters", "best_m", "snr_db"})
 _IMPAIRED_KEYS = _SYSTEM_KEYS | {"est_err_var", "alpha"}
@@ -550,58 +531,77 @@ _SUBBAND_KEYS = _IMPAIRED_KEYS | {"beta0", "beta1"}
 _CONFIG_KEYS = _SUBBAND_KEYS | {"num_subcarriers", "num_taps", "pdp_decay"}
 
 
-def _run_config(args, cfg, given) -> dict | None:
-    """The configuration a command runs, which its manifest records.
+def _mode(args, cfg) -> tuple[str, frozenset, dict]:
+    """The run mode of ``args`` on ``cfg``: its label, the config keys it reads, its grid flags.
+
+    The one table of what each run reads.  The grid flags map each grid
+    option of the subcommand, by its argparse name, to the ``(parser,
+    default)`` that gives its value, or to ``None`` where the mode does not
+    read it.  The analytic command's two modes build different tables.
+    """
+    command = args.command
+    if command == "figure":
+        return f"figure {args.name}", frozenset({"seed", "trials"}), {}
+    if command == "simulate" and cfg.get("model") == "correlated":
+        return command, _CONFIG_KEYS, {}
+    if command == "simulate":
+        return f"simulate on the {cfg.get('model')} model", _SUBBAND_KEYS, {}
+    if command == "min-m":
+        return command, _SYSTEM_KEYS, {"users_grid": (_user_counts, "5:50:1"),
+                                       "gamma": (parse_grid, "0.9,0.99")}
+    if command == "optimize":
+        return command, _SYSTEM_KEYS, {"est_err_grid": (parse_grid, "0,0.05,0.1"),
+                                       "alpha_grid": (parse_grid, "0.9,0.95,0.99"),
+                                       "gamma": (float, 0.99)}
+    users = {"users_grid": (_user_counts, "5:50:5")}
+    betas = {"beta_grid": (parse_grid, "0.1:0.9:0.2"), "beta0_scale": (float, 10.0)}
+    if impairments_from_config(cfg) is None:
+        return "analytic without impairments", _SYSTEM_KEYS, {**users, **dict.fromkeys(betas)}
+    return "analytic with impairments", _IMPAIRED_KEYS, {**betas, **dict.fromkeys(users)}
+
+
+def _run_config(args, cfg, given) -> tuple[dict | None, dict]:
+    """The configuration a run reads, which its manifest records, and the grid flags it parses.
 
     A key no config reader uses is refused, so a misspelt key never runs
     as its default.  So are a key in ``given`` (the keys of the config
-    file and ``--set``) and a grid flag that the command does not read.
-    ``analytic``, ``min-m`` and ``optimize`` compute the subband model's
-    closed forms: they refuse another ``model`` and use no seed or trials.
-    ``analytic --full-feedback`` runs at the full-feedback best-M.  It,
-    ``min-m`` and ``optimize`` scan or set best-M themselves, so they check
-    and record a ``best_m`` only when it is given.
+    file and ``--set``) and a given grid flag that the run's ``_mode`` does
+    not read.  ``analytic``, ``min-m`` and ``optimize`` compute the subband
+    model's closed forms: they refuse another ``model`` and use no seed or
+    trials.  ``analytic --full-feedback`` runs at the full-feedback best-M.
+    It, ``min-m`` and ``optimize`` scan or set best-M themselves, so they
+    check and record a ``best_m`` only when it is given.
     """
     unknown = sorted(set(cfg) - _CONFIG_KEYS)
     if unknown:
         raise ValueError(f"config key {unknown[0]!r} is unknown; the keys are "
                          f"{', '.join(sorted(_CONFIG_KEYS))}")
-    command, read, flags = args.command, _SYSTEM_KEYS, {}
-    if command == "figure":
-        command, read = f"figure {args.name}", frozenset({"seed", "trials"})
-    elif command == "simulate" and cfg.get("model") != "correlated":
-        command, read = f"simulate on the {cfg.get('model')} model", _SUBBAND_KEYS
-    elif command == "simulate":
-        read = _CONFIG_KEYS
-    elif command == "analytic" and impairments_from_config(cfg) is None:
-        command += " without impairments"
-        flags = {"--beta-grid": args.beta_grid, "--beta0-scale": args.beta0_scale}
-    elif command == "analytic":
-        command, read = "analytic with impairments", _IMPAIRED_KEYS
-        flags = {"--users-grid": args.users_grid}
+    label, read, flags = _mode(args, cfg)
     unread = [repr(key) for key in sorted(set(given) - read)]
-    unread += [flag for flag, value in flags.items() if value is not None]
+    unread += ["--" + flag.replace("_", "-") for flag, grid in flags.items()
+               if grid is None and getattr(args, flag) is not None]
     if unread:
-        raise ValueError(f"{command} does not read {', '.join(unread)}")
+        raise ValueError(f"{label} does not read {', '.join(unread)}")
+    grids = {flag: grid for flag, grid in flags.items() if grid}
     if args.command == "simulate":
-        return cfg
-    if args.command != "figure":
-        if cfg.get("model", "subband") != "subband":
-            raise ValueError(f"config key 'model': the closed forms cover the subband model "
-                             f"only, got {cfg['model']!r}")
-        config = {key: value for key, value in cfg.items() if key not in ("seed", "trials")}
-        if "best_m" not in given and (args.command != "analytic" or args.full_feedback):
-            del config["best_m"]  # the command scans or sets best-M itself
-        if args.command == "analytic" and args.full_feedback:
-            config["best_m"] = system_from_config(config).m_full
-        return config
-    if args.name not in _FIGURE_TRIALS:
-        return None
-    return {"figure": args.name, "seed": _config_value(cfg, "seed", int),
-            "trials": _config_value(cfg, "trials", int)}
+        return cfg, grids
+    if args.command == "figure" and args.name not in _FIGURE_TRIALS:
+        return None, grids
+    if args.command == "figure":
+        return {"figure": args.name, "seed": _config_value(cfg, "seed", int),
+                "trials": _config_value(cfg, "trials", int)}, grids
+    if cfg.get("model", "subband") != "subband":
+        raise ValueError(f"config key 'model': the closed forms cover the subband model "
+                         f"only, got {cfg['model']!r}")
+    config = {key: value for key, value in cfg.items() if key not in ("seed", "trials")}
+    if "best_m" not in given and (args.command != "analytic" or args.full_feedback):
+        del config["best_m"]  # the command scans or sets best-M itself
+    if args.command == "analytic" and args.full_feedback:
+        config["best_m"] = system_from_config(config).m_full
+    return config, grids
 
 
-def _cmd_figure(args, figure_run) -> list[dict]:
+def _cmd_figure(args, figure_run, grids) -> list[dict]:
     recipe = _FIGURES[args.name]
     return recipe(figure_run["trials"], figure_run["seed"]) if figure_run else recipe()
 
@@ -634,22 +634,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analytic", help="closed-form tables")
     common(p)
-    p.add_argument("--users-grid", help=f"without impairments (default {_USERS_GRID})")
-    p.add_argument("--beta-grid", help=f"with impairments (default {_BETA_GRID})")
-    p.add_argument("--beta0-scale", type=float,
-                   help=f"beta0 = scale * beta, with impairments (default {_BETA0_SCALE:g})")
+    p.add_argument("--users-grid", help="without impairments")
+    p.add_argument("--beta-grid", help="with impairments")
+    p.add_argument("--beta0-scale", type=float, help="beta0 = scale * beta, with impairments")
     p.add_argument("--full-feedback", action="store_true")
 
     p = sub.add_parser("min-m", help="minimum feedback amount table")
     common(p)
-    p.add_argument("--gamma", default="0.9,0.99")
-    p.add_argument("--users-grid", default="5:50:1")
+    p.add_argument("--gamma")
+    p.add_argument("--users-grid")
 
     p = sub.add_parser("optimize", help="optimal beta0/beta1 over an impairment grid")
     common(p)
-    p.add_argument("--est-err-grid", default="0,0.05,0.1")
-    p.add_argument("--alpha-grid", default="0.9,0.95,0.99")
-    p.add_argument("--gamma", type=float, default=0.99)
+    p.add_argument("--est-err-grid")
+    p.add_argument("--alpha-grid")
+    p.add_argument("--gamma", type=float)
 
     p = sub.add_parser("figure", help="reproduce a named figure's data series")
     common(p)
@@ -705,18 +704,20 @@ def run(argv=None) -> int:
         return _fail(exc, "validation")
 
     name = f"figure_{args.name}" if args.command == "figure" else args.command.replace("-", "_")
-    # each handler gets the configuration it runs, and the manifest records it
+    # each handler gets the configuration and parsed grids it runs; the manifest records both
     try:
-        config = _run_config(args, cfg, given)
-        flags = _grid_flags(args, config)
-        vars(args).update(flags)  # the handler runs the parsed grids the manifest records
-        result = _HANDLERS[args.command](args, config)
+        config, flags = _run_config(args, cfg, given)
+        grids = {}
+        for flag, (parse, default) in flags.items():
+            value = getattr(args, flag)
+            grids[flag] = parse(default if value is None else value)
+        result = _HANDLERS[args.command](args, config, grids)
     except Exception as exc:
         return _fail(exc)
     rows, code = result if args.command == "simulate" else (result, EXIT_OK)
     try:
         emit(rows, out_dir=args.out, name=name, fmt=args.format, command=args.command,
-             config=config, seed=(config or {}).get("seed"), flags=flags)
+             config=config, seed=(config or {}).get("seed"), flags=grids)
     except OSError as exc:
         # the output path is at fault, not the program
         return _fail(exc, "validation")

@@ -140,6 +140,9 @@ class EstimateWithError:
     def __post_init__(self) -> None:
         if self.trials < 2:
             raise ValueError("an estimate needs at least two trials")
+        if not (math.isfinite(self.value) and math.isfinite(self.std_error)):
+            raise FloatingPointError(f"estimate {self.value!r} with standard error "
+                                     f"{self.std_error!r} is not finite")
 
 
 @dataclass(frozen=True)
@@ -197,21 +200,38 @@ def _map_chunks(fn, plan: list[tuple[np.random.SeedSequence, int]]) -> list:
     first failing chunk's exception propagates, and chunks not yet started
     are cancelled.
     """
+    def job(seq, t):
+        # past the float range a rate is inf (or NaN), which its estimate refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(seq, t)
+
     workers = _worker_count(len(plan))
     if workers == 1:
-        return [fn(seq, t) for seq, t in plan]
+        return [job(seq, t) for seq, t in plan]
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
-        return list(pool.map(lambda job: fn(*job), plan))
+        return list(pool.map(lambda args: job(*args), plan))
     finally:
         pool.shutdown(cancel_futures=True)
 
 
 def _mean_estimate(samples: np.ndarray) -> EstimateWithError:
+    """The mean of per-trial samples, with its standard error.
+
+    Both are taken of the samples scaled by the power of two that brings
+    their largest magnitude into [0.5, 1), then scaled back.  That is exact,
+    so the result is the unscaled one wherever that neither underflows nor
+    overflows, and the squared deviations of rates near 1e-300 keep their
+    digits.
+    """
     t = samples.size
+    _, exp = math.frexp(float(np.max(np.abs(samples), initial=0.0)))
+    scaled = np.ldexp(samples, -exp)
+    with np.errstate(invalid="ignore"):  # inf - inf: the estimate refuses the NaN spread
+        mean, spread = scaled.mean(), scaled.std(ddof=1)
     return EstimateWithError(
-        value=float(samples.mean()),
-        std_error=float(samples.std(ddof=1) / math.sqrt(t)),
+        value=math.ldexp(mean, exp),
+        std_error=math.ldexp(spread, exp) / math.sqrt(t),
         trials=t,
     )
 

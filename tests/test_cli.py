@@ -1,3 +1,4 @@
+import argparse
 import csv
 import importlib
 import json
@@ -420,7 +421,7 @@ class TestOutputFailures:
         assert err["error"]["type"] == "validation"
 
     def test_os_error_in_handler_exits_5(self, tmp_path, monkeypatch, capsys):
-        def broken(args, cfg):
+        def broken(args, cfg, grids):
             raise FileNotFoundError("handler bug")
 
         monkeypatch.setitem(cli._HANDLERS, "min-m", broken)
@@ -432,7 +433,7 @@ class TestOutputFailures:
 
 class TestInternalFailures:
     def test_key_error_in_handler_exits_5(self, tmp_path, monkeypatch, capsys):
-        def broken(args, cfg):
+        def broken(args, cfg, grids):
             return {}["missing"]
 
         monkeypatch.setitem(cli._HANDLERS, "simulate", broken)
@@ -810,6 +811,19 @@ def test_near_perfect_optimize_runs_with_warnings_as_errors(tmp_path):
     assert all(math.isfinite(float(value)) for value in row.values())
 
 
+def test_snr_edge_exits_3_with_warnings_as_errors(tmp_path):
+    # log2(1 + snr x_max) is past the float range at 3080 dB: a refused
+    # quadrature limit, not an overflow warning that would exit 5
+    src = str(Path(analytic.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-W", "error", "-m", "hetfb", "analytic", "--set", "snr_db=3080",
+            "--users-grid", "5", "--out", str(tmp_path)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert done.returncode == 3
+    assert json.loads(done.stderr.strip().splitlines()[-1])["error"]["type"] == "numerical"
+    assert not list(tmp_path.iterdir())
+
+
 def test_successive_runs_do_not_share_overrides(tmp_path):
     # the parser is built once per process; its "--set" list must still start
     # empty on every run
@@ -865,3 +879,48 @@ def test_manifest_records_the_grid_flags(tmp_path, argv, flags):
     assert run(argv + SMALL + ["--out", str(tmp_path)]) == 0
     (manifest,) = tmp_path.glob("*.manifest.json")
     assert json.loads(manifest.read_text())["flags"] == flags
+
+
+# Configs that between them select every run mode: the defaults, impairments, the correlated model.
+MODE_SETTINGS = [
+    [],
+    ["est_err_var=0.01", "alpha=0.98"],
+    ["model=correlated", "num_subcarriers=64", "num_taps=4", "pdp_decay=2.0"],
+]
+# The options every subcommand shares; the other valued options are grid flags.
+COMMON_DESTS = {"help", "config", "overrides", "out", "trials", "seed", "format"}
+
+
+def test_mode_table_matches_the_parser(tmp_path, capsys):
+    # every grid flag a subparser defines is read by one of the subcommand's
+    # modes and refused by the others, so no flag can be added that no run reads
+    parser = cli._build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, subparser in subparsers.choices.items():
+        leads = ([[command, name] for name in sorted(cli._FIGURES)] if command == "figure"
+                 else [[command]])
+        modes = {}
+        for lead in leads:
+            for settings in MODE_SETTINGS:
+                overrides = [part for item in settings for part in ("--set", item)]
+                args = parser.parse_args(lead + overrides)
+                label, keys, flags = cli._mode(args, load_config(None, settings))
+                assert keys <= cli._CONFIG_KEYS
+                if {item.split("=")[0] for item in settings} <= keys:
+                    modes.setdefault(label, (lead + overrides, flags))
+        grid_flags = [a for a in subparser._actions
+                      if a.option_strings and a.nargs != 0 and a.dest not in COMMON_DESTS]
+        for action in grid_flags:
+            flag = action.option_strings[0]
+            readers = [flags[action.dest] for _, flags in modes.values() if flags.get(action.dest)]
+            assert readers, f"no mode of {command} reads {flag}"
+            _, default = readers[0]
+            for label, (argv, flags) in modes.items():
+                if flags.get(action.dest):
+                    continue
+                out = tmp_path / label.replace(" ", "_")
+                assert run(argv + [flag, str(default), "--out", str(out)]) == 2, label
+                err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+                assert err["error"]["type"] == "validation"
+                assert flag in err["error"]["message"]
+                assert not out.exists()

@@ -18,13 +18,17 @@ NaN, where nothing was observed to vary, is not a disagreement), and on the
 default system at alpha_w of 2.6e57 and 1.4e150 within |z| <= 3.  At -200
 and -190 dB, where 1 + snr x rounds to 1, both engines' sum rates and
 goodputs are positive, grow tenfold with the SNR to 1e-6 relative, and
-cross-validate within |z| <= 3.  Random
-CLI argv over every subcommand and figure, at 2 to 64 trials, exits 0, 2
-or 3, or 4 where a cross-validation at so few trials is flagged, but never
-5, and writes finite CSV values.
+cross-validate within |z| <= 3.  At 3080 dB, where snr x passes the
+float range, every CLI run that would report an inf or NaN exits 3 with no
+output, while a fixed-rate run, whose rate stays finite, exits 0; at
+-3000 dB the Monte Carlo standard error stays positive and the z finite.
+Random CLI argv over every subcommand and figure, at 2 to 64 trials,
+exits 0, 2 or 3, or 4 where a cross-validation at so few trials is
+flagged, but never 5, and writes finite CSV values.
 """
 
 import csv
+import json
 import math
 import time
 from dataclasses import replace
@@ -282,3 +286,50 @@ def test_cli_exits_with_a_documented_code(tmp_path_factory, argv):
                 except ValueError:  # a metric or series name
                     continue
                 assert math.isfinite(value) or (key == "z" and float(row["std_error"]) == 0.0)
+
+
+IMPAIRED = ["--set", "est_err_var=0.01", "--set", "alpha=0.98"]
+SNR_EDGE = ["--set", "snr_db=3080"]
+CORRELATED = ["--set", "model=correlated", "--set", "num_subcarriers=256", "--set", "num_taps=16",
+              "--set", "pdp_decay=4.0", "--set", 'clusters=[{"eta": 2, "users": 10}]']
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--trials", "8"],
+        ["simulate", "--trials", "8", *IMPAIRED, "--set", "beta1=0.7"],
+        ["simulate", "--trials", "8", *CORRELATED],
+        ["analytic", "--users-grid", "5"],
+        ["analytic", "--beta-grid", "0.5", *IMPAIRED],
+        ["min-m", "--users-grid", "5"],
+    ],
+    ids=["perfect", "variable-rate", "correlated", "sum-rate", "goodput", "min-m"],
+)
+def test_rates_past_the_float_range_exit_3(tmp_path, argv, capsys):
+    # log2(1 + snr x) overflows: a typed numerical failure, never an inf or
+    # NaN in the CSV; the suite runs with RuntimeWarnings as errors, so an
+    # unguarded overflow would exit 5 here as under python -W error
+    assert cli.run(argv + SNR_EDGE + ["--out", str(tmp_path)]) == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"]["type"] == "numerical"
+    assert not list(tmp_path.iterdir())
+
+
+def test_fixed_rate_past_the_float_range_of_snr_x_stays_finite(tmp_path):
+    # a fixed rate log2(1 + snr beta0) is finite even where snr x is not
+    argv = ["simulate", "--trials", "8", *IMPAIRED, "--set", "beta0=1", *SNR_EDGE]
+    assert cli.run(argv + ["--out", str(tmp_path)]) == 0
+    with open(tmp_path / "simulate.csv", newline="") as fh:
+        goodput = next(csv.DictReader(fh))
+    assert float(goodput["value"]) == pytest.approx(1019.157, abs=1e-3)
+
+
+def test_cross_validation_at_a_vanishing_snr_has_a_finite_z(tmp_path):
+    # at -3000 dB the per-trial rates are about 1e-300: their spread must not underflow to 0
+    argv = ["simulate", "--trials", "4096", "--set", "snr_db=-3000", "--cross-validate"]
+    assert cli.run(argv + ["--out", str(tmp_path)]) == 0
+    with open(tmp_path / "simulate.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert float(row["std_error"]) > 0.0
+    assert float(row["z"]) == pytest.approx(1.1, abs=0.1)

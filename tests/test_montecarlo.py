@@ -2,6 +2,7 @@ import math
 import os
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -509,6 +510,30 @@ class TestPerfectEstimates:
         small = run_perfect(ExperimentSpec("subband", s, trials=4000, seed=8))
         large = run_perfect(ExperimentSpec("subband", s, trials=16_000, seed=8))
         assert abs(small.std_error / large.std_error - 2.0) < 0.4
+
+    def test_standard_error_does_not_underflow(self):
+        # the samples are about snr x; their squared deviations would underflow
+        # at snr 1e-300, where the scaled spread keeps the SE in proportion
+        s = two_cluster_system(6, 2)
+        per_snr = []
+        for snr in (1e-100, 1e-300):
+            spec = ExperimentSpec("subband", replace(s, snr=snr), trials=4096, seed=8)
+            per_snr.append(run_perfect(spec).std_error / snr)
+        assert per_snr[0] > 0.0
+        assert per_snr[1] == pytest.approx(per_snr[0], rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-3, 0.7, 1.0, 6.0, 3e5])
+    def test_estimate_keeps_the_bits_of_the_plain_formulas(self, scale):
+        # scaling by a power of two is exact, so an ordinary estimate is unchanged
+        samples = np.random.default_rng(3).exponential(scale, 5000)
+        est = mc._mean_estimate(samples)
+        assert est.value == float(samples.mean())
+        assert est.std_error == float(samples.std(ddof=1) / math.sqrt(samples.size))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_estimate_raises(self, bad):
+        with pytest.raises(FloatingPointError, match="not finite"):
+            mc._mean_estimate(np.array([1.0, bad, 2.0]))
 
     def test_rejects_impairments(self):
         spec = ExperimentSpec(

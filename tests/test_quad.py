@@ -58,6 +58,22 @@ def test_non_finite_integrand_raises(bad):
         quad_checked(lambda x, which: np.where(x > 0.5, bad, 1.0), 0.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_limit_raises_before_any_evaluation(bad):
+    # log1p(snr x_max) past the float range is an inf limit: refused, not integrated
+    calls = []
+
+    def f(x, which):
+        calls.append(x.size)
+        return np.exp(-x)
+
+    with pytest.raises(QuadratureError, match="integral 1: .*not finite"):
+        quad_checked(f, np.zeros(2), np.array([1.0, bad]))
+    with pytest.raises(QuadratureError):
+        quad_checked(f, 0.0, math.inf)
+    assert not calls
+
+
 def test_limits_must_be_increasing():
     with pytest.raises(ValueError):
         quad_checked(lambda x, which: np.exp(x), 1.0, 0.0)
