@@ -107,8 +107,9 @@ def _gauss_kronrod(f, lo: np.ndarray, hi: np.ndarray, which: np.ndarray):
         fx = np.asarray(f(x.ravel(), owner), dtype=float)
     fx = np.broadcast_to(fx, (x.size,)).reshape(x.shape)
     if not np.all(np.isfinite(fx)):
-        bad = x[~np.isfinite(fx)][0]
-        raise QuadratureError(f"integrand is not finite at x={bad!r}")
+        panel, node = np.argwhere(~np.isfinite(fx))[0]
+        raise QuadratureError(f"integral {which[panel]}: integrand is not finite "
+                              f"at x={float(x[panel, node])!r}")
     kronrod = _kronrod_sums(fx, _KRONROD_WEIGHTS)
     err = np.abs((kronrod - _kronrod_sums(fx, _GAUSS_WEIGHTS)) * half)
     resasc = _kronrod_sums(np.abs(fx - 0.5 * kronrod[:, None]), _KRONROD_WEIGHTS) * half

@@ -24,14 +24,13 @@ reference for the mixture route.
 
 The order-statistic moment integrals (I1 here, I2, I4 and the I3 bound in
 ``goodput``) are expectations over the maximum of b i.i.d. exponentials, a
-signed mixture of b exponentials.  Each passes one helper,
-``_order_moment``, its integrand and that integrand's closed-form
-expectation over one exponential, with their parameters (and the order)
-as arrays that broadcast.  The helper makes two passes over the elements,
-one block at a time: the shallow pass sums the mixture for every element
-up to order 20, its terms padded with zeros to the block's largest order,
-and the deep pass integrates the integrand for every element beyond
-(``_order_expect``), a block's integrals in one batched quadrature.
+signed mixture of b exponentials.  I1, I4 and the I3 bound integrate their
+integrand against that law at every order (``_order_expect``), I1 through
+``_order_moment``'s blocks of elements.  Only I2, which the optimizer calls
+at every golden-section step, also passes the helper its integrand's
+closed-form expectation over one exponential: up to order 20 the helper
+sums their mixture, far cheaper than quadrature, with each element's terms
+padded with zeros to the block's largest order.
 
 The laws take per-system parameters as arrays, so one mixture covers a
 sequence of systems that share the block count and subband sizes:
@@ -54,7 +53,6 @@ from scipy.special import betainc
 
 from ._quad import quad_checked
 from .channel import SystemConfig, cluster_feedback_quota
-from .specfun import exp_integral_e1_scaled
 
 __all__ = [
     "CoefficientTable",
@@ -520,7 +518,7 @@ def _mixture_sum(closed_form, b: np.ndarray, scale: np.ndarray, *params: np.ndar
 
 
 def _order_moment(
-    closed_form: Callable[..., np.ndarray],
+    closed_form: Callable[..., np.ndarray] | None,
     func: Callable[..., np.ndarray],
     b,
     scale,
@@ -532,16 +530,18 @@ def _order_moment(
     the exponential density of mean scale/(l+1), l < b.  ``closed_form``
     maps an array of means, with the order l along a trailing axis, and the
     parameters, each with a trailing axis of one, to E[func(Y, *params)]
-    for Y exponential with each mean.  The result is taken elementwise over
-    the broadcast of ``b``, ``scale`` and ``params``, a float for scalars.
-    Two passes run over the flat element indices: the shallow pass sums the
-    mixture of closed forms (``_mixture_sum``) for every element up to
-    order ``_B_FLOAT_MAX``, and the deep pass integrates ``func`` by
-    ``_order_expect`` for every element beyond, one batched quadrature per
-    block.  Blocks are taken from the broadcast arguments without copying
-    the whole grid, sized so that a block's mixture terms (up to
-    ``_B_FLOAT_MAX`` per element) or first quadrature nodes fit in
-    ``_BLOCK_BYTES``.
+    for Y exponential with each mean, or is ``None``.  The result is taken
+    elementwise over the broadcast of ``b``, ``scale`` and ``params``, a
+    float for scalars.  Two passes run over the flat element indices: the
+    shallow pass sums the mixture of closed forms (``_mixture_sum``) for
+    every element up to order ``_B_FLOAT_MAX``, and the deep pass
+    integrates ``func`` by ``_order_expect`` for every other element (all
+    of them without a closed form), one batched quadrature per block.  The
+    float sum loses digits to the binomial weights, so only ``i2``, which
+    the optimizer calls in its loop, passes a closed form.  Blocks are
+    taken from the broadcast arguments without copying the whole grid,
+    sized so that a block's mixture terms (up to ``_B_FLOAT_MAX`` per
+    element) or first quadrature nodes fit in ``_BLOCK_BYTES``.
     """
     orders, *args = np.broadcast_arrays(_order(b), scale, *params)
     out = np.empty(orders.shape)
@@ -552,7 +552,7 @@ def _order_moment(
     def deep(k, s, *p):
         return _order_expect(lambda x, which: func(x, *(v[which] for v in p)), k, s)
 
-    beyond = orders > _B_FLOAT_MAX
+    beyond = orders > (0 if closed_form is None else _B_FLOAT_MAX)
     # a first quadrature level has 3 panels of 21 nodes per element
     for route, elements, width in ((shallow, np.flatnonzero(~beyond), _B_FLOAT_MAX),
                                    (deep, np.flatnonzero(beyond), 63)):
@@ -566,19 +566,12 @@ def _order_moment(
 def i1(a, b):
     """E[log2(1 + a X)] for X the maximum of b unit-mean exponentials.
 
-    E[log2(1 + a Y)] = exp(1/(a m)) E1(1/(a m)) / ln 2 for Y exponential
-    with mean m.  ``a`` and ``b`` broadcast, a float for scalars.
+    ``a`` and ``b`` broadcast, a float for scalars.
     """
     a = np.asarray(a, dtype=float)
     if not np.all(a > 0):
         raise ValueError("a must be positive")
-    return _order_moment(
-        lambda mean, a: exp_integral_e1_scaled(1.0 / (a * mean)) / _LN2,
-        lambda x, a: np.log1p(a * x) / _LN2,
-        b,
-        1.0,
-        a,
-    )
+    return _order_moment(None, lambda x, a: np.log1p(a * x) / _LN2, b, 1.0, a)
 
 
 # ---------------------------------------------------------------------------

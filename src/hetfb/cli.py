@@ -478,7 +478,7 @@ def _figure_5(trials, seed):
             rates = montecarlo.strategy_comparison(_fig5_system(k, m), _FIG5_SIZES,
                                                    trials=trials, seed=(seed, m, k))
             for series, per_trial in zip(_FIG5_SERIES, rates):
-                est = montecarlo._mean_estimate(per_trial)
+                est = montecarlo._mean_estimate(per_trial, "sum_rate")
                 rows.append({"users": k, "best_m": m, "strategy": series,
                              "sum_rate": est.value, "std_error": est.std_error})
     return rows

@@ -5,14 +5,13 @@ variable-rate strategies, the mean-value (Jensen) and low-SNR bounds for
 the variable-rate integral, and the optimization of the rate-adaptation
 parameters beta0 / beta1.
 
-The moment integrals I2, I4 and the I3 bound over the scheduled estimated
-CQI go through ``analytic._order_moment``, as I1 does: each gives its
-integrand and the integrand's closed-form expectation over one exponential,
-and the helper picks the mixture sum or quadrature by order.  I2 passes its
-threshold and the impairments as arrays, so one call covers a whole grid:
-beyond order 20 a block of its integrals goes through one batched
-quadrature, and the helper bounds the memory of each block.  The I3
-integrals take a positive, finite SNR and raise ``ValueError`` otherwise.
+The moment integrals over the scheduled estimated CQI are integrated at
+every order (``analytic._order_expect``), as I1 is, except I2: the beta0
+optimizer calls it at every golden-section step, so up to order 20 it sums
+its closed form as a mixture (``analytic._order_moment``), a fraction of
+the quadrature's cost.  I2 takes arrays of thresholds and impairments, so
+one call covers a whole grid, a block at a time.  The I3 integrals take a
+positive, finite SNR and raise ``ValueError`` otherwise.
 Near perfect feedback the Marcum-Q arguments grow like 1/sqrt(est_error_var);
 ``marcum_q1`` switches to Gauss-Hermite quadrature there, so both stay
 cheap and finite, and I2's closed form scales its squared argument by a
@@ -62,7 +61,7 @@ import numpy as np
 from ._quad import QuadratureError, quad_checked  # noqa: F401
 from .analytic import ScheduledCqiMixture, _order, _order_expect, _order_moment, _order_points
 from .channel import ImpairmentParams, SystemConfig
-from .specfun import gauss_2f1, marcum_q1, marcum_q1_pair
+from .specfun import marcum_q1, marcum_q1_pair
 
 __all__ = [
     "QuadratureError",
@@ -102,7 +101,8 @@ def i2(a, b: int, imp):
     a = np.asarray(a, dtype=float)
     if not np.all((0.0 <= a) & (a < math.inf)):
         raise ValueError("threshold must be finite and nonnegative")
-    varpi, vartheta = _marcum_args(a, imp)
+    # the Q1 arguments at unit CQI
+    varpi, vartheta = imp.alpha_w * imp.delay_corr, imp.alpha_w * np.sqrt(a)
 
     def closed_form(mean: np.ndarray, varpi: np.ndarray, vartheta: np.ndarray) -> np.ndarray:
         z = 2.0 / mean
@@ -125,11 +125,6 @@ def i2(a, b: int, imp):
     return np.clip(val, 0.0, 1.0, out=val)[()]
 
 
-def _marcum_args(a, imp):
-    """(varpi, vartheta) = alpha_w * (alpha, sqrt(a)): the Q1 arguments at unit CQI."""
-    return imp.alpha_w * imp.delay_corr, imp.alpha_w * np.sqrt(a)
-
-
 def _threshold_q1(x, varpi, vartheta):
     """Q1(varpi*sqrt(x), vartheta), the fixed-rate success given estimate x."""
     return marcum_q1(varpi * np.sqrt(x), vartheta)
@@ -147,16 +142,34 @@ def i4(a: float, b: int, imp: ImpairmentParams) -> float:
         raise ValueError("backoff must be finite and nonnegative")
     if a == 0:
         return 1.0
-    varpi, vartheta = _marcum_args(a, imp)
+    return min(max(_backoff_expect(lambda x: 1.0, a, b, imp), 0.0), 1.0)
 
-    def closed_form(mean: np.ndarray) -> np.ndarray:
-        z = 2.0 / mean
-        n = varpi**2 - vartheta**2 + z
-        # sqrt(phi^2 - 4 varpi^2 vartheta^2) as a hypot: no cancellation, no overflow
-        return 0.5 * (1.0 + n / np.hypot(n, 2.0 * np.sqrt(z) * vartheta))
 
-    val = _order_moment(closed_form, _backoff_q1(a, imp), b, imp.estimate_var)
-    return min(max(val, 0.0), 1.0)
+def _backoff_expect(weight, a, b, imp) -> float:
+    """E[weight(X) Q1(varpi*sqrt(X), alpha_w*sqrt(a X))] at order b, by quadrature.
+
+    Given the estimate x, the backoff success (a > alpha^2) or failure
+    (a < alpha^2) decays like exp(-x/d), so the integral also starts with
+    ``_decay_points``.
+    """
+    q1_at = _backoff_q1(a, imp)
+    points = np.hstack([_order_points(b, imp.estimate_var), _decay_points(np.array([a]), imp)])
+    (value,) = _order_expect(lambda x, _: weight(x) * q1_at(x), b, imp.estimate_var,
+                             points=points)
+    return float(value)
+
+
+def _decay_points(a: np.ndarray, imp) -> np.ndarray:
+    """Breakpoints d * (1, 8, 64) per backoff in ``a``, d = 2/(alpha_w (alpha - sqrt(a)))^2.
+
+    Near perfect feedback d is so small that a term decaying like exp(-x/d)
+    vanishes at every node of a first level; these panels resolve it.  A d
+    of inf (alpha = sqrt(a), or past the float range) puts them beyond the
+    interval.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        d = 2.0 / (imp.alpha_w * (imp.delay_corr - np.sqrt(a))) ** 2
+    return d[:, None] * [1.0, 8.0, 64.0]
 
 
 def _backoff_q1(a, imp):
@@ -195,14 +208,11 @@ def _check_snr(snr) -> None:
         raise ValueError("snr must be positive and finite (linear scale)")
 
 
-# (a, b, c) of the four 2F1 factors of the I3 bound, in ``_i3_ub_bracket`` order
-_I3_UB_2F1 = ((1.0, 1.5, 2.0), (0.5, 1.0, 1.0), (1.5, 2.0, 2.0), (1.0, 1.5, 1.0))
-
-
 def i3_upper_bound(a: float, b: int, imp: ImpairmentParams, snr: float) -> float:
-    """Low-SNR closed-form upper bound on the variable-rate goodput integral.
+    """Low-SNR upper bound on the variable-rate goodput integral.
 
-    Linearizes the log inside the goodput integral; tight as snr -> 0.
+    Linearizes the log inside the goodput integral, to snr a X / ln 2;
+    tight as snr -> 0.
     """
     b = _order(b)
     _check_snr(snr)
@@ -210,27 +220,7 @@ def i3_upper_bound(a: float, b: int, imp: ImpairmentParams, snr: float) -> float
         raise ValueError("backoff must lie in [0, 1]")
     if a == 0.0:
         return 0.0
-    varpi, vartheta = _marcum_args(a, imp)
-    w2, t2 = varpi**2, vartheta**2
-
-    def closed_form(mean: np.ndarray) -> np.ndarray:
-        z = 2.0 / mean
-        phi = w2 + t2 + z
-        # 4 varpi^2 vartheta^2 / phi^2 < 1: phi^2 - 4 varpi^2 vartheta^2 > 0 as z > 0
-        hyp = 4.0 * (w2 / phi) * (t2 / phi)
-        f = [gauss_2f1(p, q, r, hyp) for p, q, r in _I3_UB_2F1]
-        return snr * a * mean / _LN2 * _i3_ub_bracket(w2, t2, z, phi, *f)
-
-    q1_at = _backoff_q1(a, imp)
-    return _order_moment(
-        closed_form, lambda x: snr * a * x / _LN2 * q1_at(x), b, imp.estimate_var
-    )
-
-
-def _i3_ub_bracket(w2, t2, z, phi, f1, f2, f3, f4):
-    return 1 + (t2 / phi) * (
-        (w2 / phi) * f1 - f2 + (2 * z / phi) * ((w2 / phi) * f3 - 0.5 * f4)
-    )
+    return snr * a / _LN2 * _backoff_expect(lambda x: x, a, b, imp)
 
 
 def jensen_mean(b: int, imp):
@@ -316,16 +306,10 @@ def _metrics_table(sys: SystemConfig, imp: ImpairmentParams, beta0, beta1):
         out[rate] *= np.log1p(rho * row_beta[rate] * x[rate]) / _LN2
         return out
 
-    # The variable-rate failure decays like exp(-x/d) in the estimate x, with
-    # d = 2/(alpha_w (alpha - sqrt(beta)))^2.  Near perfect feedback d is so
-    # small that the failure underflows at every node of a first level, so
-    # the variable-rate outage rows also start with breakpoints at d * (1, 8,
-    # 64); the other rows' NaN breakpoints are ignored.  A d of inf (alpha =
-    # sqrt(beta), or past the float range) puts them beyond the interval.
+    # the variable-rate outage rows also start with ``_decay_points``; the
+    # other rows' NaN breakpoints are ignored
     decay = np.full((beta.size, 3), np.nan)
-    with np.errstate(divide="ignore", over="ignore"):
-        d = 2.0 / (imp.alpha_w * (imp.delay_corr - np.sqrt(b1))) ** 2
-    decay[beta.size - b1.size :] = d[:, None] * [1.0, 8.0, 64.0]
+    decay[beta.size - b1.size :] = _decay_points(b1, imp)
     if sys.best_m == sys.m_full:
         orders = np.full(beta.size, k)
         values = _order_expect(

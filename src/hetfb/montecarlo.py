@@ -215,8 +215,16 @@ def _map_chunks(fn, plan: list[tuple[np.random.SeedSequence, int]]) -> list:
         pool.shutdown(cancel_futures=True)
 
 
-def _mean_estimate(samples: np.ndarray) -> EstimateWithError:
-    """The mean of per-trial samples, with its standard error.
+def _named_estimate(name: str, value: float, std_error: float, trials: int) -> EstimateWithError:
+    """The estimate of the metric ``name``; a refusal of a non-finite one names the metric."""
+    try:
+        return EstimateWithError(value=value, std_error=std_error, trials=trials)
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{name} {exc}") from None
+
+
+def _mean_estimate(samples: np.ndarray, name: str) -> EstimateWithError:
+    """The mean of per-trial samples of the metric ``name``, with its standard error.
 
     Both are taken of the samples scaled by the power of two that brings
     their largest magnitude into [0.5, 1), then scaled back.  That is exact,
@@ -229,7 +237,8 @@ def _mean_estimate(samples: np.ndarray) -> EstimateWithError:
     scaled = np.ldexp(samples, -exp)
     with np.errstate(invalid="ignore"):  # inf - inf: the estimate refuses the NaN spread
         mean, spread = scaled.mean(), scaled.std(ddof=1)
-    return EstimateWithError(
+    return _named_estimate(
+        name,
         value=math.ldexp(mean, exp),
         std_error=math.ldexp(spread, exp) / math.sqrt(t),
         trials=t,
@@ -436,7 +445,8 @@ def run_perfect(spec: ExperimentSpec) -> EstimateWithError:
             [_mean_rate(best, sys.snr) for best, _, _ in _subband_blocks(sys, None, seq, t)]
         )
 
-    return _mean_estimate(np.concatenate(_map_chunks(chunk, _chunk_plan(spec.trials, spec.seed))))
+    rates = np.concatenate(_map_chunks(chunk, _chunk_plan(spec.trials, spec.seed)))
+    return _mean_estimate(rates, "sum_rate")
 
 
 def correlated_rate_grid(
@@ -483,7 +493,7 @@ def correlated_rate_grid(
         return np.concatenate(blocks, axis=1)
 
     rates = np.concatenate(_map_chunks(chunk, _chunk_plan(trials, seed)), axis=1)
-    return {c: _mean_estimate(r) for c, r in zip(combos, rates)}
+    return {c: _mean_estimate(r, "sum_rate") for c, r in zip(combos, rates)}
 
 
 # ---------------------------------------------------------------------------
@@ -491,12 +501,14 @@ def correlated_rate_grid(
 # ---------------------------------------------------------------------------
 
 
-def _ratio_estimate(numer: np.ndarray, denom: np.ndarray, trials: int) -> EstimateWithError:
-    """Pooled ratio with a linearization standard error."""
+def _ratio_estimate(numer: np.ndarray, denom: np.ndarray, trials: int,
+                    name: str) -> EstimateWithError:
+    """Pooled ratio of the metric ``name`` with a linearization standard error."""
     mean_d = denom.mean()
     ratio = numer.sum() / denom.sum()
     lin = (numer - ratio * denom) / mean_d
-    return EstimateWithError(
+    return _named_estimate(
+        name,
         value=float(ratio),
         std_error=float(lin.std(ddof=1) / math.sqrt(trials)),
         trials=trials,
@@ -532,10 +544,10 @@ def run_imperfect_grid(
 
     stats = np.concatenate(_map_chunks(chunk, _chunk_plan(spec.trials, spec.seed)), axis=1)
     sched = stats[0]
-    scheduling_outage = _mean_estimate((n - sched) / n)
+    scheduling_outage = _mean_estimate((n - sched) / n, "scheduling_outage")
     return [
-        ImperfectResult(strategy=s, goodput=_mean_estimate(good),
-                        outage=_ratio_estimate(failed, sched, spec.trials),
+        ImperfectResult(strategy=s, goodput=_mean_estimate(good, "goodput"),
+                        outage=_ratio_estimate(failed, sched, spec.trials, "outage"),
                         scheduling_outage=scheduling_outage)
         for s, good, failed in zip(strategies, stats[1::2], stats[2::2])
     ]
@@ -573,7 +585,8 @@ def run_strategy_comparison(
     if strategy == "homogeneous" and subband_size is None:
         raise ValueError("homogeneous comparison needs a common subband size")
     sizes = [subband_size] if strategy == "homogeneous" else []
-    return _mean_estimate(strategy_comparison(sys, sizes, trials=trials, seed=seed)[rows[strategy]])
+    rates = strategy_comparison(sys, sizes, trials=trials, seed=seed)
+    return _mean_estimate(rates[rows[strategy]], "sum_rate")
 
 
 def homogeneous_quota(sys: SystemConfig) -> int:

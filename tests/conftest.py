@@ -2,6 +2,10 @@ import pytest
 
 from hetfb.channel import Cluster, ImpairmentParams, SystemConfig
 
+# Orders of the moment integrals on both sides of 20, where a float sum of
+# their alternating mixtures loses the most digits to the binomial weights.
+MOMENT_ORDERS = (1, 2, 3, 8, 12, 16, 20, 21, 30, 40)
+
 
 @pytest.fixture
 def imp_default() -> ImpairmentParams:

@@ -2,10 +2,12 @@
 
 * The arbitrary-precision closed forms of the moment integrals I1, I2, I4
   and the low-SNR I3 bound, and the outages 1 - I2 and 1 - I4 subtracted
-  in mpmath.  The library sums these alternating binomial series in
-  floats up to order 20 and integrates the defining integrals beyond;
-  these sums, in mpmath with enough guard digits for the cancellation,
-  check the quadrature route at any order.
+  in mpmath.  The library integrates the defining integrals of I1, I4 and
+  the I3 bound at every order; only I2 sums its alternating binomial
+  series in floats, up to order 20, because the beta0 optimizer calls it
+  at every golden-section step, and integrates beyond.  These sums, in
+  mpmath with enough guard digits for the cancellation, check both routes
+  at any order.
 * The probability-domain parametrization of the variable-rate goodput
   integral, an independent quadrature of what ``i3_quadrature`` computes.
 * The Craig/Simon single-integral form of the Marcum Q-function and its
@@ -45,7 +47,6 @@ from scipy.special import betainc, exp1, gammaln, i0, ive
 from hetfb import goodput
 from hetfb.analytic import ReportedCqiLaw, _xi_exact, feedback_set_pmf, selection_coefficients
 from hetfb.channel import ImpairmentParams, SystemConfig, cluster_feedback_quota
-from hetfb.goodput import _i3_ub_bracket
 from hetfb.specfun import bessel_i0e, marcum_q1
 
 
@@ -122,6 +123,13 @@ def i4_outage_mp(a: float, b: int, imp: ImpairmentParams, extra_dps: int) -> flo
     """Variable-rate outage 1 - I4, subtracted in mpmath as in ``i2_outage_mp``."""
     with mp.workdps(mp_dps(b) + extra_dps):
         return float(1 - _i4_sum_mp(a, b, imp))
+
+
+def _i3_ub_bracket(w2, t2, z, phi, f1, f2, f3, f4):
+    """The bracket of one I3-bound term, from its four 2F1 factors."""
+    return 1 + (t2 / phi) * (
+        (w2 / phi) * f1 - f2 + (2 * z / phi) * ((w2 / phi) * f3 - 0.5 * f4)
+    )
 
 
 def i3_ub_mp(a: float, b: int, imp: ImpairmentParams, snr: float) -> float:

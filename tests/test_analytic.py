@@ -25,7 +25,7 @@ from hetfb.analytic import (
 )
 from hetfb import _quad, analytic
 from hetfb.channel import Cluster, SystemConfig
-from tests.conftest import two_cluster_system
+from tests.conftest import MOMENT_ORDERS, two_cluster_system
 from tests.oracles import (
     i1_mp,
     metric_over_sets,
@@ -289,9 +289,15 @@ class TestI1:
 
     def test_route_crossovers_agree(self):
         for a in (0.5, 10.0):
-            assert abs(i1(a, 20) - i1_mp(a, 20)) < 1e-9  # float vs mp
+            assert abs(i1(a, 20) - i1_mp(a, 20)) < 1e-9  # quad vs mp
             assert abs(i1(a, 21) - i1_mp(a, 21)) < 1e-8  # quad vs mp
             assert abs(i1(a, 60) - i1_mp(a, 60)) < 1e-8  # quad vs mp
+
+    @pytest.mark.parametrize("a", [10.0, 1e6, 1e300])
+    def test_every_order_to_the_oracle_digits(self, a):
+        # a float sum of the alternating E1 mixture was 3.0e-11 off at order 20
+        for b in MOMENT_ORDERS:
+            assert i1(a, b) == pytest.approx(i1_mp(a, b), rel=1e-12, abs=0)
 
     def test_domain(self):
         with pytest.raises(ValueError):

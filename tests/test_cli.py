@@ -19,7 +19,7 @@ from hetfb.cli import emit, load_config, parse_grid, run, split_users
 from hetfb.crossval import CrossValidationEntry, CrossValidationReport
 from hetfb.montecarlo import CHUNK_TRIALS
 from hetfb.specfun import ConvergenceError
-from tests.oracles import variable_outage_over_estimate
+from tests.oracles import i1_mp, variable_outage_over_estimate
 
 
 def read_csv(path: Path):
@@ -457,6 +457,16 @@ class TestInternalFailures:
         assert err["error"]["type"] == "numerical"
         assert raised_on and not any(raised_on)
 
+    def test_overflowed_estimate_names_its_metric(self, tmp_path, capsys):
+        # past the float range of snr x the goodput of the variable-rate
+        # strategy is inf; its refusal says which metric overflowed
+        argv = ["simulate", "--trials", "8", "--set", "snr_db=3080", "--set", "est_err_var=0.01",
+                "--set", "alpha=0.98", "--set", "beta1=0.7", "--out", str(tmp_path)]
+        assert run(argv) == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "numerical"
+        assert err["error"]["message"].startswith("goodput estimate ")
+
 
 class TestAnalyticCommand:
     def test_full_feedback_rate_equals_order_statistics(self, tmp_path):
@@ -479,6 +489,15 @@ class TestAnalyticCommand:
         for row in rows:
             k = int(row["users"])
             assert float(row["sum_rate"]) == pytest.approx(analytic.i1(snr, k), rel=1e-10)
+
+    def test_full_feedback_rates_print_the_oracle_digits(self, tmp_path):
+        # the orders 16 to 20 where a float mixture sum lost the 10th to 12th digit
+        argv = ["analytic", "--full-feedback", "--users-grid", "16:20:1", "--out", str(tmp_path)]
+        assert run(argv) == 0
+        rows = read_csv(tmp_path / "analytic.csv")
+        assert [int(r["users"]) for r in rows] == list(range(16, 21))
+        for row in rows:
+            assert row["sum_rate"] == format(i1_mp(10.0, int(row["users"])), ".12g")
 
     def test_beta_sweep_with_impairments(self, tmp_path):
         payload = dict(BASE, best_m=4, alpha=0.95, est_err_var=0.02)

@@ -22,7 +22,7 @@ from hetfb.goodput import (
     optimize_beta1_grid,
     variable_rate_metrics,
 )
-from tests.conftest import two_cluster_system
+from tests.conftest import MOMENT_ORDERS, two_cluster_system
 from tests.oracles import (
     i2_mp,
     i2_outage_mp,
@@ -88,7 +88,7 @@ def i3_oracle(a, b, imp, snr):
 
 class TestMomentDomain:
     """Domain of the moment integrals I1, I2, I4 and the I3 bound, on both
-    sides of order 20 (closed form below, quadrature above)."""
+    sides of order 20 (I2's closed form below, quadrature above)."""
 
     @staticmethod
     def moments(imp):
@@ -143,15 +143,14 @@ class TestMomentDomain:
                 integral(0.5, b, imp_default, snr)
 
     def test_finite_across_arguments(self, imp_default):
-        # the 2F1 argument 4 varpi^2 vartheta^2 / phi^2 of the I3 bound stays
-        # below one and the I4 root stays real at every threshold and order
+        # every moment stays in its range at every threshold and order
         for b in (1, 8, 40):
             for a in (0.01, 0.5, 1.0, 5.0, 40.0):
                 assert 0.0 < i2(a, b, imp_default) <= 1.0
                 exact = i4_mp(a, b, imp_default)
                 if exact < 1e-14:
-                    # below the ~1e-14 rounding noise of the float mixture sum
-                    # the sign is chance (8.6e-19 at a = 40, b = 8): pin the value
+                    # a success this small (8.6e-19 at a = 40, b = 8) is pinned
+                    # to its value
                     assert abs(i4(a, b, imp_default) - exact) <= 1e-13
                 else:
                     assert 0.0 < i4(a, b, imp_default) <= 1.0
@@ -207,6 +206,13 @@ class TestI4:
     @pytest.mark.parametrize("a,b", [(0.5, 8), (0.9, 1), (0.2, 20), (0.6, 40), (0.8, 70)])
     def test_matches_quadrature_oracle(self, a, b, imp_default):
         assert abs(i4(a, b, imp_default) - i4_oracle(a, b, imp_default)) < 1e-7
+
+    def test_near_perfect_success_below_the_first_panels(self):
+        # backoff 5 at est_error_var 1e-9, alpha 1: the success decays within
+        # about 1e-9 of a zero estimate, below every node of a first level
+        imp = ImpairmentParams(1e-9, 1.0)
+        for b in (1, 2):
+            assert i4(5.0, b, imp) == pytest.approx(i4_mp(5.0, b, imp), rel=1e-10, abs=0)
 
 
 class TestI3:
@@ -265,10 +271,30 @@ class TestI3UpperBound:
         assert abs(i3_upper_bound(0.5, 1, imp_default, snr) - ref) < 1e-7
 
     def test_mp_route_consistent(self, imp_default):
-        # float closed form at b = 20, linearized-integral quadrature beyond
+        # the linearized-integral quadrature on both sides of order 20
         for b in (20, 21, 40):
             val = i3_upper_bound(0.5, b, imp_default, 0.01)
             assert abs(val - i3_ub_mp(0.5, b, imp_default, 0.01)) < 1e-10
+
+
+@pytest.mark.parametrize("sw2,alpha", [(0.01, 0.98), (3e-4, 0.9997), (1e-4, 0.9999)])
+class TestMomentAccuracy:
+    """I4 and the I3 bound hold the quadrature's 1e-10 to their mpmath closed forms."""
+
+    def test_i4_at_every_order(self, sw2, alpha):
+        imp = ImpairmentParams(sw2, alpha)
+        for a in (0.1, 0.5, 1.0):
+            for b in MOMENT_ORDERS:
+                assert i4(a, b, imp) == pytest.approx(i4_mp(a, b, imp), rel=1e-10, abs=0)
+
+    def test_i3_upper_bound_at_every_order(self, sw2, alpha):
+        # a float sum of the bound's four-2F1 mixture was 1.3e-9 off at order 20
+        imp = ImpairmentParams(sw2, alpha)
+        for a in (0.1, 0.5, 1.0):
+            for b in MOMENT_ORDERS:
+                for snr in (10.0, 1e6):
+                    assert i3_upper_bound(a, b, imp, snr) == pytest.approx(
+                        i3_ub_mp(a, b, imp, snr), rel=1e-10, abs=0)
 
 
 class TestJensen:

@@ -526,14 +526,14 @@ class TestPerfectEstimates:
     def test_estimate_keeps_the_bits_of_the_plain_formulas(self, scale):
         # scaling by a power of two is exact, so an ordinary estimate is unchanged
         samples = np.random.default_rng(3).exponential(scale, 5000)
-        est = mc._mean_estimate(samples)
+        est = mc._mean_estimate(samples, "sum_rate")
         assert est.value == float(samples.mean())
         assert est.std_error == float(samples.std(ddof=1) / math.sqrt(samples.size))
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_estimate_raises(self, bad):
-        with pytest.raises(FloatingPointError, match="not finite"):
-            mc._mean_estimate(np.array([1.0, bad, 2.0]))
+        with pytest.raises(FloatingPointError, match="^sum_rate estimate .* not finite"):
+            mc._mean_estimate(np.array([1.0, bad, 2.0]), "sum_rate")
 
     def test_rejects_impairments(self):
         spec = ExperimentSpec(
@@ -675,7 +675,7 @@ class TestStrategyComparison:
         trials = CHUNK_TRIALS + 301
         rates = mc.strategy_comparison(s, [2], trials=trials, seed=(9, 2))
         want = run_perfect(ExperimentSpec("subband", s, trials=trials, seed=(9, 2)))
-        got = mc._mean_estimate(rates[0])
+        got = mc._mean_estimate(rates[0], "sum_rate")
         assert (got.value, got.std_error) == (want.value, want.std_error)
 
     def test_separate_row_matches_per_cluster_oracle(self):

@@ -169,6 +169,15 @@ class TestBatch:
         with pytest.raises(QuadratureError):
             quad_checked(f, np.zeros(3), np.ones(3))
 
+    def test_non_finite_integrand_names_its_integral_and_a_plain_float(self):
+        f = stacked([np.exp, lambda x: np.where(x > 0.5, math.inf, 1.0), np.sin])
+        with pytest.raises(QuadratureError) as info:
+            quad_checked(f, np.zeros(3), np.ones(3))
+        prefix = "integral 1: integrand is not finite at x="
+        message = str(info.value)
+        assert message.startswith(prefix)
+        assert float(message[len(prefix):]) > 0.5  # a float's repr, not numpy's
+
     def test_each_integral_keeps_its_failure_contract(self):
         # 1/x on (0, 1] diverges; the integral beside it converges
         f = stacked([lambda x: 1.0 / x, np.exp])
